@@ -7,6 +7,7 @@ metrics, and an exact finite-horizon best-response solver.
 """
 
 from hebsim.chain import (
+    Allocation,
     Block,
     BlockStore,
     Chain,
@@ -14,14 +15,10 @@ from hebsim.chain import (
     EpochParams,
     FACTORED,
     REGULAR,
-    append_block,
     epoch_slice,
     epoch_stats,
-    longest_chains,
-    main_chain,
 )
 from hebsim.engine import (
-    Allocation,
     EpochResult,
     MinerConfig,
     StalledSystemError,
@@ -47,12 +44,9 @@ __all__ = [
     "REGULAR",
     "StalledSystemError",
     "StrategyFault",
-    "append_block",
     "epoch_slice",
     "epoch_stats",
     "get_protocol",
-    "longest_chains",
-    "main_chain",
     "make_strategy",
     "normalized_balances",
     "run_epoch",

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-Numeric = Union[int, float, Fraction]
-
 REGULAR = "regular"
 FACTORED = "factored"
 _KINDS = (REGULAR, FACTORED)
@@ -24,14 +22,13 @@ class ChainError(Exception):
     """Structural violation of the block tree (bad append, short chain...)."""
 
 
-def _as_fraction(x: Numeric) -> Fraction:
-    # floats are converted through their exact binary value; callers that
-    # care about exact conservation should pass int/Fraction/str inputs.
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(10**12)
+def as_fraction(x: Union[int, float, Fraction, str]) -> Fraction:
+    """``x`` as a Fraction.  Ints, Fractions and numeric strings convert
+    exactly; a float is rounded to the nearest fraction with denominator at
+    most 10**12, so ``0.1`` becomes 1/10 instead of its binary value."""
+    if isinstance(x, float):
+        return Fraction(x).limit_denominator(10**12)
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -134,11 +131,11 @@ class EpochParams:
     guard_ratio: Fraction = Fraction(1, 1000)
 
     def __post_init__(self):
-        object.__setattr__(self, "factor", _as_fraction(self.factor))
-        object.__setattr__(self, "rho", _as_fraction(self.rho))
-        object.__setattr__(self, "mint", _as_fraction(self.mint))
-        object.__setattr__(self, "user_balance", _as_fraction(self.user_balance))
-        object.__setattr__(self, "guard_ratio", _as_fraction(self.guard_ratio))
+        object.__setattr__(self, "factor", as_fraction(self.factor))
+        object.__setattr__(self, "rho", as_fraction(self.rho))
+        object.__setattr__(self, "mint", as_fraction(self.mint))
+        object.__setattr__(self, "user_balance", as_fraction(self.user_balance))
+        object.__setattr__(self, "guard_ratio", as_fraction(self.guard_ratio))
         if self.epoch_len < 1:
             raise ValueError("epoch_len must be a positive integer")
         if self.factor < 1:
@@ -152,6 +149,37 @@ class EpochParams:
 
     def block_weight(self, kind: str) -> Fraction:
         return self.factor if kind == FACTORED else Fraction(1)
+
+    def quota_limit(self, internal: Fraction) -> Optional[int]:
+        """Blocks of quota an internal commitment buys at ``rho * mint`` each;
+        None (unlimited) when rho is 0."""
+        if self.rho == 0:
+            return None
+        return int(Fraction(internal) / (self.rho * self.mint))
+
+
+def within_quota(used: int, limit: Optional[int]) -> bool:
+    """Whether a miner with ``used`` quota-consuming blocks on a path may add
+    another one there."""
+    return limit is None or used < limit
+
+
+@dataclass(frozen=True)
+class Allocation:
+    """A miner's split of her balance into internal and external parts."""
+
+    internal: Fraction
+    external: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "internal", Fraction(self.internal))
+        object.__setattr__(self, "external", Fraction(self.external))
+        if self.internal < 0 or self.external < 0:
+            raise ValueError("allocation parts must be non-negative")
+
+    @property
+    def total(self) -> Fraction:
+        return self.internal + self.external
 
 
 class BlockStore:
@@ -318,20 +346,6 @@ class BlockStore:
 
 
 # -- module-level operations ---------------------------------------------------------
-
-
-def append_block(store: BlockStore, block: Block) -> BlockStore:
-    """Append ``block`` to ``store`` in place and return the store."""
-    store.append(block)
-    return store
-
-
-def longest_chains(store: BlockStore) -> list[Chain]:
-    return store.longest_chains()
-
-
-def main_chain(store: BlockStore) -> Chain:
-    return store.main_chain()
 
 
 def epoch_slice(chain: Chain, k: int, epoch_len: int) -> tuple[Block, ...]:

@@ -16,14 +16,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from hebsim import metrics
-from hebsim.chain import EpochParams
+from hebsim.chain import EpochParams, as_fraction
 from hebsim.engine import (
     GameAccumulator,
     MinerConfig,
+    StrategyFault,
+    allocate,
     iter_game_results,
     normalized_balances,
 )
-from hebsim.mdp import min_factor
+from hebsim.mdp import StateBudgetError, min_factor
 from hebsim.presets import PRESETS, get_preset
 from hebsim.protocols import get_protocol, make_strategy, strategy_names
 from hebsim import __version__
@@ -75,7 +77,9 @@ def build_experiment(cfg: dict):
     if not miner_cfgs:
         raise ConfigError("miners", "at least one miner required")
     shares = []
-    for mc in miner_cfgs:
+    for i, mc in enumerate(miner_cfgs):
+        if "id" not in mc:
+            raise ConfigError("miners", f"miner #{i + 1} lacks an id")
         if "share" not in mc:
             raise ConfigError("miners", f"miner {mc.get('id')} lacks a share")
         shares.append(mc["share"])
@@ -92,18 +96,19 @@ def build_experiment(cfg: dict):
             raise ConfigError(
                 "strategy", f"unknown strategy {name!r} for miner {mc.get('id')}"
             )
-        miners.append(MinerConfig(str(mc["id"]), bal, make_strategy(name, protocol)))
+        miner = MinerConfig(str(mc["id"]), bal, make_strategy(name, protocol))
+        try:
+            allocate(miner, params, protocol)
+        except StrategyFault as e:
+            raise ConfigError("strategy", f"{name!r}: {e}") from None
+        miners.append(miner)
     return params, miners, protocol
 
 
 def _to_fraction(x, fieldname: str) -> Fraction:
     try:
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, float):
-            return Fraction(x).limit_denominator(10**12)
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError) as e:
+        return as_fraction(x)
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(fieldname, f"not a number: {x!r}") from None
 
 
@@ -154,14 +159,17 @@ def cmd_epsilon(args) -> int:
             dists = [[float(x) for x in args.dist.split(",")]]
         except ValueError:
             raise ConfigError("dist", f"not a comma-separated list: {args.dist!r}")
-        cfg.setdefault("distributions", dists)
         cfg["distributions"] = dists
-    if getattr(args, "epoch_len", None):
+    if getattr(args, "epoch_len", None) is not None:
         cfg["epoch_len"] = args.epoch_len
-    if getattr(args, "factor", None):
+    if getattr(args, "factor", None) is not None:
         cfg["factor"] = args.factor
     epoch_len = int(cfg.get("epoch_len", 1000))
     factor = float(cfg.get("factor", 20))
+    if epoch_len < 1:
+        raise ConfigError("epoch_len", f"must be a positive integer, got {epoch_len}")
+    if factor < 1:
+        raise ConfigError("factor", f"must be >= 1, got {factor}")
     dists = cfg.get("distributions")
     if not dists:
         raise ConfigError("distributions", "no balance distributions given")
@@ -257,7 +265,7 @@ def cmd_mdp(args) -> int:
                         f"at rho={rho}, share={share}",
                         file=sys.stderr,
                     )
-            except Exception as e:  # per-row failures keep the sweep going
+            except (ValueError, StateBudgetError) as e:  # the sweep goes on
                 print(f"error at rho={rho}, share={share}: {e}", file=sys.stderr)
                 phi_min = float("nan")
             dt = time.perf_counter() - t0

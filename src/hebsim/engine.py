@@ -12,14 +12,17 @@ import hashlib
 import json
 import math
 import warnings
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Protocol, Sequence, Union
+from itertools import accumulate
+from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
 from hebsim.chain import (
+    Allocation,
     Block,
     BlockStore,
     Chain,
@@ -27,8 +30,10 @@ from hebsim.chain import (
     EpochParams,
     FACTORED,
     REGULAR,
+    as_fraction,
     epoch_stats,
     genesis_block,
+    within_quota,
 )
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -49,24 +54,6 @@ class StalledSystemError(Exception):
 
 class PublicationLoopError(Exception):
     """The publication fixpoint exceeded its round cap."""
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """A miner's split of her balance into internal and external parts."""
-
-    internal: Fraction
-    external: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "internal", Fraction(self.internal))
-        object.__setattr__(self, "external", Fraction(self.external))
-        if self.internal < 0 or self.external < 0:
-            raise ValueError("allocation parts must be non-negative")
-
-    @property
-    def total(self) -> Fraction:
-        return self.internal + self.external
 
 
 class MinerView:
@@ -264,7 +251,7 @@ def normalized_balances(
     Unless ``allow_fractional``, requires each ``epoch_len * share`` to be an
     integer (small miners below the 1/epoch_len granularity are rejected).
     """
-    fshares = [Fraction(s).limit_denominator(10**12) for s in shares]
+    fshares = [as_fraction(s) for s in shares]
     if any(s <= 0 for s in fshares):
         raise ValueError("shares must be positive")
     if sum(fshares) != 1:
@@ -282,11 +269,11 @@ def normalized_balances(
     return balances
 
 
-def select_miner(
+def miner_selector(
     external_balances: dict[str, Union[Fraction, float]],
-    rng: np.random.Generator,
-) -> str:
-    """Draw a miner id with probability proportional to external balance.
+) -> Callable[[np.random.Generator], str]:
+    """A function drawing a miner id with probability proportional to
+    external balance, one ``rng.random()`` per draw.
 
     The draw consumes relative weights, so uniformly scaling all balances
     (e.g. two protocols whose allocations differ by a constant factor)
@@ -296,23 +283,41 @@ def select_miner(
     total = sum(external_balances[m] for m in ids)
     if total <= 0:
         raise StalledSystemError("all external balances are zero")
-    rel = [float(Fraction(external_balances[m]) / Fraction(total)) for m in ids]
-    r = rng.random()
-    acc = 0.0
-    for m, w in zip(ids, rel):
-        acc += w
-        if r < acc:
-            return m
-    return ids[-1]
+    cumulative = list(
+        accumulate(
+            float(Fraction(external_balances[m]) / Fraction(total)) for m in ids
+        )
+    )
+    last = len(ids) - 1
+    return lambda rng: ids[min(bisect_right(cumulative, rng.random()), last)]
+
+
+def select_miner(
+    external_balances: dict[str, Union[Fraction, float]],
+    rng: np.random.Generator,
+) -> str:
+    """One draw of :func:`miner_selector`."""
+    return miner_selector(external_balances)(rng)
 
 
 # -- the scheduler ------------------------------------------------------------------
 
 
-def _quota_limit(alloc: Allocation, params: EpochParams) -> Optional[int]:
-    if params.rho == 0:
-        return None
-    return int(alloc.internal / (params.rho * params.mint))
+def allocate(miner: MinerConfig, params: EpochParams, protocol) -> Allocation:
+    """``miner``'s allocation, checked against her balance and the protocol:
+    internal expenditure needs a protocol that redistributes it."""
+    alloc = miner.strategy.allocate(miner.balance, params)
+    if alloc.total != miner.balance:
+        raise StrategyFault(
+            f"miner {miner.id} allocated {float(alloc.total)} of balance "
+            f"{float(miner.balance)}"
+        )
+    if alloc.internal and protocol.pool != "internal":
+        raise StrategyFault(
+            f"miner {miner.id} allocated {float(alloc.internal)} internally, but "
+            f"protocol {protocol.name!r} has no internal expenditure"
+        )
+    return alloc
 
 
 def run_epoch(
@@ -331,12 +336,10 @@ def run_epoch(
     """
     if not miners:
         raise ValueError("need at least one miner")
+    miners = sorted(miners, key=lambda m: m.id)
     ids = [m.id for m in miners]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate miner ids")
-    order = sorted(range(len(miners)), key=lambda i: miners[i].id)
-    miners = [miners[i] for i in order]
-    ids = [m.id for m in miners]
 
     total_balance = sum((m.balance for m in miners), Fraction(0))
     if total_balance == 0:
@@ -362,17 +365,8 @@ def run_epoch(
 
     sched_rng, miner_rngs = derive_streams(seed, ids)
 
-    allocations: dict[str, Allocation] = {}
-    for m in miners:
-        alloc = m.strategy.allocate(m.balance, params)
-        if alloc.total != m.balance:
-            raise StrategyFault(
-                f"miner {m.id} allocated {float(alloc.total)} of balance "
-                f"{float(m.balance)}"
-            )
-        allocations[m.id] = alloc
-
-    quota_limits = {m.id: _quota_limit(allocations[m.id], params) for m in miners}
+    allocations = {m.id: allocate(m, params, protocol) for m in miners}
+    quota_limits = {m: params.quota_limit(a.internal) for m, a in allocations.items()}
     locals_: dict[str, dict[int, Block]] = {m.id: {} for m in miners}
     # own factored count along paths through private blocks
     local_fac: dict[str, dict[int, int]] = {m.id: {} for m in miners}
@@ -394,13 +388,8 @@ def run_epoch(
         for m in miners
     }
 
-    externals = {m.id: allocations[m.id].external for m in miners}
-    ext_total = sum(externals.values(), Fraction(0))
-    if ext_total <= 0:
-        raise StalledSystemError("all external balances are zero")
-    sel_ids = sorted(externals)
-    sel_weights = [float(externals[m] / ext_total) for m in sel_ids]
-    quota_mode = getattr(protocol, "quota_mode", "factored")
+    select = miner_selector({m.id: allocations[m.id].external for m in miners})
+    quota_mode = protocol.quota_mode
 
     def path_fac(miner_id: str, block_id: int) -> int:
         if block_id in store:
@@ -414,9 +403,9 @@ def run_epoch(
 
     def can_create(miner_id: str) -> bool:
         limit = quota_limits[miner_id]
-        if quota_mode != "count" or limit is None:
-            return True
-        return any(path_cnt(miner_id, t) < limit for t in store.tip_ids())
+        return quota_mode != "count" or any(
+            within_quota(path_cnt(miner_id, t), limit) for t in store.tip_ids()
+        )
 
     def publication_fixpoint() -> None:
         cap = max(params.epoch_len * len(miners), 16)
@@ -456,14 +445,7 @@ def run_epoch(
             raise RuntimeError(
                 f"epoch did not terminate within {max_steps} scheduler steps"
             )
-        r = sched_rng.random()
-        acc = 0.0
-        mid = sel_ids[-1]
-        for cand, w in zip(sel_ids, sel_weights):
-            acc += w
-            if r < acc:
-                mid = cand
-                break
+        mid = select(sched_rng)
         result = by_id[mid].strategy.generate_block(views[mid])
         if result is None:
             # mandatory-expenditure protocols: the selected miner has no
@@ -485,17 +467,14 @@ def run_epoch(
         if kind not in (REGULAR, FACTORED):
             raise StrategyFault(f"miner {mid} returned block kind {kind!r}")
         limit = quota_limits[mid]
-        if limit is not None:
-            if quota_mode == "factored" and kind == FACTORED:
-                if path_fac(mid, parent_id) >= limit:
-                    raise StrategyFault(
-                        f"miner {mid} exceeded her factored-block quota ({limit})"
-                    )
-            elif quota_mode == "count":
-                if path_cnt(mid, parent_id) >= limit:
-                    raise StrategyFault(
-                        f"miner {mid} exceeded her block quota ({limit})"
-                    )
+        if quota_mode == "factored" and kind == FACTORED:
+            if not within_quota(path_fac(mid, parent_id), limit):
+                raise StrategyFault(
+                    f"miner {mid} exceeded her factored-block quota ({limit})"
+                )
+        elif quota_mode == "count":
+            if not within_quota(path_cnt(mid, parent_id), limit):
+                raise StrategyFault(f"miner {mid} exceeded her block quota ({limit})")
         block = Block(next_id, parent_id, mid, kind, parent.height + 1)
         next_id += 1
         created += 1

@@ -82,6 +82,8 @@ def conditional_weight(
     """
     if not 0 <= n <= epoch_len:
         raise ValueError(f"block count {n} outside [0, {epoch_len}]")
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
     quota = epoch_len * share
     if not allow_fractional:
         if abs(quota - round(quota)) > 1e-9:

@@ -1,9 +1,12 @@
-"""Reward (balance) functions and prescribed strategies.
+"""The reward model and prescribed strategies.
 
-Protocols: ``nakamoto``, ``nakamoto_half``, ``prd`` (proportional
-redistribution of the mint), ``heb`` (weighted block types with internal
-expenditure), and ``heb_mandatory`` (internal expenditure required for every
-block).
+Every protocol splits an epoch's mint among the miners and may redistribute
+a pool to all token holders; they differ only in the mint rate, whether the
+mint is split by block weight or by block count, and the pool (see
+:class:`ProtocolSpec`).  Protocols: ``nakamoto``, ``nakamoto_half``, ``prd``
+(proportional redistribution of the mint), ``heb`` (weighted block types
+with internal expenditure), and ``heb_mandatory`` (internal expenditure
+required for every block).
 
 Strategies: ``prescribed``, ``petty_compliant`` (tie-breaks longest chains
 toward minimum accumulated weight), ``pow_only`` (withholds a full private
@@ -14,132 +17,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
-from hebsim.chain import Chain, EpochParams, FACTORED, REGULAR, epoch_stats
-from hebsim.engine import Allocation, MinerView
+from hebsim.chain import (
+    Allocation,
+    Chain,
+    EpochParams,
+    FACTORED,
+    REGULAR,
+    epoch_stats,
+    within_quota,
+)
+from hebsim.engine import MinerView
 
 
 @dataclass
 class BalanceOutcome:
     """Split of an epoch's token flows: freshly minted rewards per miner,
-    redistributed internal expenses per miner, and the user share."""
+    each miner's share of the redistributed pool, and the users' share."""
 
     minted: dict[str, Fraction]
     redistributed: dict[str, Fraction]
     user_payout: Fraction
-
-
-@dataclass(frozen=True)
-class QuotaState:
-    """Per-miner block-creation quota.  ``None`` means unlimited.
-
-    ``mode`` is ``"factored"`` when only factored blocks consume quota and
-    ``"count"`` when every block does (mandatory internal expenditure).
-    """
-
-    limits: dict[str, Optional[int]]
-    mode: str = "factored"
-
-    def remaining(self, miner_id: str, used: int) -> Optional[int]:
-        limit = self.limits.get(miner_id)
-        return None if limit is None else limit - used
-
-
-def quota_limit(internal: Fraction, params: EpochParams) -> Optional[int]:
-    """Factored blocks purchasable by an internal commitment; None if rho=0."""
-    if params.rho == 0:
-        return None
-    return int(Fraction(internal) / (params.rho * params.mint))
-
-
-def mandatory_validity(used: int, limit: Optional[int]) -> bool:
-    """Whether a miner with ``used`` blocks already on the chain may create
-    another under mandatory internal expenditure."""
-    return limit is None or used < limit
-
-
-# -- balance functions ---------------------------------------------------------------
-
-
-def nakamoto_balance(
-    chain: Chain,
-    k: int,
-    params: EpochParams,
-    allocations: dict[str, Allocation],
-    miner_ids: list[str],
-    mint_scale: Fraction = Fraction(1),
-) -> BalanceOutcome:
-    """Each miner earns ``mint`` tokens per block she placed on the chain."""
-    stats = epoch_stats(chain, k, params)
-    mint = params.mint * mint_scale
-    minted = {m: stats.get(m, (0, Fraction(0)))[0] * mint for m in miner_ids}
-    return BalanceOutcome(minted, {m: Fraction(0) for m in miner_ids}, Fraction(0))
-
-
-def nakamoto_half_balance(
-    chain, k, params, allocations, miner_ids
-) -> BalanceOutcome:
-    return nakamoto_balance(
-        chain, k, params, allocations, miner_ids, mint_scale=Fraction(1, 2)
-    )
-
-
-def prd_balance(chain, k, params, allocations, miner_ids) -> BalanceOutcome:
-    """Creator keeps ``(1-rho)*mint`` per block; the remaining ``rho*mint``
-    per block is shared pro rata among all token holders."""
-    stats = epoch_stats(chain, k, params)
-    keep = (1 - params.rho) * params.mint
-    minted = {m: stats.get(m, (0, Fraction(0)))[0] * keep for m in miner_ids}
-    pool = params.rho * params.mint * params.epoch_len
-    holders_total = params.user_balance + sum(
-        (allocations[m].internal for m in miner_ids), Fraction(0)
-    )
-    redistributed = {
-        m: pool * allocations[m].internal / holders_total for m in miner_ids
-    }
-    user_payout = pool * params.user_balance / holders_total
-    return BalanceOutcome(minted, redistributed, user_payout)
-
-
-def heb_balance(chain, k, params, allocations, miner_ids) -> BalanceOutcome:
-    """Mint shared proportionally to contributed block weights; internal
-    expenses redistributed among all entities by token holdings."""
-    stats = epoch_stats(chain, k, params)
-    total_weight = sum((w for _, w in stats.values()), Fraction(0))
-    if total_weight == 0:
-        raise ArithmeticError("epoch carries zero total weight")
-    mint_total = params.mint * params.epoch_len
-    minted = {
-        m: stats.get(m, (0, Fraction(0)))[1] * mint_total / total_weight
-        for m in miner_ids
-    }
-    internal_total = sum(
-        (allocations[m].internal for m in miner_ids), Fraction(0)
-    )
-    denom = internal_total + params.user_balance
-    redistributed = {
-        m: internal_total * allocations[m].internal / denom for m in miner_ids
-    }
-    user_payout = internal_total * params.user_balance / denom
-    return BalanceOutcome(minted, redistributed, user_payout)
-
-
-def mandatory_balance(chain, k, params, allocations, miner_ids) -> BalanceOutcome:
-    """Single block type: mint shared by block counts, internal expenses
-    redistributed as in the weighted protocol."""
-    stats = epoch_stats(chain, k, params)
-    mint = params.mint
-    minted = {m: stats.get(m, (0, Fraction(0)))[0] * mint for m in miner_ids}
-    internal_total = sum(
-        (allocations[m].internal for m in miner_ids), Fraction(0)
-    )
-    denom = internal_total + params.user_balance
-    redistributed = {
-        m: internal_total * allocations[m].internal / denom for m in miner_ids
-    }
-    user_payout = internal_total * params.user_balance / denom
-    return BalanceOutcome(minted, redistributed, user_payout)
 
 
 # -- strategies -----------------------------------------------------------------------
@@ -158,14 +57,17 @@ class PrescribedNakamoto:
     def allocate(self, balance, params) -> Allocation:
         return Allocation(Fraction(0), Fraction(balance))
 
+    def _pick_tip(self, view: MinerView) -> int:
+        return _uniform_tip(view, view.public_tips())
+
     def generate_block(self, view: MinerView):
-        return _uniform_tip(view, view.public_tips()), REGULAR
+        return self._pick_tip(view), REGULAR
 
     def publish(self, view: MinerView):
         return sorted(view.local)
 
 
-class PrescribedHeb:
+class PrescribedHeb(PrescribedNakamoto):
     """Allocate ratio rho internally, extend a uniformly chosen longest
     chain, create factored blocks while quota remains, publish immediately."""
 
@@ -173,18 +75,11 @@ class PrescribedHeb:
         balance = Fraction(balance)
         return Allocation(params.rho * balance, (1 - params.rho) * balance)
 
-    def _pick_tip(self, view: MinerView) -> int:
-        return _uniform_tip(view, view.public_tips())
-
     def generate_block(self, view: MinerView):
         tip = self._pick_tip(view)
-        limit = view.quota_limit
-        if limit is None or view.factored_used(tip) < limit:
+        if within_quota(view.factored_used(tip), view.quota_limit):
             return tip, FACTORED
         return tip, REGULAR
-
-    def publish(self, view: MinerView):
-        return sorted(view.local)
 
 
 class PettyCompliant(PrescribedHeb):
@@ -201,23 +96,14 @@ class PettyCompliant(PrescribedHeb):
         return _uniform_tip(view, candidates)
 
 
-class NoInternalCurrency(PrescribedHeb):
+class NoInternalCurrency(PrescribedNakamoto):
     """Prescribed play for a miner unable to obtain internal currency:
     everything external, all blocks regular."""
 
-    def allocate(self, balance, params) -> Allocation:
-        return Allocation(Fraction(0), Fraction(balance))
 
-    def generate_block(self, view: MinerView):
-        return self._pick_tip(view), REGULAR
-
-
-class PowOnly:
+class PowOnly(PrescribedNakamoto):
     """Ignore internal expenditure entirely: mine a full private epoch on
     external resources and publish the epoch_len blocks all at once."""
-
-    def allocate(self, balance, params) -> Allocation:
-        return Allocation(Fraction(0), Fraction(balance))
 
     def generate_block(self, view: MinerView):
         if view.local:
@@ -232,22 +118,15 @@ class PowOnly:
         return sorted(view.local)
 
 
-class PrescribedMandatory:
+class PrescribedMandatory(PrescribedHeb):
     """Allocate ratio rho internally; every block consumes quota.  Returns
     no block once the quota on the chosen chain is exhausted."""
 
-    def allocate(self, balance, params) -> Allocation:
-        balance = Fraction(balance)
-        return Allocation(params.rho * balance, (1 - params.rho) * balance)
-
     def generate_block(self, view: MinerView):
-        tip = _uniform_tip(view, view.public_tips())
-        if not mandatory_validity(view.blocks_used(tip), view.quota_limit):
+        tip = self._pick_tip(view)
+        if not within_quota(view.blocks_used(tip), view.quota_limit):
             return None
         return tip, REGULAR
-
-    def publish(self, view: MinerView):
-        return sorted(view.local)
 
 
 # -- registry -------------------------------------------------------------------------
@@ -255,37 +134,76 @@ class PrescribedMandatory:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A protocol: its balance function, mint rate, prescribed strategy
-    factory, and how block-creation quotas apply."""
+    """A protocol: its prescribed strategy, reward model, mint rate, and how
+    block-creation quotas apply.
+
+    ``pool`` is what gets shared pro rata among all token holders (the
+    users' balance and each miner's internal allocation): ``"none"``,
+    ``"internal"`` (the miners' internal expenses) or ``"mint"`` (a ``rho``
+    share of every block's mint, which its creator does not keep).
+    """
 
     name: str
-    balance_fn: Callable[..., BalanceOutcome]
-    prescribed_factory: Callable[[], object]
+    prescribed: Callable[[], object]  # builds the prescribed strategy
+    pool: str = "none"  # "none" | "internal" | "mint"
     mint_scale: Fraction = Fraction(1)
     quota_mode: str = "factored"  # "factored" | "count" | "none"
 
     def mint_per_block(self, params: EpochParams) -> Fraction:
         return params.mint * self.mint_scale
 
-    def prescribed(self):
-        return self.prescribed_factory()
+    def balance_fn(
+        self,
+        chain: Chain,
+        k: int,
+        params: EpochParams,
+        allocations: dict[str, Allocation],
+        miner_ids: list[str],
+    ) -> BalanceOutcome:
+        """Rewards of epoch ``k`` of ``chain``.
+
+        The epoch's mint (less the ``"mint"`` pool) is split by accumulated
+        weight under factored quotas and by block count otherwise.
+        ``allocations`` is read only when there is a pool.
+        """
+        stats = epoch_stats(chain, k, params)  # miner -> (count, weight)
+        by = 1 if self.quota_mode == "factored" else 0
+        contributed = sum((s[by] for s in stats.values()), Fraction(0))
+        if contributed == 0:
+            raise ArithmeticError("epoch carries zero total weight")
+        mint_total = self.mint_per_block(params) * params.epoch_len
+        kept = mint_total * (1 - params.rho) if self.pool == "mint" else mint_total
+        minted = {
+            m: stats.get(m, (0, Fraction(0)))[by] * kept / contributed
+            for m in miner_ids
+        }
+        if self.pool == "none":
+            return BalanceOutcome(
+                minted, {m: Fraction(0) for m in miner_ids}, Fraction(0)
+            )
+        internal_total = sum((allocations[m].internal for m in miner_ids), Fraction(0))
+        pool = mint_total - kept if self.pool == "mint" else internal_total
+        holders = params.user_balance + internal_total
+        redistributed = {
+            m: pool * allocations[m].internal / holders for m in miner_ids
+        }
+        return BalanceOutcome(
+            minted, redistributed, pool * params.user_balance / holders
+        )
 
 
 _PROTOCOLS: dict[str, ProtocolSpec] = {
-    "nakamoto": ProtocolSpec(
-        "nakamoto", nakamoto_balance, PrescribedNakamoto, quota_mode="none"
-    ),
+    "nakamoto": ProtocolSpec("nakamoto", PrescribedNakamoto, quota_mode="none"),
     "nakamoto_half": ProtocolSpec(
         "nakamoto_half",
-        nakamoto_half_balance,
         PrescribedNakamoto,
         mint_scale=Fraction(1, 2),
         quota_mode="none",
     ),
-    "prd": ProtocolSpec("prd", prd_balance, PrescribedNakamoto, quota_mode="none"),
-    "heb": ProtocolSpec("heb", heb_balance, PrescribedHeb, quota_mode="factored"),
+    "prd": ProtocolSpec("prd", PrescribedNakamoto, pool="mint", quota_mode="none"),
+    "heb": ProtocolSpec("heb", PrescribedHeb, pool="internal", quota_mode="factored"),
     "heb_mandatory": ProtocolSpec(
-        "heb_mandatory", mandatory_balance, PrescribedMandatory, quota_mode="count"
+        "heb_mandatory", PrescribedMandatory, pool="internal", quota_mode="count"
     ),
 }
 

@@ -10,12 +10,9 @@ from hebsim.chain import (
     EpochParams,
     FACTORED,
     REGULAR,
-    append_block,
     epoch_slice,
     epoch_stats,
     genesis_block,
-    longest_chains,
-    main_chain,
 )
 
 
@@ -83,7 +80,7 @@ def brute_force_main_prefix(store):
 class TestAppend:
     def test_genesis_only(self):
         store = BlockStore()
-        append_block(store, genesis_block(0))
+        store.append(genesis_block(0))
         assert len(store) == 1
         assert store.max_height == 0
 
@@ -119,13 +116,13 @@ class TestChains:
     def test_single_node(self):
         store = BlockStore()
         store.append(genesis_block(0))
-        chains = longest_chains(store)
+        chains = store.longest_chains()
         assert len(chains) == 1
         assert chains[0].length == 0
 
     def test_linear(self):
         store = build_store([(1, 0, "a", REGULAR), (2, 1, "a", REGULAR)])
-        chains = longest_chains(store)
+        chains = store.longest_chains()
         assert len(chains) == 1
         assert chains[0].length == 2
 
@@ -139,13 +136,13 @@ class TestChains:
                 (4, 3, "b", REGULAR),
             ]
         )
-        chains = longest_chains(store)
+        chains = store.longest_chains()
         assert sorted(c.tip.id for c in chains) == brute_force_longest_tips(store)
         assert len(chains) == 2
 
     def test_main_chain_unique(self):
         store = build_store([(i, i - 1, "a", REGULAR) for i in range(1, 6)])
-        assert main_chain(store).length == 5
+        assert store.main_chain().length == 5
 
     def test_main_chain_fork_prefix(self):
         # common prefix 0-1-2, then two tips
@@ -157,13 +154,13 @@ class TestChains:
                 (4, 2, "b", REGULAR),
             ]
         )
-        mc = main_chain(store)
+        mc = store.main_chain()
         assert [b.id for b in mc] == brute_force_main_prefix(store)
         assert mc.tip.id == 2
 
     def test_main_chain_diverge_at_genesis(self):
         store = build_store([(1, 0, "a", REGULAR), (2, 0, "b", REGULAR)])
-        mc = main_chain(store)
+        mc = store.main_chain()
         assert [b.id for b in mc] == [0]
 
     def test_main_chain_is_prefix_of_all_longest(self):
@@ -177,8 +174,8 @@ class TestChains:
                 Block(i, parent, "m", REGULAR, store.get(parent).height + 1)
             )
             ids.append(i)
-        mc = main_chain(store)
-        for chain in longest_chains(store):
+        mc = store.main_chain()
+        for chain in store.longest_chains():
             assert [b.id for b in chain][: len(mc)] == [b.id for b in mc]
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hebsim import cli
 from hebsim.cli import main
 from hebsim.presets import PRESETS, get_preset
 
@@ -63,6 +64,21 @@ class TestEpsilonCmd:
 
     def test_unknown_preset(self, capsys):
         assert main(["epsilon", "--preset", "nope"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--epoch-len", "0"], "epoch_len"),
+            (["--factor", "0"], "factor"),
+            (["--epoch-len", "0", "--factor", "0"], "epoch_len"),
+        ],
+    )
+    def test_zero_epoch_len_or_factor_rejected(self, flags, field, tmp_path, capsys):
+        out = tmp_path / "eps.csv"
+        code = main(["epsilon", "--dist", "0.3,0.7", *flags, "--out", str(out)])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCurvesCmd:
@@ -211,6 +227,15 @@ class TestPresetValues:
         total_ext = sum(float(r[5]) for r in rows)
         assert total_ext == pytest.approx(0.5 * 1000)  # (1-rho) * sum balances
 
+    def test_mdp_programming_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a per-row failure")
+
+        monkeypatch.setattr(cli, "min_factor", broken)
+        with pytest.raises(TypeError, match="per-row"):
+            main(["mdp", "--share", "0.2", "--rhos", "0.0", "--epoch-len", "4",
+                  "--out", str(tmp_path / "m.csv")])
+
     def test_mdp_sentinel_for_non_ic_share(self, tmp_path, capsys):
         out = tmp_path / "sent.csv"
         code = main(
@@ -251,6 +276,25 @@ class TestMandatoryViaConfig:
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path)]) == 2
         assert "protocol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["nakamoto", "prd"])
+    def test_internal_allocation_needs_internal_pool(
+        self, protocol, tmp_path, capsys
+    ):
+        cfg = {"protocol": protocol, "epoch_len": 10, "rho": 0.5,
+               "miners": [{"id": "a", "share": 1.0, "strategy": "petty_compliant"}]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "strategy" in capsys.readouterr().err
+
+    def test_miner_without_id_cites_field(self, tmp_path, capsys):
+        cfg = {"protocol": "nakamoto", "epoch_len": 10,
+               "miners": [{"id": "a", "share": 0.5}, {"share": 0.5}]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "miners" in capsys.readouterr().err
 
     def test_unknown_strategy_cites_field(self, tmp_path, capsys):
         cfg = {"protocol": "heb", "epoch_len": 10, "rho": 0.5,

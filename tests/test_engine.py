@@ -210,6 +210,17 @@ class TestStrategyFaults:
         with pytest.raises(StrategyFault, match="unknown parent"):
             self._run(BadParent())
 
+    @pytest.mark.parametrize("name", ["nakamoto", "nakamoto_half", "prd"])
+    def test_internal_allocation_without_internal_pool(self, name):
+        # petty_compliant allocates rho of her balance internally, which only
+        # a protocol redistributing internal expenses can account for
+        params = EpochParams(epoch_len=5, rho=Fraction(1, 2))
+        proto = get_protocol(name)
+        petty = make_strategy("petty_compliant", proto)
+        miners = [MinerConfig("x", Fraction(5), petty)]
+        with pytest.raises(StrategyFault, match="internal"):
+            run_epoch(params, miners, proto, seed=0)
+
 
 class Withholder:
     """Creates blocks but never publishes."""

@@ -66,6 +66,14 @@ class TestConditionalWeight:
         with pytest.raises(ValueError):
             conditional_weight(-1, 0.3, 10, 20.0)
 
+    def test_factor_below_one_rejected(self):
+        with pytest.raises(ValueError, match="factor must be >= 1"):
+            conditional_weight(2, 0.3, 10, 0.5)
+        with pytest.raises(ValueError, match="factor must be >= 1"):
+            expected_weight(0.3, 10, 0.5)
+        with pytest.raises(ValueError, match="factor must be >= 1"):
+            epsilon([0.3, 0.7], 10, -3.0)
+
     def test_integrality_guard(self):
         with pytest.raises(ValueError, match="not integral"):
             conditional_weight(2, 0.25, 10, 20.0)

@@ -11,6 +11,7 @@ from hebsim.chain import (
     FACTORED,
     REGULAR,
     genesis_block,
+    within_quota,
 )
 from hebsim.engine import (
     Allocation,
@@ -27,17 +28,17 @@ from hebsim.protocols import (
     PrescribedHeb,
     PrescribedNakamoto,
     get_protocol,
-    heb_balance,
     make_strategy,
-    mandatory_validity,
-    nakamoto_balance,
-    nakamoto_half_balance,
-    prd_balance,
     protocol_names,
-    quota_limit,
     real_value_scale,
     strategy_names,
 )
+
+
+nakamoto_balance = get_protocol("nakamoto").balance_fn
+nakamoto_half_balance = get_protocol("nakamoto_half").balance_fn
+prd_balance = get_protocol("prd").balance_fn
+heb_balance = get_protocol("heb").balance_fn
 
 
 def linear_chain(creators_kinds):
@@ -165,21 +166,21 @@ class TestNaiveProtocols:
         assert pool == Fraction(1, 2) * 10  # rho * ell * mint, exactly
 
     def test_mandatory_validity(self):
-        assert mandatory_validity(2, 3)
-        assert not mandatory_validity(3, 3)
-        assert mandatory_validity(10**6, None)
+        assert within_quota(2, 3)
+        assert not within_quota(3, 3)
+        assert within_quota(10**6, None)
 
 
 class TestQuota:
     def test_limit_formula(self):
         params = EpochParams(epoch_len=10, factor=Fraction(20), rho=Fraction(1, 2))
-        assert quota_limit(Fraction(1), params) == 2
-        assert quota_limit(Fraction(9, 10), params) == 1
-        assert quota_limit(Fraction(0), params) == 0
+        assert params.quota_limit(Fraction(1)) == 2
+        assert params.quota_limit(Fraction(9, 10)) == 1
+        assert params.quota_limit(Fraction(0)) == 0
 
     def test_unlimited_when_rho_zero(self):
         params = EpochParams(epoch_len=10, factor=Fraction(20), rho=0)
-        assert quota_limit(Fraction(5), params) is None
+        assert params.quota_limit(Fraction(5)) is None
 
 
 class TestStrategies:
@@ -380,7 +381,7 @@ class TestPrescribedSelfConsistency:
         for share in (Fraction(1, 4), Fraction(3, 4)):
             balance = share * params.epoch_len * params.mint
             alloc = strat.allocate(balance, params)
-            assert quota_limit(alloc.internal, params) == share * params.epoch_len
+            assert params.quota_limit(alloc.internal) == share * params.epoch_len
 
     def test_factored_counts_stay_within_quota(self):
         params = EpochParams(
