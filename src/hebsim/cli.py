@@ -25,7 +25,7 @@ from hebsim.engine import (
     iter_game_results,
     normalized_balances,
 )
-from hebsim.mdp import StateBudgetError, min_factor
+from hebsim.mdp import DEFAULT_HORIZON_CAP, min_factor
 from hebsim.presets import PRESETS, get_preset
 from hebsim.protocols import get_protocol, make_strategy, strategy_names
 from hebsim import __version__
@@ -65,7 +65,7 @@ def build_experiment(cfg: dict):
         raise ConfigError("protocol", str(e)) from None
     try:
         params = EpochParams(
-            epoch_len=int(cfg.get("epoch_len", 100)),
+            epoch_len=_to_int(cfg.get("epoch_len", 100), "epoch_len"),
             factor=_to_fraction(cfg.get("factor", 1), "factor"),
             rho=_to_fraction(cfg.get("rho", 0), "rho"),
             mint=_to_fraction(cfg.get("mint", 1), "mint"),
@@ -82,7 +82,7 @@ def build_experiment(cfg: dict):
             raise ConfigError("miners", f"miner #{i + 1} lacks an id")
         if "share" not in mc:
             raise ConfigError("miners", f"miner {mc.get('id')} lacks a share")
-        shares.append(mc["share"])
+        shares.append(_to_fraction(mc["share"], "share"))
     try:
         balances = normalized_balances(
             shares, params, allow_fractional=bool(cfg.get("allow_fractional", False))
@@ -108,8 +108,15 @@ def build_experiment(cfg: dict):
 def _to_fraction(x, fieldname: str) -> Fraction:
     try:
         return as_fraction(x)
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(fieldname, f"not a number: {x!r}") from None
+
+
+def _to_int(x, fieldname: str) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(fieldname, f"not an integer: {x!r}") from None
 
 
 def _write(path: str | None, text: str, default_name: str) -> Path:
@@ -125,9 +132,9 @@ def _write(path: str | None, text: str, default_name: str) -> Path:
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     params, miners, protocol = build_experiment(cfg)
-    runs = int(cfg.get("runs", 1))
-    seed = int(cfg.get("seed", 0))
-    jobs = int(cfg.get("jobs", 1))
+    runs = _to_int(cfg.get("runs", 1), "runs")
+    seed = _to_int(cfg.get("seed", 0), "seed")
+    jobs = _to_int(cfg.get("jobs", 1), "jobs")
 
     acc = GameAccumulator(
         [m.id for m in miners],
@@ -225,22 +232,25 @@ def cmd_curves(args) -> int:
 
 def cmd_mdp(args) -> int:
     cfg = load_config(args, required=False)
-    if getattr(args, "share", None):
+    if getattr(args, "share", None) is not None:
         cfg["shares"] = [float(args.share)]
     if getattr(args, "rhos", None):
         cfg["rhos"] = [float(x) for x in args.rhos.split(",")]
-    if getattr(args, "epoch_len", None):
+    if getattr(args, "epoch_len", None) is not None:
         cfg["epoch_len"] = args.epoch_len
     shares = cfg.get("shares")
     rhos = cfg.get("rhos")
     if not shares or rhos is None:
         raise ConfigError("shares/rhos", "mdp needs share and rho grids")
-    ell = int(cfg.get("epoch_len", 6))
-    games = int(cfg.get("games", 500))
-    seed = int(cfg.get("seed", 0))
+    ell = _to_int(cfg.get("epoch_len", 6), "epoch_len")
+    games = _to_int(cfg.get("games", 500), "games")
+    seed = _to_int(cfg.get("seed", 0), "seed")
     phi_lo = float(cfg.get("phi_lo", 1.0))
     phi_hi = float(cfg.get("phi_hi", 1.0e8))
-    cap = int(cfg.get("horizon_cap", max(ell, 12)))
+    cap = _to_int(cfg.get("horizon_cap", DEFAULT_HORIZON_CAP), "horizon_cap")
+    if not 1 <= ell <= cap:
+        # the exact solver's state count grows steeply with ell
+        raise ConfigError("epoch_len", f"must lie in 1..{cap} (horizon_cap), got {ell}")
 
     lines = ["rho,share,phi_min"]
     timing = ["rho,share,seconds"]
@@ -265,7 +275,7 @@ def cmd_mdp(args) -> int:
                         f"at rho={rho}, share={share}",
                         file=sys.stderr,
                     )
-            except (ValueError, StateBudgetError) as e:  # the sweep goes on
+            except ValueError as e:  # the sweep goes on
                 print(f"error at rho={rho}, share={share}: {e}", file=sys.stderr)
                 phi_min = float("nan")
             dt = time.perf_counter() - t0

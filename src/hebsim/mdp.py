@@ -22,9 +22,13 @@ length; the attacker's reward is her minted share on the resulting main
 chain (the redistribution term is negligible and omitted).
 
 Backward induction over this graph yields the exact optimal policy, not an
-approximation.  Policies can additionally be evaluated by seeded rollouts
-through the same one-step kernel, guarding against drift between the solver
-and the forward simulation.
+approximation.  One memoised induction serves both :func:`solve` (maximising
+over the legal actions) and :func:`policy_value` (the same pass with the
+actions fixed).  Weight ties only ever arise between two chains of equal
+length, so they are decided by comparing integer counts of factored blocks.
+Policies can additionally be evaluated by seeded rollouts through the same
+one-step kernel, guarding against drift between the solver and the forward
+simulation.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+
+from hebsim.chain import within_quota
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -129,18 +134,18 @@ class MdpInstance:
         # them keeps the pure race at a polynomial state count
         return self.phi == 1.0 and self.rho == 0.0
 
-    @property
-    def phi_frac(self) -> Fraction:
-        return Fraction(self.phi)
-
 
 def initial_state() -> State:
     return (0, 0, 0, 0, (), (), False)
 
 
-def _wsum(ext: tuple[bool, ...], phi: Fraction) -> Fraction:
-    fac = sum(1 for t in ext if t)
-    return Fraction(len(ext) - fac) + phi * fac
+def _lighter(fac_a: int, fac_b: int, phi: float) -> Optional[bool]:
+    """Whether chain a is lighter than an equal-length chain b holding
+    ``fac_a`` resp. ``fac_b`` factored blocks; None on an exact tie.  Equal
+    lengths make the weights differ by ``(phi - 1) * (fac_a - fac_b)``."""
+    if phi == 1.0 or fac_a == fac_b:
+        return None
+    return fac_a < fac_b
 
 
 def _wfloat(reg: int, fac: int, phi: float) -> float:
@@ -230,14 +235,10 @@ def terminal_value(inst: MdpInstance, state: State) -> Optional[float]:
         att_est_w, coh_est_w + _wfloat(len(pub) - pub_fac, pub_fac, phi)
     )
     if full_sec and full_pub:
-        pf = inst.phi_frac
-        w_sec = _wsum(sec, pf)
-        w_pub = _wsum(pub, pf)
-        if w_sec < w_pub:
-            return win_sec
-        if w_sec > w_pub:
-            return win_pub
-        return 0.5 * (win_sec + win_pub)
+        sec_lighter = _lighter(sec_fac, pub_fac, phi)
+        if sec_lighter is None:
+            return 0.5 * (win_sec + win_pub)
+        return win_sec if sec_lighter else win_pub
     return win_sec if full_sec else win_pub
 
 
@@ -287,20 +288,24 @@ def legal_actions(inst: MdpInstance, state: State) -> list[Action]:
         moves.append((ADOPT, 0))
     moves.append((WAIT, 0))
 
-    quota = inst.attacker_quota
     actions: list[Action] = []
     for move, m in moves:
         inter = _resolve_chain_move(state, move, m)
         if inter is None:
             continue
-        if inst.collapse_types:
-            actions.append((move, m, False))
-            continue
-        used = inter[1] + sum(1 for t in inter[4] if t)
-        if quota is None or used < quota:
+        if _may_factor(inst, inter):
             actions.append((move, m, True))
         actions.append((move, m, False))
     return actions
+
+
+def _may_factor(inst: MdpInstance, inter: State) -> bool:
+    """Whether the attacker may make her next block factored, given the
+    state after her chain move: her factored blocks on the established
+    prefix plus her secret extension must leave quota."""
+    if inst.collapse_types:
+        return False
+    return within_quota(inter[1] + sum(1 for t in inter[4] if t), inst.attacker_quota)
 
 
 def successors(
@@ -323,9 +328,7 @@ def successors(
         quota = inst.cohort_quota
 
         def cohort_type(cf_on_chain: int, ext_fac: int) -> bool:
-            if inst.collapse_types:
-                return False
-            return quota is None or cf_on_chain + ext_fac < quota
+            return not inst.collapse_types and within_quota(cf_on_chain + ext_fac, quota)
 
         if not fork:
             t = cohort_type(cf, sum(1 for x in pub if x))
@@ -334,16 +337,13 @@ def successors(
             # two equal-length public tips: the attacker's published prefix
             # and the cohort's own extension; cohort extends the lighter one
             L = len(pub)
-            pf = inst.phi_frac
-            w_att_tip = _wsum(sec[:L], pf)
-            w_coh_tip = _wsum(pub, pf)
-            branches: list[tuple[float, bool]] = []
-            if w_att_tip < w_coh_tip:
-                branches = [(1.0, True)]
-            elif w_att_tip > w_coh_tip:
-                branches = [(1.0, False)]
-            else:
+            att_lighter = _lighter(
+                sum(1 for x in sec[:L] if x), sum(1 for x in pub if x), inst.phi
+            )
+            if att_lighter is None:
                 branches = [(0.5, True), (0.5, False)]
+            else:
+                branches = [(1.0, att_lighter)]
             for prob, on_attacker_tip in branches:
                 if on_attacker_tip:
                     moved = sec[:L]
@@ -364,12 +364,14 @@ def successors(
     return out
 
 
-def solve(
+def _induct(
     inst: MdpInstance,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
-    keep_policy: bool = True,
+    horizon_cap: int,
+    policy_fn: Optional[Callable[[State], Action]] = None,
 ) -> SolveResult:
-    """Exact backward induction over the acyclic state graph.
+    """Memoised backward induction over the acyclic state graph from the
+    initial state: maximising over :func:`legal_actions`, or following
+    ``policy_fn`` when one is given.
 
     Ties between equal-valued actions resolve toward the first action in
     :func:`legal_actions` order (prescribed-like moves first), making the
@@ -391,28 +393,26 @@ def solve(
         if tv is not None:
             memo[state] = tv
             return tv
-        best = -math.inf
-        best_action: Optional[Action] = None
-        for action in legal_actions(inst, state):
+        actions = legal_actions(inst, state) if policy_fn is None else [policy_fn(state)]
+        best, best_action = -math.inf, actions[0]
+        for action in actions:
             v = 0.0
             for p, nxt in successors(inst, state, action):
                 v += p * value(nxt)
             if v > best + 1e-15:
-                best = v
-                best_action = action
+                best, best_action = v, action
         memo[state] = best
-        if keep_policy:
-            policy[state] = best_action
+        policy[state] = best_action
         return best
 
     root_value = value(initial_state())
-    return SolveResult(
-        value=root_value,
-        policy=policy,
-        states=len(memo),
-        instance=inst,
-        state_values=memo if keep_policy else {},
-    )
+    return SolveResult(root_value, policy, len(memo), inst, state_values=memo)
+
+
+def solve(inst: MdpInstance, horizon_cap: int = DEFAULT_HORIZON_CAP) -> SolveResult:
+    """Exact optimal value and policy; the policy covers every non-terminal
+    state the induction reached."""
+    return _induct(inst, horizon_cap)
 
 
 def policy_value(
@@ -421,25 +421,7 @@ def policy_value(
     horizon_cap: int = DEFAULT_HORIZON_CAP,
 ) -> float:
     """Exact value of a fixed deterministic policy on the same state graph."""
-    if inst.ell > horizon_cap:
-        raise StateBudgetError(f"ell={inst.ell} exceeds cap {horizon_cap}")
-    memo: dict[State, float] = {}
-
-    def value(state: State) -> float:
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        tv = terminal_value(inst, state)
-        if tv is not None:
-            memo[state] = tv
-            return tv
-        v = 0.0
-        for p, nxt in successors(inst, state, policy_fn(state)):
-            v += p * value(nxt)
-        memo[state] = v
-        return v
-
-    return value(initial_state())
+    return _induct(inst, horizon_cap, policy_fn).value
 
 
 def prescribed_action(inst: MdpInstance, state: State) -> Action:
@@ -457,13 +439,7 @@ def prescribed_action(inst: MdpInstance, state: State) -> Action:
     if inter is None:  # publishing an equal-length prefix twice, etc.
         move = (ADOPT, 0) if pub else (WAIT, 0)
         inter = _resolve_chain_move(state, move[0], move[1])
-    if inst.collapse_types:
-        factored = False
-    else:
-        quota = inst.attacker_quota
-        used = inter[1] + sum(1 for t in inter[4] if t)
-        factored = quota is None or used < quota
-    return (move[0], move[1], factored)
+    return (move[0], move[1], _may_factor(inst, inter))
 
 
 def rollout_rewards(
@@ -524,19 +500,6 @@ class BestResponse:
         return self.classified == "prescribed"
 
 
-def _policy_lookup(res: SolveResult) -> Callable[[State], Action]:
-    policy = res.policy
-    inst = res.instance
-
-    def fn(state: State) -> Action:
-        action = policy.get(state)
-        if action is None:  # off-path state (rollout ties); fall back
-            action = prescribed_action(inst, state)
-        return action
-
-    return fn
-
-
 def _walk_policy_shape(res: SolveResult) -> bool:
     """True when, on every state reachable under the optimal policy, the
     chosen action matches the prescribed one."""
@@ -548,9 +511,7 @@ def _walk_policy_shape(res: SolveResult) -> bool:
         if state in seen or terminal_value(inst, state) is not None:
             continue
         seen.add(state)
-        action = res.policy.get(state)
-        if action is None:
-            continue
+        action = res.policy[state]
         if action != prescribed_action(inst, state):
             return False
         for _p, nxt in successors(inst, state, action):
@@ -631,7 +592,7 @@ def best_response(
     welch = math.nan
     if games > 0 and best_solve is not None:
         rewards = rollout_rewards(
-            best_solve.instance, _policy_lookup(best_solve), games, child_best
+            best_solve.instance, best_solve.policy.__getitem__, games, child_best
         )
         rollout_mean = float(rewards.mean())
         rollout_stderr = float(rewards.std(ddof=1) / math.sqrt(games)) if games > 1 else 0.0

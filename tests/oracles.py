@@ -130,7 +130,7 @@ def game_value(ell, share, phi, rho, alloc_j):
                             (1 - alpha)
                             / len(cands)
                             * value(
-                                nb + (new,), npub | {next_id}, att_tip, next_id + 1
+                                nb + (new,), npub | {next_id}, ntip, next_id + 1
                             )
                         )
                 best = max(best, ev)

@@ -141,6 +141,34 @@ class TestSimulateCmd:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "shares" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, field",
+        [
+            ("epoch_len", "epoch_len"),
+            ("factor", "factor"),
+            ("rho", "rho"),
+            ("mint", "mint"),
+            ("user_balance", "user_balance"),
+            ("share", "share"),
+            ("runs", "runs"),
+            ("seed", "seed"),
+            ("jobs", "jobs"),
+        ],
+    )
+    def test_null_numeric_field_cites_field(self, key, field, tmp_path, capsys):
+        cfg = {"protocol": "heb", "epoch_len": 10, "factor": 20, "rho": 0.5,
+               "miners": [{"id": "a", "share": 1.0}], "runs": 1}
+        if key == "share":
+            cfg["miners"][0]["share"] = None
+        else:
+            cfg[key] = None
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_override_flags(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         cfg = dict(get_preset("bitcoin-baseline"))
@@ -235,6 +263,16 @@ class TestPresetValues:
         with pytest.raises(TypeError, match="per-row"):
             main(["mdp", "--share", "0.2", "--rhos", "0.0", "--epoch-len", "4",
                   "--out", str(tmp_path / "m.csv")])
+
+    @pytest.mark.parametrize("ell", ["0", "-3", "13"])
+    def test_mdp_epoch_len_outside_horizon_cap_rejected(self, ell, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        code = main(["mdp", "--share", "0.2", "--rhos", "0.0", "--epoch-len", ell,
+                     "--out", str(out)])
+        assert code == 2
+        assert "epoch_len" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".timing.csv").exists()
 
     def test_mdp_sentinel_for_non_ic_share(self, tmp_path, capsys):
         out = tmp_path / "sent.csv"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import game_value
 
@@ -191,6 +192,26 @@ class TestSolve:
             got = solve(inst).value
             want = game_value(3, share, phi, rho, j)
             assert got == pytest.approx(want, abs=1e-12), (share, phi, rho, j)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_random_small_instances_match_oracle(self, data):
+        ell = data.draw(st.integers(1, 3), "ell")
+        share = data.draw(st.floats(0.0, 1.0), "share")
+        # 1 + 1e-9 exercises the tie edge: weights differ, but barely
+        phi = data.draw(
+            st.sampled_from([1.0, 1.0 + 1e-9]) | st.floats(1.0, 50.0), "phi"
+        )
+        rho = data.draw(st.just(0.0) | st.floats(0.0, 0.95), "rho")
+        j = None
+        if rho > 0.0:
+            j = data.draw(st.integers(0, math.floor(ell * share / rho + 1e-9)), "j")
+        inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=j)
+        res = solve(inst)
+        assert res.value == pytest.approx(
+            game_value(ell, share, phi, rho, j), abs=1e-12
+        )
+        assert policy_value(inst, res.policy.__getitem__) == res.value
 
     def test_publish_all_mode_never_beats_prefix_mode(self):
         kw = dict(ell=6, share=0.3, phi=5.0, rho=0.5, alloc=1)
