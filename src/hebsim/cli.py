@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from hebsim import metrics
@@ -65,11 +64,11 @@ def build_experiment(cfg: dict):
         raise ConfigError("protocol", str(e)) from None
     try:
         params = EpochParams(
-            epoch_len=_to_int(cfg.get("epoch_len", 100), "epoch_len"),
-            factor=_to_fraction(cfg.get("factor", 1), "factor"),
-            rho=_to_fraction(cfg.get("rho", 0), "rho"),
-            mint=_to_fraction(cfg.get("mint", 1), "mint"),
-            user_balance=_to_fraction(cfg.get("user_balance", 10**6), "user_balance"),
+            epoch_len=_field(cfg, "epoch_len", int, 100),
+            factor=_field(cfg, "factor", as_fraction, 1),
+            rho=_field(cfg, "rho", as_fraction, 0),
+            mint=_field(cfg, "mint", as_fraction, 1),
+            user_balance=_field(cfg, "user_balance", as_fraction, 10**6),
         )
     except ValueError as e:
         raise ConfigError("epoch params", str(e)) from None
@@ -82,7 +81,7 @@ def build_experiment(cfg: dict):
             raise ConfigError("miners", f"miner #{i + 1} lacks an id")
         if "share" not in mc:
             raise ConfigError("miners", f"miner {mc.get('id')} lacks a share")
-        shares.append(_to_fraction(mc["share"], "share"))
+        shares.append(_field(mc, "share", as_fraction))
     try:
         balances = normalized_balances(
             shares, params, allow_fractional=bool(cfg.get("allow_fractional", False))
@@ -105,18 +104,17 @@ def build_experiment(cfg: dict):
     return params, miners, protocol
 
 
-def _to_fraction(x, fieldname: str) -> Fraction:
+def _field(cfg: dict, key: str, convert=None, default=None):
+    """``convert(cfg[key])``, with ``default`` for an absent key.  A null, an
+    absent key without default, or a value ``convert`` rejects is a
+    ConfigError naming ``key``."""
+    x = cfg.get(key, default)
+    if x is None:
+        raise ConfigError(key, "missing or null")
     try:
-        return as_fraction(x)
+        return x if convert is None else convert(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(fieldname, f"not a number: {x!r}") from None
-
-
-def _to_int(x, fieldname: str) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(fieldname, f"not an integer: {x!r}") from None
+        raise ConfigError(key, f"invalid value: {x!r}") from None
 
 
 def _write(path: str | None, text: str, default_name: str) -> Path:
@@ -132,9 +130,9 @@ def _write(path: str | None, text: str, default_name: str) -> Path:
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     params, miners, protocol = build_experiment(cfg)
-    runs = _to_int(cfg.get("runs", 1), "runs")
-    seed = _to_int(cfg.get("seed", 0), "seed")
-    jobs = _to_int(cfg.get("jobs", 1), "jobs")
+    runs = _field(cfg, "runs", int, 1)
+    seed = _field(cfg, "seed", int, 0)
+    jobs = _field(cfg, "jobs", int, 1)
 
     acc = GameAccumulator(
         [m.id for m in miners],
@@ -171,8 +169,8 @@ def cmd_epsilon(args) -> int:
         cfg["epoch_len"] = args.epoch_len
     if getattr(args, "factor", None) is not None:
         cfg["factor"] = args.factor
-    epoch_len = int(cfg.get("epoch_len", 1000))
-    factor = float(cfg.get("factor", 20))
+    epoch_len = _field(cfg, "epoch_len", int, 1000)
+    factor = _field(cfg, "factor", float, 20)
     if epoch_len < 1:
         raise ConfigError("epoch_len", f"must be a positive integer, got {epoch_len}")
     if factor < 1:
@@ -201,14 +199,16 @@ def cmd_curves(args) -> int:
     if which not in ("fig2a", "fig2b", "fig4", "fig5"):
         raise ConfigError("which", f"unknown curve set {which!r}")
     if which == "fig2a":
+        shares, xs = _field(cfg, "shares"), _field(cfg, "epoch_lens")
         rows = metrics.normalized_weight_curve(
-            cfg["shares"], epoch_lens=cfg["epoch_lens"], factor=float(cfg["factor"])
+            shares, epoch_lens=xs, factor=_field(cfg, "factor", float)
         )
         lines = ["epoch_len,share,normalized_weight"]
         lines += [f"{int(x)},{_fmt(s)},{_fmt(v)}" for x, s, v in rows]
     elif which == "fig2b":
+        shares, xs = _field(cfg, "shares"), _field(cfg, "factors")
         rows = metrics.normalized_weight_curve(
-            cfg["shares"], factors=cfg["factors"], epoch_len=int(cfg["epoch_len"])
+            shares, factors=xs, epoch_len=_field(cfg, "epoch_len", int)
         )
         lines = ["factor,share,normalized_weight"]
         lines += [f"{_fmt(x)},{_fmt(s)},{_fmt(v)}" for x, s, v in rows]
@@ -216,12 +216,13 @@ def cmd_curves(args) -> int:
         lines = ["rho,pow_only_bound"]
         lines += [
             f"{_fmt(r)},{_fmt(metrics.pow_only_bound(float(r)))}"
-            for r in cfg["rhos"]
+            for r in _field(cfg, "rhos")
         ]
     else:  # fig5
         lines = ["factor,share,permissiveness"]
-        for f in cfg["factors"]:
-            for s in cfg["shares"]:
+        shares = _field(cfg, "shares")
+        for f in _field(cfg, "factors"):
+            for s in shares:
                 lines.append(
                     f"{_fmt(f)},{_fmt(s)},{_fmt(metrics.permissiveness(s, float(f)))}"
                 )
@@ -242,12 +243,12 @@ def cmd_mdp(args) -> int:
     rhos = cfg.get("rhos")
     if not shares or rhos is None:
         raise ConfigError("shares/rhos", "mdp needs share and rho grids")
-    ell = _to_int(cfg.get("epoch_len", 6), "epoch_len")
-    games = _to_int(cfg.get("games", 500), "games")
-    seed = _to_int(cfg.get("seed", 0), "seed")
-    phi_lo = float(cfg.get("phi_lo", 1.0))
-    phi_hi = float(cfg.get("phi_hi", 1.0e8))
-    cap = _to_int(cfg.get("horizon_cap", DEFAULT_HORIZON_CAP), "horizon_cap")
+    ell = _field(cfg, "epoch_len", int, 6)
+    games = _field(cfg, "games", int, 500)
+    seed = _field(cfg, "seed", int, 0)
+    phi_lo = _field(cfg, "phi_lo", float, 1.0)
+    phi_hi = _field(cfg, "phi_hi", float, 1.0e8)
+    cap = _field(cfg, "horizon_cap", int, DEFAULT_HORIZON_CAP)
     if not 1 <= ell <= cap:
         # the exact solver's state count grows steeply with ell
         raise ConfigError("epoch_len", f"must lie in 1..{cap} (horizon_cap), got {ell}")

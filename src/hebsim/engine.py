@@ -58,7 +58,12 @@ class PublicationLoopError(Exception):
 
 class MinerView:
     """Read access a strategy gets when invoked: the public storage, the
-    miner's own private blocks, and her per-run context."""
+    miner's own private blocks, and her per-run context.
+
+    Quota counts per epoch: on the path to a public or private block,
+    :meth:`factored_used` and :meth:`blocks_used` count the miner's private
+    blocks plus her public ones above ``epoch_start_tip`` (none when the
+    public part ends at or below ``epoch_start_height``)."""
 
     __slots__ = (
         "miner_id",
@@ -98,11 +103,23 @@ class MinerView:
         return self.store.tip_ids()
 
     def factored_used(self, parent_id: int) -> int:
-        """Own factored blocks on the public path ending at ``parent_id``."""
-        return self.store.factored_by_on_path(parent_id, self.miner_id)
+        """Own factored blocks on the path to ``parent_id`` this epoch."""
+        return self._used(parent_id, self.store.factored_by_on_path, FACTORED)
 
     def blocks_used(self, parent_id: int) -> int:
-        return self.store.count_by_on_path(parent_id, self.miner_id)
+        """Own blocks on the path to ``parent_id`` this epoch."""
+        return self._used(parent_id, self.store.count_by_on_path, None)
+
+    def _used(self, block_id: int, on_path, kind: Optional[str]) -> int:
+        used = 0
+        while block_id in self.local:  # her private blocks are all her own
+            b = self.local[block_id]
+            used += kind is None or b.kind == kind
+            block_id = b.parent
+        if self.store.get(block_id).height <= self.epoch_start_height:
+            return used
+        me = self.miner_id
+        return used + on_path(block_id, me) - on_path(self.epoch_start_tip, me)
 
 
 class Strategy(Protocol):
@@ -366,45 +383,22 @@ def run_epoch(
     sched_rng, miner_rngs = derive_streams(seed, ids)
 
     allocations = {m.id: allocate(m, params, protocol) for m in miners}
-    quota_limits = {m: params.quota_limit(a.internal) for m, a in allocations.items()}
-    locals_: dict[str, dict[int, Block]] = {m.id: {} for m in miners}
-    # own factored count along paths through private blocks
-    local_fac: dict[str, dict[int, int]] = {m.id: {} for m in miners}
-    local_cnt: dict[str, dict[int, int]] = {m.id: {} for m in miners}
     by_id = {m.id: m for m in miners}
-
-    views = {
-        m.id: MinerView(
-            m.id,
-            store,
-            locals_[m.id],
-            params,
-            allocations[m.id],
-            quota_limits[m.id],
-            start_len,
-            start_tip.id,
-            miner_rngs[m.id],
+    views = {}
+    for m in miners:
+        alloc = allocations[m.id]
+        views[m.id] = MinerView(
+            m.id, store, {}, params, alloc, params.quota_limit(alloc.internal),
+            start_len, start_tip.id, miner_rngs[m.id],
         )
-        for m in miners
-    }
 
     select = miner_selector({m.id: allocations[m.id].external for m in miners})
     quota_mode = protocol.quota_mode
 
-    def path_fac(miner_id: str, block_id: int) -> int:
-        if block_id in store:
-            return store.factored_by_on_path(block_id, miner_id)
-        return local_fac[miner_id][block_id]
-
-    def path_cnt(miner_id: str, block_id: int) -> int:
-        if block_id in store:
-            return store.count_by_on_path(block_id, miner_id)
-        return local_cnt[miner_id][block_id]
-
-    def can_create(miner_id: str) -> bool:
-        limit = quota_limits[miner_id]
+    def can_create(view: MinerView) -> bool:
         return quota_mode != "count" or any(
-            within_quota(path_cnt(miner_id, t), limit) for t in store.tip_ids()
+            within_quota(view.blocks_used(t), view.quota_limit)
+            for t in store.tip_ids()
         )
 
     def publication_fixpoint() -> None:
@@ -413,12 +407,13 @@ def run_epoch(
         while True:
             batch: list[Block] = []
             for m in miners:
-                for bid in m.strategy.publish(views[m.id]):
-                    if bid not in locals_[m.id]:
+                view = views[m.id]
+                for bid in m.strategy.publish(view):
+                    if bid not in view.local:
                         raise StrategyFault(
                             f"miner {m.id} published block {bid} it does not hold"
                         )
-                    batch.append(locals_[m.id][bid])
+                    batch.append(view.local[bid])
             if not batch:
                 return
             rounds += 1
@@ -434,7 +429,7 @@ def run_epoch(
                     raise StrategyFault(
                         f"miner {b.creator} published an unappendable block: {e}"
                     ) from e
-                del locals_[b.creator][b.id]
+                del views[b.creator].local[b.id]
 
     steps = 0
     created = 0
@@ -446,11 +441,12 @@ def run_epoch(
                 f"epoch did not terminate within {max_steps} scheduler steps"
             )
         mid = select(sched_rng)
-        result = by_id[mid].strategy.generate_block(views[mid])
+        view = views[mid]
+        result = by_id[mid].strategy.generate_block(view)
         if result is None:
             # mandatory-expenditure protocols: the selected miner has no
             # quota left; her mining power is wasted this step.
-            if not any(can_create(m.id) for m in miners):
+            if not any(can_create(v) for v in views.values()):
                 raise StalledSystemError(
                     "all miners exhausted their block-creation quotas"
                 )
@@ -458,31 +454,27 @@ def run_epoch(
         parent_id, kind = result
         if parent_id in store:
             parent = store.get(parent_id)
-        elif parent_id in locals_[mid]:
-            parent = locals_[mid][parent_id]
+        elif parent_id in view.local:
+            parent = view.local[parent_id]
         else:
             raise StrategyFault(
                 f"miner {mid} extended unknown parent {parent_id}"
             )
         if kind not in (REGULAR, FACTORED):
             raise StrategyFault(f"miner {mid} returned block kind {kind!r}")
-        limit = quota_limits[mid]
+        limit = view.quota_limit
         if quota_mode == "factored" and kind == FACTORED:
-            if not within_quota(path_fac(mid, parent_id), limit):
+            if not within_quota(view.factored_used(parent_id), limit):
                 raise StrategyFault(
                     f"miner {mid} exceeded her factored-block quota ({limit})"
                 )
         elif quota_mode == "count":
-            if not within_quota(path_cnt(mid, parent_id), limit):
+            if not within_quota(view.blocks_used(parent_id), limit):
                 raise StrategyFault(f"miner {mid} exceeded her block quota ({limit})")
         block = Block(next_id, parent_id, mid, kind, parent.height + 1)
         next_id += 1
         created += 1
-        locals_[mid][block.id] = block
-        local_fac[mid][block.id] = path_fac(mid, parent_id) + (
-            1 if kind == FACTORED else 0
-        )
-        local_cnt[mid][block.id] = path_cnt(mid, parent_id) + 1
+        view.local[block.id] = block
         publication_fixpoint()
 
     main = store.main_chain()

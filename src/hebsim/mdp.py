@@ -70,7 +70,6 @@ class MdpInstance:
     phi: float
     rho: float
     alloc: Optional[int] = None
-    mint: float = 1.0
     publish_mode: str = "prefix"  # "prefix" | "all"
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ class MdpInstance:
         if self.rho > 0.0:
             if self.alloc is None:
                 raise ValueError("alloc (factored commitments) required when rho > 0")
-            max_alloc = math.floor(balance / (self.rho * self.mint) + 1e-9)
+            max_alloc = math.floor(balance / self.rho + 1e-9)
             if not 0 <= self.alloc <= max_alloc:
                 raise ValueError(f"alloc must lie in [0, {max_alloc}]")
 
@@ -102,11 +101,12 @@ class MdpInstance:
     def internal(self) -> float:
         if self.rho == 0.0 or self.alloc is None:
             return 0.0
-        return self.alloc * self.rho * self.mint
+        return self.alloc * self.rho
 
     @property
     def external(self) -> float:
-        return self.balance - self.internal
+        # the alloc bound's 1e-9 slack may let internal exceed the balance
+        return max(self.balance - self.internal, 0.0)
 
     @property
     def alpha(self) -> float:
@@ -191,7 +191,6 @@ class SolveResult:
                     "phi": self.instance.phi,
                     "rho": self.instance.rho,
                     "alloc": self.instance.alloc,
-                    "mint": self.instance.mint,
                     "publish_mode": self.instance.publish_mode,
                     "alpha": self.instance.alpha,
                 },
@@ -224,7 +223,7 @@ def terminal_value(inst: MdpInstance, state: State) -> Optional[float]:
         total = att_w + coh_w
         if total <= 0.0:
             return 0.0
-        return att_w / total * inst.ell * inst.mint
+        return att_w / total * inst.ell
 
     att_est_w = _wfloat(ar, af, phi)
     coh_est_w = _wfloat(cr, cf, phi)

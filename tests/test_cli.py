@@ -81,6 +81,37 @@ class TestEpsilonCmd:
         assert not out.exists()
 
 
+class TestConfigFields:
+    @pytest.mark.parametrize(
+        "command, cfg, field",
+        [
+            ("mdp", {"shares": [0.2], "rhos": [0.0], "epoch_len": 3, "phi_lo": None},
+             "phi_lo"),
+            ("mdp", {"shares": [0.2], "rhos": [0.0], "epoch_len": 3, "phi_hi": "x"},
+             "phi_hi"),
+            ("epsilon", {"distributions": [[0.5, 0.5]], "factor": None}, "factor"),
+            ("epsilon", {"distributions": [[0.5, 0.5]], "epoch_len": None},
+             "epoch_len"),
+            ("curves", {"which": "fig2a", "shares": [0.1], "epoch_lens": [200],
+                        "factor": None}, "factor"),
+            ("curves", {"which": "fig2a"}, "shares"),
+            ("curves", {"which": "fig2b", "shares": [0.1], "factors": [2]},
+             "epoch_len"),
+            ("curves", {"which": "fig4"}, "rhos"),
+            ("curves", {"which": "fig5", "shares": [0.1]}, "factors"),
+        ],
+    )
+    def test_null_or_missing_field_cites_field(
+        self, command, cfg, field, tmp_path, capsys
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "res.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCurvesCmd:
     def test_fig4_zero_rho_row(self, tmp_path, capsys):
         out = tmp_path / "f4.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from hebsim.chain import EpochParams, REGULAR
+from hebsim.chain import EpochParams, FACTORED, REGULAR, epoch_slice
 from hebsim.engine import (
     Allocation,
     MinerConfig,
@@ -220,6 +220,113 @@ class TestStrategyFaults:
         miners = [MinerConfig("x", Fraction(5), petty)]
         with pytest.raises(StrategyFault, match="internal"):
             run_epoch(params, miners, proto, seed=0)
+
+
+class PrivateFactored:
+    """Allocates rho of her balance internally and mines factored blocks on
+    a private chain from ``root`` (default: the epoch start), never
+    publishing; records how many private blocks she held at each call."""
+
+    def __init__(self, root=None):
+        self.root = root
+        self.held = []
+
+    def allocate(self, balance, params):
+        return Allocation(params.rho * balance, (1 - params.rho) * balance)
+
+    def generate_block(self, view):
+        self.held.append(len(view.local))
+        if view.local:
+            return max(view.local.values(), key=lambda b: b.height).id, FACTORED
+        return (view.epoch_start_tip if self.root is None else self.root), FACTORED
+
+    def publish(self, view):
+        return []
+
+
+class QuotaIgnorer:
+    """Commits 1 token internally, then extends the public chain and
+    publishes at once, whatever her quota."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def allocate(self, balance, params):
+        return Allocation(Fraction(1), balance - 1)
+
+    def generate_block(self, view):
+        self.calls += 1
+        return view.public_tips()[0], REGULAR
+
+    def publish(self, view):
+        return sorted(view.local)
+
+
+class TestQuota:
+    HEB = EpochParams(epoch_len=10, factor=Fraction(5), rho=Fraction(1, 2))
+
+    def test_private_factored_chain_faults_at_quota(self):
+        # quota = internal / (rho * mint) = 5 / (1/2) = 10 factored blocks
+        proto = get_protocol("heb")
+        strat = PrivateFactored()
+        miners = [MinerConfig("x", Fraction(10), strat)]
+        with pytest.raises(StrategyFault, match=r"factored-block quota \(10\)"):
+            run_epoch(self.HEB, miners, proto, seed=0)
+        assert strat.held == list(range(11))
+
+    def test_mandatory_faults_on_block_after_quota(self):
+        # 1 token internally at rho * mint = 1/2 per block: quota 2
+        proto = get_protocol("heb_mandatory")
+        strat = QuotaIgnorer()
+        miners = [MinerConfig("x", Fraction(10), strat)]
+        with pytest.raises(StrategyFault, match=r"block quota \(2\)"):
+            run_epoch(self.HEB, miners, proto, seed=0)
+        assert strat.calls == 3
+
+    def test_fork_below_epoch_start_gets_no_extra_quota(self):
+        # epoch 0 gives "x" 10 factored blocks; in epoch 1 her private fork
+        # from genesis still holds only her 10 blocks of quota
+        proto = get_protocol("heb")
+        prescribed = [MinerConfig("x", Fraction(10), make_strategy("prescribed", proto))]
+        first = run_epoch(self.HEB, prescribed, proto, seed=0)
+        assert first.stats["x"] == (10, Fraction(50))
+        strat = PrivateFactored(root=first.store.genesis_id)
+        miners = [MinerConfig("x", Fraction(10), strat)]
+        with pytest.raises(StrategyFault, match="factored-block quota"):
+            run_epoch(self.HEB, miners, proto, seed=1, store=first.store)
+        assert strat.held == list(range(11))
+
+    @staticmethod
+    def _two_epochs(name):
+        params = EpochParams(
+            epoch_len=40, factor=Fraction(5), rho=Fraction(1, 2),
+            user_balance=Fraction(10**5),
+        )
+        proto = get_protocol(name)
+        miners = [
+            MinerConfig(m, Fraction(20), make_strategy("prescribed", proto))
+            for m in "ab"
+        ]
+        first = run_epoch(params, miners, proto, seed=1)
+        second = run_epoch(params, miners, proto, seed=2, store=first.store)
+        quota = params.quota_limit(params.rho * 20)
+        return params, second, quota
+
+    def test_chained_heb_epochs_count_quota_per_epoch(self):
+        params, second, quota = self._two_epochs("heb")
+        assert quota == 20
+        for k in (0, 1):
+            sl = epoch_slice(second.main, k, params.epoch_len)
+            for m in "ab":
+                mine = [b for b in sl if b.creator == m]
+                factored = sum(1 for b in mine if b.kind == FACTORED)
+                assert factored == min(quota, len(mine))
+
+    def test_chained_mandatory_epoch_completes(self):
+        params, second, quota = self._two_epochs("heb_mandatory")
+        assert second.main.length == 2 * params.epoch_len
+        sl = epoch_slice(second.main, 1, params.epoch_len)
+        assert all(sum(1 for b in sl if b.creator == m) <= quota for m in "ab")
 
 
 class Withholder:

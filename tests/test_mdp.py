@@ -53,6 +53,18 @@ class TestInstance:
         with pytest.raises(ValueError):
             MdpInstance(ell=10, share=0.2, phi=20.0, rho=0.5)
 
+    def test_alloc_slack_keeps_probabilities_in_unit_interval(self):
+        # the alloc bound's 1e-9 slack admits an internal spend just above
+        # the balance; the external part clamps at zero
+        inst = MdpInstance(ell=3, share=1 / 3 - 1e-12, phi=2.0, rho=0.5, alloc=2)
+        assert inst.external == 0.0
+        assert inst.alpha == 0.0
+        state = initial_state()
+        for action in legal_actions(inst, state):
+            probs = [p for p, _ in successors(inst, state, action)]
+            assert all(0.0 <= p <= 1.0 for p in probs)
+            assert math.fsum(probs) == 1.0
+
 
 class TestTransitions:
     def test_wait_then_create(self):
