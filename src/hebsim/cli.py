@@ -117,6 +117,14 @@ def _field(cfg: dict, key: str, convert=None, default=None):
         raise ConfigError(key, f"invalid value: {x!r}") from None
 
 
+def _floats(xs) -> list[float]:
+    return [float(x) for x in xs]
+
+
+def _ints(xs) -> list[int]:
+    return [int(x) for x in xs]
+
+
 def _write(path: str | None, text: str, default_name: str) -> Path:
     out = Path(path) if path else Path(default_name)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -161,7 +169,7 @@ def cmd_epsilon(args) -> int:
     cfg = load_config(args, required=False)
     if getattr(args, "dist", None):
         try:
-            dists = [[float(x) for x in args.dist.split(",")]]
+            dists = [_floats(args.dist.split(","))]
         except ValueError:
             raise ConfigError("dist", f"not a comma-separated list: {args.dist!r}")
         cfg["distributions"] = dists
@@ -175,9 +183,9 @@ def cmd_epsilon(args) -> int:
         raise ConfigError("epoch_len", f"must be a positive integer, got {epoch_len}")
     if factor < 1:
         raise ConfigError("factor", f"must be >= 1, got {factor}")
-    dists = cfg.get("distributions")
-    if not dists:
+    if not cfg.get("distributions"):
         raise ConfigError("distributions", "no balance distributions given")
+    dists = _field(cfg, "distributions", lambda ds: [_floats(d) for d in ds])
     width = max(len(d) for d in dists)
     header = ",".join(f"b{i+1}" for i in range(width)) + ",epsilon"
     lines = [header]
@@ -199,14 +207,14 @@ def cmd_curves(args) -> int:
     if which not in ("fig2a", "fig2b", "fig4", "fig5"):
         raise ConfigError("which", f"unknown curve set {which!r}")
     if which == "fig2a":
-        shares, xs = _field(cfg, "shares"), _field(cfg, "epoch_lens")
+        shares, xs = _field(cfg, "shares", _floats), _field(cfg, "epoch_lens", _ints)
         rows = metrics.normalized_weight_curve(
             shares, epoch_lens=xs, factor=_field(cfg, "factor", float)
         )
         lines = ["epoch_len,share,normalized_weight"]
         lines += [f"{int(x)},{_fmt(s)},{_fmt(v)}" for x, s, v in rows]
     elif which == "fig2b":
-        shares, xs = _field(cfg, "shares"), _field(cfg, "factors")
+        shares, xs = _field(cfg, "shares", _floats), _field(cfg, "factors", _floats)
         rows = metrics.normalized_weight_curve(
             shares, factors=xs, epoch_len=_field(cfg, "epoch_len", int)
         )
@@ -215,16 +223,16 @@ def cmd_curves(args) -> int:
     elif which == "fig4":
         lines = ["rho,pow_only_bound"]
         lines += [
-            f"{_fmt(r)},{_fmt(metrics.pow_only_bound(float(r)))}"
-            for r in _field(cfg, "rhos")
+            f"{_fmt(r)},{_fmt(metrics.pow_only_bound(r))}"
+            for r in _field(cfg, "rhos", _floats)
         ]
     else:  # fig5
         lines = ["factor,share,permissiveness"]
-        shares = _field(cfg, "shares")
-        for f in _field(cfg, "factors"):
+        shares = _field(cfg, "shares", _floats)
+        for f in _field(cfg, "factors", _floats):
             for s in shares:
                 lines.append(
-                    f"{_fmt(f)},{_fmt(s)},{_fmt(metrics.permissiveness(s, float(f)))}"
+                    f"{_fmt(f)},{_fmt(s)},{_fmt(metrics.permissiveness(s, f))}"
                 )
     out = _write(cfg.get("out"), "\n".join(lines) + "\n", f"{which}.csv")
     print(f"wrote {out}")
@@ -234,15 +242,15 @@ def cmd_curves(args) -> int:
 def cmd_mdp(args) -> int:
     cfg = load_config(args, required=False)
     if getattr(args, "share", None) is not None:
-        cfg["shares"] = [float(args.share)]
+        cfg["shares"] = [args.share]
     if getattr(args, "rhos", None):
-        cfg["rhos"] = [float(x) for x in args.rhos.split(",")]
+        cfg["rhos"] = _floats(args.rhos.split(","))
     if getattr(args, "epoch_len", None) is not None:
         cfg["epoch_len"] = args.epoch_len
-    shares = cfg.get("shares")
-    rhos = cfg.get("rhos")
-    if not shares or rhos is None:
+    if not cfg.get("shares") or cfg.get("rhos") is None:
         raise ConfigError("shares/rhos", "mdp needs share and rho grids")
+    shares = _field(cfg, "shares", _floats)
+    rhos = _field(cfg, "rhos", _floats)
     ell = _field(cfg, "epoch_len", int, 6)
     games = _field(cfg, "games", int, 500)
     seed = _field(cfg, "seed", int, 0)
@@ -261,7 +269,7 @@ def cmd_mdp(args) -> int:
             try:
                 res = min_factor(
                     share,
-                    float(rho),
+                    rho,
                     ell,
                     phi_lo=phi_lo,
                     phi_hi=phi_hi,
@@ -280,8 +288,8 @@ def cmd_mdp(args) -> int:
                 print(f"error at rho={rho}, share={share}: {e}", file=sys.stderr)
                 phi_min = float("nan")
             dt = time.perf_counter() - t0
-            lines.append(f"{_fmt(float(rho))},{_fmt(float(share))},{_fmt(phi_min)}")
-            timing.append(f"{_fmt(float(rho))},{_fmt(float(share))},{dt:.3f}")
+            lines.append(f"{_fmt(rho)},{_fmt(share)},{_fmt(phi_min)}")
+            timing.append(f"{_fmt(rho)},{_fmt(share)},{dt:.3f}")
     out = _write(cfg.get("out"), "\n".join(lines) + "\n", "fig3.csv")
     out.with_suffix(".timing.csv").write_text("\n".join(timing) + "\n")
     print(f"wrote {out} (+ timing sidecar)")

@@ -60,6 +60,9 @@ class MinerView:
     """Read access a strategy gets when invoked: the public storage, the
     miner's own private blocks, and her per-run context.
 
+    The engine polls :meth:`Strategy.publish` only while ``local`` is
+    non-empty, in miner-id order, until a round publishes nothing.
+
     Quota counts per epoch: on the path to a public or private block,
     :meth:`factored_used` and :meth:`blocks_used` count the miner's private
     blocks plus her public ones above ``epoch_start_tip`` (none when the
@@ -127,7 +130,10 @@ class Strategy(Protocol):
 
     def generate_block(self, view: MinerView) -> Optional[tuple[int, str]]: ...
 
-    def publish(self, view: MinerView) -> Iterable[int]: ...
+    def publish(self, view: MinerView) -> Iterable[int]:
+        """Ids of private blocks to publish now, each one she holds in
+        ``view.local``.  The engine polls this only while she holds private
+        blocks, in miner-id order, until a round publishes nothing."""
 
 
 @dataclass
@@ -401,17 +407,20 @@ def run_epoch(
             for t in store.tip_ids()
         )
 
+    # miners whose ``local`` is non-empty: the only ones ``publish`` is asked
+    holders: set[str] = set()
+
     def publication_fixpoint() -> None:
         cap = max(params.epoch_len * len(miners), 16)
         rounds = 0
         while True:
             batch: list[Block] = []
-            for m in miners:
-                view = views[m.id]
-                for bid in m.strategy.publish(view):
+            for mid in sorted(holders):
+                view = views[mid]
+                for bid in by_id[mid].strategy.publish(view):
                     if bid not in view.local:
                         raise StrategyFault(
-                            f"miner {m.id} published block {bid} it does not hold"
+                            f"miner {mid} published block {bid} it does not hold"
                         )
                     batch.append(view.local[bid])
             if not batch:
@@ -429,7 +438,10 @@ def run_epoch(
                     raise StrategyFault(
                         f"miner {b.creator} published an unappendable block: {e}"
                     ) from e
-                del views[b.creator].local[b.id]
+                local = views[b.creator].local
+                del local[b.id]
+                if not local:
+                    holders.discard(b.creator)
 
     steps = 0
     created = 0
@@ -475,6 +487,7 @@ def run_epoch(
         next_id += 1
         created += 1
         view.local[block.id] = block
+        holders.add(mid)
         publication_fixpoint()
 
     main = store.main_chain()

@@ -107,7 +107,8 @@ class PowOnly(PrescribedNakamoto):
 
     def generate_block(self, view: MinerView):
         if view.local:
-            parent = max(view.local.values(), key=lambda b: b.height).id
+            # local is one private chain in insertion order: the newest is its tip
+            parent = next(reversed(view.local))
         else:
             parent = view.epoch_start_tip
         return parent, REGULAR

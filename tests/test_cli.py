@@ -99,6 +99,11 @@ class TestConfigFields:
              "epoch_len"),
             ("curves", {"which": "fig4"}, "rhos"),
             ("curves", {"which": "fig5", "shares": [0.1]}, "factors"),
+            # a null element of a list-valued field
+            ("curves", {"which": "fig2a", "shares": [None], "epoch_lens": [200],
+                        "factor": 20}, "shares"),
+            ("epsilon", {"distributions": [[0.5, None]]}, "distributions"),
+            ("mdp", {"shares": [None], "rhos": [0.0], "epoch_len": 3}, "shares"),
         ],
     )
     def test_null_or_missing_field_cites_field(

@@ -374,7 +374,42 @@ class ImmediatePublisher:
         return sorted(view.local)
 
 
+class PollRecorder:
+    """Plays ``inner`` and records the size of ``view.local`` at every
+    ``publish`` poll."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def allocate(self, balance, params):
+        return self.inner.allocate(balance, params)
+
+    def generate_block(self, view):
+        return self.inner.generate_block(view)
+
+    def publish(self, view):
+        self.seen.append(len(view.local))
+        return self.inner.publish(view)
+
+
 class TestPublicationFixpoint:
+    def test_publish_polled_only_while_holding_blocks(self):
+        # two prescribed miners beside a pow_only withholder: publish() is
+        # asked only of a miner that holds private blocks
+        params = EpochParams(epoch_len=8, factor=Fraction(20), rho=Fraction(1, 2))
+        proto = get_protocol("heb")
+        recorders = {
+            "a": PollRecorder(make_strategy("prescribed", proto)),
+            "b": PollRecorder(make_strategy("prescribed", proto)),
+            "w": PollRecorder(make_strategy("pow_only", proto)),
+        }
+        balances = {"a": 3, "b": 3, "w": 2}
+        miners = [MinerConfig(m, Fraction(balances[m]), r) for m, r in recorders.items()]
+        run_epoch(params, miners, proto, seed=0)
+        for r in recorders.values():
+            assert r.seen and min(r.seen) > 0
+
     def test_withholding_keeps_store_unchanged(self):
         params = EpochParams(epoch_len=3)
         proto = get_protocol("nakamoto")
@@ -547,6 +582,36 @@ GOLDEN_RESULT = (
 )
 
 
+# a pow_only miner with 2/5 of the external power withholds 8 blocks from
+# the epoch start and publishes them when the honest chain is at height 6
+GOLDEN_WITHHOLDING_STORE = """\
+{"creator": null, "height": 0, "id": 0, "kind": "regular", "parent": null}
+{"creator": "b", "height": 1, "id": 2, "kind": "factored", "parent": 0}
+{"creator": "a", "height": 2, "id": 4, "kind": "factored", "parent": 2}
+{"creator": "b", "height": 3, "id": 5, "kind": "factored", "parent": 4}
+{"creator": "a", "height": 4, "id": 7, "kind": "factored", "parent": 5}
+{"creator": "a", "height": 5, "id": 9, "kind": "factored", "parent": 7}
+{"creator": "a", "height": 6, "id": 12, "kind": "regular", "parent": 9}
+{"creator": "w", "height": 1, "id": 1, "kind": "regular", "parent": 0}
+{"creator": "w", "height": 2, "id": 3, "kind": "regular", "parent": 1}
+{"creator": "w", "height": 3, "id": 6, "kind": "regular", "parent": 3}
+{"creator": "w", "height": 4, "id": 8, "kind": "regular", "parent": 6}
+{"creator": "w", "height": 5, "id": 10, "kind": "regular", "parent": 8}
+{"creator": "w", "height": 6, "id": 11, "kind": "regular", "parent": 10}
+{"creator": "w", "height": 7, "id": 13, "kind": "regular", "parent": 11}
+{"creator": "w", "height": 8, "id": 14, "kind": "regular", "parent": 13}"""
+
+GOLDEN_WITHHOLDING_RESULT = (
+    '{"balances": {"a": "9/2000006", "b": "9/2000006", "w": "8"}, '
+    '"blocks_created": 14, "epoch_index": 0, "external_total": "5", '
+    '"internal_total": "3", "main_length": 8, "main_tip": 14, '
+    '"minted": {"a": "0", "b": "0", "w": "8"}, "prefix_ok": true, '
+    '"redistributed": {"a": "9/2000006", "b": "9/2000006", "w": "0"}, '
+    '"stats": {"a": [0, "0"], "b": [0, "0"], "w": [8, "8"]}, '
+    '"steps": 14, "user_payout": "3000000/1000003"}'
+)
+
+
 class TestGoldenRun:
     def test_frozen_epoch_serialization(self):
         # regression pin: the exact store and result bytes of one small run
@@ -567,3 +632,19 @@ class TestGoldenRun:
         # quota accounting visible in the golden data: miner a holds
         # exactly two factored blocks, her commitment ceiling
         assert res.stats["a"] == (4, Fraction(42))
+
+    def test_frozen_withholding_epoch(self):
+        # regression pin for who publishes when and for pow_only's tip choice
+        params = EpochParams(
+            epoch_len=8, factor=Fraction(20), rho=Fraction(1, 2),
+            user_balance=Fraction(10**6),
+        )
+        proto = get_protocol("heb")
+        miners = [
+            MinerConfig("a", Fraction(3), make_strategy("prescribed", proto)),
+            MinerConfig("b", Fraction(3), make_strategy("prescribed", proto)),
+            MinerConfig("w", Fraction(2), make_strategy("pow_only", proto)),
+        ]
+        res = run_epoch(params, miners, proto, seed=0)
+        assert res.store.to_jsonl() == GOLDEN_WITHHOLDING_STORE
+        assert res.to_json() == GOLDEN_WITHHOLDING_RESULT
