@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -256,6 +257,10 @@ def cmd_mdp(args) -> int:
     seed = _field(cfg, "seed", int, 0)
     phi_lo = _field(cfg, "phi_lo", float, 1.0)
     phi_hi = _field(cfg, "phi_hi", float, 1.0e8)
+    if not phi_lo >= 1.0:
+        raise ConfigError("phi_lo", f"must be >= 1, got {phi_lo}")
+    if not phi_lo <= phi_hi < math.inf:
+        raise ConfigError("phi_hi", f"must be finite and >= phi_lo ({phi_lo}), got {phi_hi}")
     cap = _field(cfg, "horizon_cap", int, DEFAULT_HORIZON_CAP)
     if not 1 <= ell <= cap:
         # the exact solver's state count grows steeply with ell

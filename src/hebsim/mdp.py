@@ -22,20 +22,29 @@ length; the attacker's reward is her minted share on the resulting main
 chain (the redistribution term is negligible and omitted).
 
 Backward induction over this graph yields the exact optimal policy, not an
-approximation.  One memoised induction serves both :func:`solve` (maximising
-over the legal actions) and :func:`policy_value` (the same pass with the
-actions fixed).  Weight ties only ever arise between two chains of equal
-length, so they are decided by comparing integer counts of factored blocks.
-Policies can additionally be evaluated by seeded rollouts through the same
-one-step kernel, guarding against drift between the solver and the forward
-simulation.
+approximation.  Only the terminal rewards depend on the factor phi: weight
+ties only ever arise between two chains of equal length, so they are decided
+by comparing integer counts of factored blocks, which depends on phi only
+through whether it is 1.  So the graph is compiled once into flat arrays
+(states in post-order, the legal actions of each state, each action's
+successors and probabilities, and each terminal state's integer block
+counts), and each phi costs one backward pass over those arrays.  That one
+pass serves both :func:`solve` (maximising over the legal actions) and
+:func:`policy_value` (the actions fixed).  A caller that evaluates several
+factors passes a ``graphs`` dict to reuse the compiled graphs;
+:func:`min_factor` keeps one for the length of its search and there is no
+process-wide cache.  Policies can additionally be evaluated by seeded
+rollouts through the one-step kernel :func:`successors`, guarding against
+drift between the solver and the forward simulation.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -93,22 +102,22 @@ class MdpInstance:
 
     # -- derived quantities -------------------------------------------------------
 
-    @property
+    @cached_property
     def balance(self) -> float:
         return self.ell * self.share
 
-    @property
+    @cached_property
     def internal(self) -> float:
         if self.rho == 0.0 or self.alloc is None:
             return 0.0
         return self.alloc * self.rho
 
-    @property
+    @cached_property
     def external(self) -> float:
         # the alloc bound's 1e-9 slack may let internal exceed the balance
         return max(self.balance - self.internal, 0.0)
 
-    @property
+    @cached_property
     def alpha(self) -> float:
         """Per-step probability that the attacker creates the next block."""
         ext = self.external
@@ -118,17 +127,17 @@ class MdpInstance:
             return 1.0 if ext > 0 else 0.0
         return ext / total
 
-    @property
+    @cached_property
     def attacker_quota(self) -> Optional[int]:
         return None if self.rho == 0.0 else self.alloc
 
-    @property
+    @cached_property
     def cohort_quota(self) -> Optional[int]:
         if self.rho == 0.0:
             return None
         return math.floor(self.ell - self.balance + 1e-9)
 
-    @property
+    @cached_property
     def collapse_types(self) -> bool:
         # with unit weights and no quotas, block types are irrelevant; folding
         # them keeps the pure race at a polynomial state count
@@ -202,6 +211,50 @@ class SolveResult:
         )
 
 
+# the chain that decides a terminal state's reward
+_SECRET, _PUBLIC, _SPLIT = 0, 1, 2
+
+
+def _leaf(inst: MdpInstance, state: State) -> Optional[tuple[int, ...]]:
+    """None unless ``state`` ends the epoch.  Otherwise the winning chain
+    (``_SECRET``, ``_PUBLIC`` or an even ``_SPLIT``) and the integer counts
+    its reward depends on: (winner, ar, af, cr, cf, secret regular, secret
+    factored, public regular, public factored).  The winner depends on the
+    factor only through whether it is 1."""
+    ar, af, cr, cf, sec, pub, _fork = state
+    est_len = ar + af + cr + cf
+    full_sec = est_len + len(sec) == inst.ell
+    full_pub = est_len + len(pub) == inst.ell
+    if not (full_sec or full_pub):
+        return None
+    sec_fac = sum(sec)
+    pub_fac = sum(pub)
+    if full_sec and full_pub:
+        sec_lighter = _lighter(sec_fac, pub_fac, inst.phi)
+        winner = _SPLIT if sec_lighter is None else _SECRET if sec_lighter else _PUBLIC
+    else:
+        winner = _SECRET if full_sec else _PUBLIC
+    return (winner, ar, af, cr, cf, len(sec) - sec_fac, sec_fac, len(pub) - pub_fac, pub_fac)
+
+
+def _leaf_reward(leaf: tuple[int, ...], phi: float, ell: int) -> float:
+    winner, ar, af, cr, cf, sec_reg, sec_fac, pub_reg, pub_fac = leaf
+
+    def reward(att_w: float, coh_w: float) -> float:
+        total = att_w + coh_w
+        if total <= 0.0:
+            return 0.0
+        return att_w / total * ell
+
+    att_est_w = _wfloat(ar, af, phi)
+    coh_est_w = _wfloat(cr, cf, phi)
+    win_sec = reward(att_est_w + _wfloat(sec_reg, sec_fac, phi), coh_est_w)
+    win_pub = reward(att_est_w, coh_est_w + _wfloat(pub_reg, pub_fac, phi))
+    if winner == _SPLIT:
+        return 0.5 * (win_sec + win_pub)
+    return win_sec if winner == _SECRET else win_pub
+
+
 def terminal_value(inst: MdpInstance, state: State) -> Optional[float]:
     """Reward if ``state`` ends the epoch, else None.
 
@@ -209,36 +262,8 @@ def terminal_value(inst: MdpInstance, state: State) -> Optional[float]:
     her secret chain and the cohort adjudicates by minimum accumulated
     weight, splitting exact ties evenly.
     """
-    ar, af, cr, cf, sec, pub, _fork = state
-    est_len = ar + af + cr + cf
-    full_sec = est_len + len(sec) == inst.ell
-    full_pub = est_len + len(pub) == inst.ell
-    if not (full_sec or full_pub):
-        return None
-    phi = inst.phi
-    sec_fac = sum(1 for t in sec if t)
-    pub_fac = sum(1 for t in pub if t)
-
-    def reward(att_w: float, coh_w: float) -> float:
-        total = att_w + coh_w
-        if total <= 0.0:
-            return 0.0
-        return att_w / total * inst.ell
-
-    att_est_w = _wfloat(ar, af, phi)
-    coh_est_w = _wfloat(cr, cf, phi)
-    win_sec = reward(
-        att_est_w + _wfloat(len(sec) - sec_fac, sec_fac, phi), coh_est_w
-    )
-    win_pub = reward(
-        att_est_w, coh_est_w + _wfloat(len(pub) - pub_fac, pub_fac, phi)
-    )
-    if full_sec and full_pub:
-        sec_lighter = _lighter(sec_fac, pub_fac, phi)
-        if sec_lighter is None:
-            return 0.5 * (win_sec + win_pub)
-        return win_sec if sec_lighter else win_pub
-    return win_sec if full_sec else win_pub
+    leaf = _leaf(inst, state)
+    return None if leaf is None else _leaf_reward(leaf, inst.phi, inst.ell)
 
 
 def _resolve_chain_move(
@@ -252,7 +277,7 @@ def _resolve_chain_move(
     if move == ADOPT:
         if not pub:
             return None
-        pub_fac = sum(1 for t in pub if t)
+        pub_fac = sum(pub)
         return (ar, af, cr + len(pub) - pub_fac, cf + pub_fac, (), (), False)
     # publish a prefix of length m
     if m < 1 or m > len(sec):
@@ -263,48 +288,93 @@ def _resolve_chain_move(
         return (ar, af, cr, cf, sec, pub, True)
     if m < len(pub):
         return None  # a shorter chain can never be adopted
-    moved = sec[:m]
-    moved_fac = sum(1 for t in moved if t)
+    moved_fac = sum(sec[:m])
     return (ar + m - moved_fac, af + moved_fac, cr, cf, sec[m:], (), False)
+
+
+def _chain_moves(inst: MdpInstance, state: State) -> list[tuple[str, int, State]]:
+    """Valid chain moves, prescribed-like moves first, each with the
+    intermediate state it leaves before block creation."""
+    sec, pub = state[4], state[5]
+    moves: list[tuple[str, int]] = []
+    if sec:
+        if inst.publish_mode == "prefix":
+            moves += [(PUBLISH, m) for m in range(len(sec), max(len(pub), 1) - 1, -1)]
+        else:
+            moves.append((PUBLISH, len(sec)))
+    if pub:
+        moves.append((ADOPT, 0))
+    moves.append((WAIT, 0))
+    out = []
+    for move, m in moves:
+        inter = _resolve_chain_move(state, move, m)
+        if inter is not None:
+            out.append((move, m, inter))
+    return out
+
+
+def _kinds(inst: MdpInstance, inter: State) -> tuple[bool, ...]:
+    """The attacker's choices for her next block's type (factored first),
+    given the state after her chain move: her factored blocks on the
+    established prefix plus her secret extension must leave quota."""
+    if inst.collapse_types or not within_quota(
+        inter[1] + sum(inter[4]), inst.attacker_quota
+    ):
+        return (False,)
+    return (True, False)
 
 
 def legal_actions(inst: MdpInstance, state: State) -> list[Action]:
     """Valid actions, prescribed-like moves first (for stable tie-breaking)."""
-    _ar, af, _cr, _cf, sec, pub, fork = state
-    moves: list[tuple[str, int]] = []
-    if sec:
-        if inst.publish_mode == "prefix":
-            candidates = range(len(sec), max(len(pub), 1) - 1, -1)
+    return [
+        (move, m, kind)
+        for move, m, inter in _chain_moves(inst, state)
+        for kind in _kinds(inst, inter)
+    ]
+
+
+def _attacker_block(
+    inst: MdpInstance, inter: State, make_factored: bool
+) -> list[tuple[float, State]]:
+    """The attacker creates the next block, on her secret chain."""
+    if inst.alpha <= 0.0:
+        return []
+    ar, af, cr, cf, sec, pub, fork = inter
+    return [(inst.alpha, (ar, af, cr, cf, sec + (make_factored,), pub, fork))]
+
+
+def _cohort_blocks(inst: MdpInstance, inter: State) -> list[tuple[float, State]]:
+    """The cohort creates the next block, on the lighter public tip; it is
+    factored while the tip's chain leaves cohort quota."""
+    alpha = inst.alpha
+    if alpha >= 1.0:
+        return []
+    ar, af, cr, cf, sec, pub, fork = inter
+    p_coh = 1.0 - alpha
+    typed = not inst.collapse_types
+    quota = inst.cohort_quota
+    pub_fac = sum(pub)
+    on_pub = (typed and within_quota(cf + pub_fac, quota),)
+    if not fork:
+        return [(p_coh, (ar, af, cr, cf, sec, pub + on_pub, fork))]
+    # two equal-length public tips: the attacker's published prefix and the
+    # cohort's own extension; cohort extends the lighter one
+    L = len(pub)
+    moved_fac = sum(sec[:L])
+    att_lighter = _lighter(moved_fac, pub_fac, inst.phi)
+    if att_lighter is None:
+        branches = [(0.5, True), (0.5, False)]
+    else:
+        branches = [(1.0, att_lighter)]
+    out: list[tuple[float, State]] = []
+    for prob, on_attacker_tip in branches:
+        if on_attacker_tip:
+            on_att = (typed and within_quota(cf, quota),)
+            nxt = (ar + L - moved_fac, af + moved_fac, cr, cf, sec[L:], on_att, False)
         else:
-            candidates = (len(sec),)
-        for m in candidates:
-            if m == len(pub) and fork:
-                continue
-            if m < len(pub):
-                continue
-            moves.append((PUBLISH, m))
-    if pub:
-        moves.append((ADOPT, 0))
-    moves.append((WAIT, 0))
-
-    actions: list[Action] = []
-    for move, m in moves:
-        inter = _resolve_chain_move(state, move, m)
-        if inter is None:
-            continue
-        if _may_factor(inst, inter):
-            actions.append((move, m, True))
-        actions.append((move, m, False))
-    return actions
-
-
-def _may_factor(inst: MdpInstance, inter: State) -> bool:
-    """Whether the attacker may make her next block factored, given the
-    state after her chain move: her factored blocks on the established
-    prefix plus her secret extension must leave quota."""
-    if inst.collapse_types:
-        return False
-    return within_quota(inter[1] + sum(1 for t in inter[4] if t), inst.attacker_quota)
+            nxt = (ar, af, cr, cf, sec, pub + on_pub, False)
+        out.append((p_coh * prob, nxt))
+    return out
 
 
 def successors(
@@ -315,112 +385,169 @@ def successors(
     inter = _resolve_chain_move(state, move, m)
     if inter is None:
         raise ValueError(f"action {action} invalid in state {state}")
-    ar, af, cr, cf, sec, pub, fork = inter
-    alpha = inst.alpha
-    out: list[tuple[float, State]] = []
-
-    if alpha > 0.0:
-        out.append((alpha, (ar, af, cr, cf, sec + (make_factored,), pub, fork)))
-
-    if alpha < 1.0:
-        p_coh = 1.0 - alpha
-        quota = inst.cohort_quota
-
-        def cohort_type(cf_on_chain: int, ext_fac: int) -> bool:
-            return not inst.collapse_types and within_quota(cf_on_chain + ext_fac, quota)
-
-        if not fork:
-            t = cohort_type(cf, sum(1 for x in pub if x))
-            out.append((p_coh, (ar, af, cr, cf, sec, pub + (t,), fork)))
-        else:
-            # two equal-length public tips: the attacker's published prefix
-            # and the cohort's own extension; cohort extends the lighter one
-            L = len(pub)
-            att_lighter = _lighter(
-                sum(1 for x in sec[:L] if x), sum(1 for x in pub if x), inst.phi
-            )
-            if att_lighter is None:
-                branches = [(0.5, True), (0.5, False)]
-            else:
-                branches = [(1.0, att_lighter)]
-            for prob, on_attacker_tip in branches:
-                if on_attacker_tip:
-                    moved = sec[:L]
-                    moved_fac = sum(1 for x in moved if x)
-                    nar, naf = ar + L - moved_fac, af + moved_fac
-                    t = cohort_type(cf, 0)
-                    out.append(
-                        (
-                            p_coh * prob,
-                            (nar, naf, cr, cf, sec[L:], (t,), False),
-                        )
-                    )
-                else:
-                    t = cohort_type(cf, sum(1 for x in pub if x))
-                    out.append(
-                        (p_coh * prob, (ar, af, cr, cf, sec, pub + (t,), False))
-                    )
-    return out
+    return _attacker_block(inst, inter, make_factored) + _cohort_blocks(inst, inter)
 
 
-def _induct(
-    inst: MdpInstance,
-    horizon_cap: int,
-    policy_fn: Optional[Callable[[State], Action]] = None,
-) -> SolveResult:
-    """Memoised backward induction over the acyclic state graph from the
-    initial state: maximising over :func:`legal_actions`, or following
-    ``policy_fn`` when one is given.
+@dataclass
+class _Graph:
+    """One game's state graph with everything but the factor resolved.
 
-    Ties between equal-valued actions resolve toward the first action in
-    :func:`legal_actions` order (prescribed-like moves first), making the
-    returned deterministic policy stable.
+    ``states`` is in post-order: each state after all its successors, the
+    initial state last.  State ``i`` is terminal when ``leaf_of[i] >= 0``, an
+    index into ``leaves`` (see :func:`_leaf`).  Otherwise its legal actions,
+    in :func:`legal_actions` order, are ``actions[act_lo[i]:act_lo[i + 1]]``,
+    and action ``a`` leads to state ``succ[e]`` with probability ``prob[e]``
+    for ``e`` in ``range(succ_lo[a], succ_lo[a + 1])``, in
+    :func:`successors` order.
     """
+
+    ell: int
+    states: list[State] = field(default_factory=list)
+    leaves: list[tuple[int, ...]] = field(default_factory=list)
+    leaf_of: array = field(default_factory=lambda: array("i"))
+    inner: array = field(default_factory=lambda: array("i"))  # non-terminal states
+    act_lo: array = field(default_factory=lambda: array("i", [0]))
+    actions: list[Action] = field(default_factory=list)
+    succ_lo: array = field(default_factory=lambda: array("i", [0]))
+    succ: array = field(default_factory=lambda: array("i"))
+    prob: array = field(default_factory=lambda: array("d"))
+
+
+def _compile(inst: MdpInstance) -> _Graph:
+    """Explore the state graph from the initial state, depth first, in the
+    order of :func:`legal_actions` and :func:`successors`; each chain move
+    is resolved once for both block types."""
+    g = _Graph(inst.ell)
+    index: dict[State, int] = {}
+    leaf_ids: dict[tuple[int, ...], int] = {}
+    action_ids: dict[Action, Action] = {}  # one object per distinct action
+
+    def visit(state: State) -> int:  # a state not yet in ``index``
+        leaf = _leaf(inst, state)
+        if leaf is None:
+            acts: list[Action] = []
+            branches: list[tuple[float, State]] = []
+            ends: list[int] = []
+            for move, m, inter in _chain_moves(inst, state):
+                cohort = _cohort_blocks(inst, inter)
+                for kind in _kinds(inst, inter):
+                    acts.append((move, m, kind))
+                    branches += _attacker_block(inst, inter, kind)
+                    branches += cohort
+                    ends.append(len(branches))
+            ids = [j if (j := index.get(s)) is not None else visit(s) for _p, s in branches]
+            base = len(g.succ)  # after the recursion above has appended its own
+            g.actions += [action_ids.setdefault(a, a) for a in acts]
+            g.succ_lo.extend([base + e for e in ends])
+            g.prob.extend([p for p, _s in branches])
+            g.succ.extend(ids)
+            g.inner.append(len(g.states))
+            g.leaf_of.append(-1)
+        else:
+            g.leaf_of.append(leaf_ids.setdefault(leaf, len(leaf_ids)))
+        g.act_lo.append(len(g.actions))
+        i = index[state] = len(g.states)
+        g.states.append(state)
+        return i
+
+    visit(initial_state())
+    g.leaves = list(leaf_ids)
+    return g
+
+
+def _evaluate(
+    g: _Graph, phi: float, fixed: Optional[dict[int, int]] = None
+) -> tuple[list[float], list[int]]:
+    """Backward induction over a compiled graph at factor ``phi``, in one
+    pass over its post-order.  Returns every state's value and, per state in
+    ``g.inner``, the index of its best action.  Ties between equal-valued
+    actions resolve toward the first (prescribed-like moves first), making
+    the policy stable.  With ``fixed`` (state index -> action index) only
+    those states are evaluated, each under its given action."""
+    rewards = [_leaf_reward(leaf, phi, g.ell) for leaf in g.leaves]
+    rewards.append(math.nan)  # leaf_of[i] == -1: not terminal, not yet evaluated
+    val = list(map(rewards.__getitem__, g.leaf_of))
+    act_lo, succ_lo, succ, prob = g.act_lo, g.succ_lo, g.succ, g.prob
+    if fixed is None:
+        spans = ((i, act_lo[i], act_lo[i + 1]) for i in g.inner)
+    else:
+        spans = ((i, a, a + 1) for i, a in sorted(fixed.items()))
+    choice: list[int] = []
+    for i, lo, hi in spans:
+        best, best_a = -math.inf, lo
+        for a in range(lo, hi):
+            v = 0.0
+            for e in range(succ_lo[a], succ_lo[a + 1]):
+                v += prob[e] * val[succ[e]]
+            if v > best + 1e-15:
+                best, best_a = v, a
+        val[i] = best
+        choice.append(best_a)
+    return val, choice
+
+
+def _graph(
+    inst: MdpInstance, horizon_cap: int, graphs: Optional[dict]
+) -> _Graph:
+    """The compiled graph of ``inst``, from ``graphs`` when it holds one."""
     if inst.ell > horizon_cap:
         raise StateBudgetError(
             f"ell={inst.ell} exceeds the state budget cap {horizon_cap}; "
             "raise horizon_cap explicitly if you accept the cost"
         )
-    memo: dict[State, float] = {}
-    policy: dict[State, Action] = {}
-
-    def value(state: State) -> float:
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        tv = terminal_value(inst, state)
-        if tv is not None:
-            memo[state] = tv
-            return tv
-        actions = legal_actions(inst, state) if policy_fn is None else [policy_fn(state)]
-        best, best_action = -math.inf, actions[0]
-        for action in actions:
-            v = 0.0
-            for p, nxt in successors(inst, state, action):
-                v += p * value(nxt)
-            if v > best + 1e-15:
-                best, best_action = v, action
-        memo[state] = best
-        policy[state] = best_action
-        return best
-
-    root_value = value(initial_state())
-    return SolveResult(root_value, policy, len(memo), inst, state_values=memo)
+    if graphs is None:
+        return _compile(inst)
+    key = (inst.ell, inst.share, inst.rho, inst.alloc, inst.publish_mode, inst.phi == 1.0)
+    g = graphs.get(key)
+    if g is None:
+        g = graphs[key] = _compile(inst)
+    return g
 
 
-def solve(inst: MdpInstance, horizon_cap: int = DEFAULT_HORIZON_CAP) -> SolveResult:
+def solve(
+    inst: MdpInstance,
+    horizon_cap: int = DEFAULT_HORIZON_CAP,
+    graphs: Optional[dict] = None,
+) -> SolveResult:
     """Exact optimal value and policy; the policy covers every non-terminal
-    state the induction reached."""
-    return _induct(inst, horizon_cap)
+    state reachable from the initial state.  ``graphs`` caches compiled
+    graphs across calls that differ only in the factor; results are the same
+    with or without it."""
+    g = _graph(inst, horizon_cap, graphs)
+    val, choice = _evaluate(g, inst.phi)
+    states, actions = g.states, g.actions
+    policy = {states[i]: actions[a] for i, a in zip(g.inner, choice)}
+    return SolveResult(
+        val[-1], policy, len(states), inst, state_values=dict(zip(states, val))
+    )
 
 
 def policy_value(
     inst: MdpInstance,
     policy_fn: Callable[[State], Action],
     horizon_cap: int = DEFAULT_HORIZON_CAP,
+    graphs: Optional[dict] = None,
 ) -> float:
-    """Exact value of a fixed deterministic policy on the same state graph."""
-    return _induct(inst, horizon_cap, policy_fn).value
+    """Exact value of a fixed deterministic policy on the same state graph.
+    ``policy_fn`` is called once on each non-terminal state reachable under
+    it and must return one of that state's legal actions."""
+    g = _graph(inst, horizon_cap, graphs)
+    fixed: dict[int, int] = {}
+    stack = [len(g.states) - 1]
+    while stack:
+        i = stack.pop()
+        lo, hi = g.act_lo[i], g.act_lo[i + 1]
+        if lo == hi or i in fixed:  # terminal, or seen
+            continue
+        state = g.states[i]
+        action = policy_fn(state)
+        try:
+            a = g.actions.index(action, lo, hi)
+        except ValueError:
+            raise ValueError(f"action {action} invalid in state {state}") from None
+        fixed[i] = a
+        stack.extend(g.succ[g.succ_lo[a] : g.succ_lo[a + 1]])
+    return _evaluate(g, inst.phi, fixed)[0][-1]
 
 
 def prescribed_action(inst: MdpInstance, state: State) -> Action:
@@ -438,7 +565,7 @@ def prescribed_action(inst: MdpInstance, state: State) -> Action:
     if inter is None:  # publishing an equal-length prefix twice, etc.
         move = (ADOPT, 0) if pub else (WAIT, 0)
         inter = _resolve_chain_move(state, move[0], move[1])
-    return (move[0], move[1], _may_factor(inst, inter))
+    return (move[0], move[1], _kinds(inst, inter)[0])
 
 
 def rollout_rewards(
@@ -527,6 +654,7 @@ def best_response(
     seed: SeedLike = 0,
     horizon_cap: int = DEFAULT_HORIZON_CAP,
     value_tol: float = 1e-9,
+    graphs: Optional[dict] = None,
 ) -> BestResponse:
     """Enumerate integral internal allocations, solve each exactly, evaluate
     by rollouts, and classify whether prescribed play is a best response.
@@ -542,7 +670,12 @@ def best_response(
     The exact optimal and prescribed values are always reported; small true
     gains below the resolution of the rollout protocol are therefore visible
     in ``value`` even when the classification stays "prescribed".
+
+    ``graphs`` caches compiled state graphs (see :func:`solve`); without it
+    the prescribed evaluation still reuses its allocation's graph.
     """
+    if graphs is None:
+        graphs = {}
     balance = ell * share
     if rho > 0.0:
         j_presc: Optional[int] = math.floor(balance + 1e-9)
@@ -563,7 +696,7 @@ def best_response(
     total_states = 0
     for j in j_values:
         inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=j)
-        res = solve(inst, horizon_cap=horizon_cap)
+        res = solve(inst, horizon_cap=horizon_cap, graphs=graphs)
         total_states += res.states
         candidates.append((j, res.value))
         better = res.value > best_value + value_tol
@@ -577,7 +710,7 @@ def best_response(
 
     presc_inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=j_presc)
     presc_value = policy_value(
-        presc_inst, lambda s: prescribed_action(presc_inst, s), horizon_cap
+        presc_inst, lambda s: prescribed_action(presc_inst, s), horizon_cap, graphs
     )
 
     shape_match = (
@@ -660,8 +793,16 @@ def min_factor(
 
     Classification is assumed monotone in the factor; a post-hoc probe just
     below and at twice the found value reports violations instead of
-    trusting the assumption.
+    trusting the assumption.  The probes share one cache of compiled state
+    graphs, dropped on return.
     """
+    if not rel_tol > 0.0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not 1.0 <= phi_lo <= phi_hi < math.inf:
+        raise ValueError(
+            f"need 1 <= phi_lo <= phi_hi < inf, got phi_lo={phi_lo}, phi_hi={phi_hi}"
+        )
+    graphs: dict = {}
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     probes: list[tuple[float, str]] = []
     counter = [0]
@@ -672,7 +813,8 @@ def min_factor(
         )
         counter[0] += 1
         br = best_response(
-            share, ell, phi, rho, games=games, seed=child, horizon_cap=horizon_cap
+            share, ell, phi, rho, games=games, seed=child, horizon_cap=horizon_cap,
+            graphs=graphs,
         )
         probes.append((phi, br.classified))
         return br.is_prescribed

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hebsim import cli
+from hebsim import cli, mdp
 from hebsim.cli import main
 from hebsim.presets import PRESETS, get_preset
 
@@ -309,6 +309,30 @@ class TestPresetValues:
         assert "epoch_len" in capsys.readouterr().err
         assert not out.exists()
         assert not out.with_suffix(".timing.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bracket, field",
+        [
+            ({"phi_lo": 0.5}, "phi_lo"),
+            ({"phi_lo": 50, "phi_hi": 2}, "phi_hi"),
+            ({"phi_hi": math.inf}, "phi_hi"),  # JSON Infinity
+        ],
+    )
+    def test_mdp_factor_bracket_rejected(
+        self, bracket, field, tmp_path, capsys, monkeypatch
+    ):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("min_factor probed an invalid bracket")
+
+        monkeypatch.setattr(mdp, "best_response", no_probe)
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"shares": [0.2], "rhos": [0.0], "epoch_len": 3, **bracket})
+        )
+        out = tmp_path / "m.csv"
+        assert main(["mdp", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mdp_sentinel_for_non_ic_share(self, tmp_path, capsys):
         out = tmp_path / "sent.csv"

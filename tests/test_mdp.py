@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import game_value
 
+from hebsim import mdp
 from hebsim.mdp import (
+    ADOPT,
     MdpInstance,
     PUBLISH,
     StateBudgetError,
@@ -292,6 +295,27 @@ class TestBestResponse:
 
 
 class TestMinFactor:
+    @pytest.mark.parametrize(
+        "bracket",
+        [
+            {"rel_tol": -0.1},
+            {"rel_tol": 0.0},
+            {"phi_lo": 0.5},
+            {"phi_lo": 1e9},  # above the default phi_hi
+            {"phi_lo": 50.0, "phi_hi": 2.0},
+            {"phi_hi": math.inf},
+        ],
+    )
+    def test_invalid_bracket_rejected_before_probing(self, bracket, monkeypatch):
+        # a negative rel_tol or an infinite phi_hi never ends the bisection;
+        # a probe here could hang
+        def no_probe(*args, **kwargs):
+            raise AssertionError("min_factor probed an invalid bracket")
+
+        monkeypatch.setattr(mdp, "best_response", no_probe)
+        with pytest.raises(ValueError):
+            min_factor(0.2, 0.5, 5, games=200, seed=0, **bracket)
+
     def test_finite_for_small_share(self):
         res = min_factor(0.2, 0.5, 6, games=300, seed=31, rel_tol=0.1)
         assert res.phi_min is not None
@@ -304,6 +328,93 @@ class TestMinFactor:
     def test_probe_log_records_classifications(self):
         res = min_factor(0.2, 0.5, 6, games=300, seed=33, rel_tol=0.2)
         assert all(cls in ("prescribed", "non-prescribed") for _, cls in res.probes)
+
+
+def _solver_digest(ells) -> tuple[int, str]:
+    """sha256 over, per instance: the optimal value, the state count, the
+    sorted policy, the state values in insertion order and the prescribed
+    policy's value, floats as hex.  Instances: share 0.2 and 0.35, phi 1,
+    1 + 1e-9, 1.5, 5 and 20, rho 0 and 0.5, every allocation, both publish
+    modes."""
+    h = hashlib.sha256()
+    n = 0
+    for ell in ells:
+        for share in (0.2, 0.35):
+            for phi in (1.0, 1.0 + 1e-9, 1.5, 5.0, 20.0):
+                for rho in (0.0, 0.5):
+                    allocs = (
+                        [None] if rho == 0.0
+                        else range(math.floor(ell * share / rho + 1e-9) + 1)
+                    )
+                    for alloc in allocs:
+                        for mode in ("prefix", "all"):
+                            inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho,
+                                               alloc=alloc, publish_mode=mode)
+                            res = solve(inst)
+                            presc = policy_value(
+                                inst, lambda s: prescribed_action(inst, s)
+                            )
+                            record = (
+                                res.value.hex(),
+                                res.states,
+                                sorted(res.policy.items()),
+                                [(s, v.hex()) for s, v in res.state_values.items()],
+                                presc.hex(),
+                            )
+                            h.update(repr(record).encode())
+                            n += 1
+    return n, h.hexdigest()
+
+
+class TestGolden:
+    def test_solver_outputs_frozen(self):
+        # computed with the memoised recursive induction that the compiled
+        # graphs replaced: values, policies, tie order and the states'
+        # discovery order are bit-identical.  The same sweep over ell 2-7
+        # (480 instances) gives 7645f5ed54cc1b1a4b504bb306f8a05f397ab46f03b4025dbcf620625fca5afe
+        assert _solver_digest(range(2, 6)) == (
+            280,
+            "594f50bef253a6a537cffdf6fe39ef3dc35ec89806681634a7213523ec26e791",
+        )
+
+
+class TestGraphCache:
+    def test_shared_cache_matches_fresh_solves(self):
+        # phi == 1 compiles its own graph: ties split evenly, and at rho 0
+        # block types collapse
+        graphs: dict = {}
+        for phi in (1.0, 1.0 + 1e-9, 20.0):
+            for rho, allocs in ((0.0, [None]), (0.5, [0, 1, 2])):
+                for alloc in allocs:
+                    inst = MdpInstance(ell=6, share=0.2, phi=phi, rho=rho, alloc=alloc)
+                    cached, fresh = solve(inst, graphs=graphs), solve(inst)
+                    assert cached.value == fresh.value
+                    assert cached.states == fresh.states
+                    assert cached.policy == fresh.policy
+                    assert list(cached.state_values.items()) == list(
+                        fresh.state_values.items()
+                    )
+
+                    def presc(s, inst=inst):
+                        return prescribed_action(inst, s)
+
+                    assert policy_value(inst, presc, graphs=graphs) == policy_value(
+                        inst, presc
+                    )
+        assert len(graphs) == 2 * 4  # (phi == 1) x allocation
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            (ADOPT, 0, False),  # no public chain to adopt
+            (WAIT, 0, True),  # no factored quota at alloc 0
+        ],
+    )
+    def test_policy_value_rejects_illegal_action(self, action):
+        inst = MdpInstance(ell=4, share=0.3, phi=2.0, rho=0.5, alloc=0)
+        assert action not in legal_actions(inst, initial_state())
+        with pytest.raises(ValueError, match="invalid"):
+            policy_value(inst, lambda s: action)
 
 
 class TestPolicyDump:
