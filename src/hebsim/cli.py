@@ -265,33 +265,33 @@ def cmd_mdp(args) -> int:
     if not 1 <= ell <= cap:
         # the exact solver's state count grows steeply with ell
         raise ConfigError("epoch_len", f"must lie in 1..{cap} (horizon_cap), got {ell}")
+    if not all(0.0 <= s <= 1.0 for s in shares):
+        raise ConfigError("shares", f"each must lie in [0, 1], got {shares}")
+    if not all(0.0 <= r < 1.0 for r in rhos):
+        raise ConfigError("rhos", f"each must lie in [0, 1), got {rhos}")
 
     lines = ["rho,share,phi_min"]
     timing = ["rho,share,seconds"]
     for rho in rhos:
         for share in shares:
             t0 = time.perf_counter()
-            try:
-                res = min_factor(
-                    share,
-                    rho,
-                    ell,
-                    phi_lo=phi_lo,
-                    phi_hi=phi_hi,
-                    games=games,
-                    seed=seed,
-                    horizon_cap=cap,
+            res = min_factor(
+                share,
+                rho,
+                ell,
+                phi_lo=phi_lo,
+                phi_hi=phi_hi,
+                games=games,
+                seed=seed,
+                horizon_cap=cap,
+            )
+            phi_min = -1.0 if res.phi_min is None else res.phi_min
+            if not res.monotone_ok:
+                print(
+                    f"warning: non-monotone classification near phi_min "
+                    f"at rho={rho}, share={share}",
+                    file=sys.stderr,
                 )
-                phi_min = -1.0 if res.phi_min is None else res.phi_min
-                if not res.monotone_ok:
-                    print(
-                        f"warning: non-monotone classification near phi_min "
-                        f"at rho={rho}, share={share}",
-                        file=sys.stderr,
-                    )
-            except ValueError as e:  # the sweep goes on
-                print(f"error at rho={rho}, share={share}: {e}", file=sys.stderr)
-                phi_min = float("nan")
             dt = time.perf_counter() - t0
             lines.append(f"{_fmt(rho)},{_fmt(share)},{_fmt(phi_min)}")
             timing.append(f"{_fmt(rho)},{_fmt(share)},{dt:.3f}")

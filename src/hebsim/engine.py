@@ -230,7 +230,7 @@ def _stable_id_key(miner_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _as_seedseq(seed: SeedLike) -> np.random.SeedSequence:
+def as_seedseq(seed: SeedLike) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
@@ -244,7 +244,7 @@ def derive_streams(
     Streams are keyed on the miner id, so adding a miner does not perturb
     the draws of the others.
     """
-    ss = _as_seedseq(seed)
+    ss = as_seedseq(seed)
     base_key = tuple(ss.spawn_key)
     sched = np.random.default_rng(
         np.random.SeedSequence(entropy=ss.entropy, spawn_key=base_key + (0,))
@@ -585,7 +585,7 @@ def iter_game_results(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    children = _as_seedseq(seed).spawn(count)
+    children = as_seedseq(seed).spawn(count)
     if jobs <= 1:
         for child in children:
             yield run_epoch(params, miners, protocol, child)

@@ -33,9 +33,13 @@ pass serves both :func:`solve` (maximising over the legal actions) and
 :func:`policy_value` (the actions fixed).  A caller that evaluates several
 factors passes a ``graphs`` dict to reuse the compiled graphs;
 :func:`min_factor` keeps one for the length of its search and there is no
-process-wide cache.  Policies can additionally be evaluated by seeded
-rollouts through the one-step kernel :func:`successors`, guarding against
-drift between the solver and the forward simulation.
+process-wide cache.  A fixed policy is first mapped, by one walk over
+the states reachable under it, to an action index per state; that map
+serves the exact evaluation, the seeded rollouts (each step an index lookup
+and one uniform draw over the action's successor probabilities) and the
+check that an optimal policy has the prescribed shape.  The one-step kernel
+:func:`successors` and :func:`terminal_value` spell out the same model
+state by state.
 """
 
 from __future__ import annotations
@@ -44,14 +48,13 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from hebsim.chain import within_quota
-
-SeedLike = Union[int, np.random.SeedSequence]
+from hebsim.engine import SeedLike, as_seedseq
 
 WAIT = "wait"
 ADOPT = "adopt"
@@ -63,6 +66,10 @@ Action = tuple[str, int, bool]
 State = tuple[int, int, int, int, tuple[bool, ...], tuple[bool, ...], bool]
 
 DEFAULT_HORIZON_CAP = 12
+
+# best_response: exact values this close tie, and the tie goes to
+# prescribed play (relative to the prescribed value when games=0)
+VALUE_TOL = 1e-9
 
 
 class StateBudgetError(Exception):
@@ -86,8 +93,8 @@ class MdpInstance:
             raise ValueError("ell must be positive")
         if not 0.0 <= self.share <= 1.0:
             raise ValueError("share must lie in [0, 1]")
-        if self.phi < 1.0:
-            raise ValueError("phi must be >= 1")
+        if not 1.0 <= self.phi < math.inf:  # also rejects nan
+            raise ValueError("phi must lie in [1, inf)")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         if self.publish_mode not in ("prefix", "all"):
@@ -325,7 +332,9 @@ def _kinds(inst: MdpInstance, inter: State) -> tuple[bool, ...]:
 
 
 def legal_actions(inst: MdpInstance, state: State) -> list[Action]:
-    """Valid actions, prescribed-like moves first (for stable tie-breaking)."""
+    """Valid actions: publications longest first, then adopt, then wait,
+    each with a factored block first while quota remains.  The first is
+    therefore the prescribed action, and ties resolve toward it."""
     return [
         (move, m, kind)
         for move, m, inter in _chain_moves(inst, state)
@@ -487,7 +496,7 @@ def _evaluate(
 
 
 def _graph(
-    inst: MdpInstance, horizon_cap: int, graphs: Optional[dict]
+    inst: MdpInstance, horizon_cap: float, graphs: Optional[dict]
 ) -> _Graph:
     """The compiled graph of ``inst``, from ``graphs`` when it holds one."""
     if inst.ell > horizon_cap:
@@ -522,16 +531,10 @@ def solve(
     )
 
 
-def policy_value(
-    inst: MdpInstance,
-    policy_fn: Callable[[State], Action],
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
-    graphs: Optional[dict] = None,
-) -> float:
-    """Exact value of a fixed deterministic policy on the same state graph.
-    ``policy_fn`` is called once on each non-terminal state reachable under
-    it and must return one of that state's legal actions."""
-    g = _graph(inst, horizon_cap, graphs)
+def _policy_actions(g: _Graph, policy_fn: Callable[[State], Action]) -> dict[int, int]:
+    """A fixed deterministic policy as state index -> action index, over
+    the non-terminal states reachable under it; an action that is not
+    legal in its state is a ValueError."""
     fixed: dict[int, int] = {}
     stack = [len(g.states) - 1]
     while stack:
@@ -547,25 +550,27 @@ def policy_value(
             raise ValueError(f"action {action} invalid in state {state}") from None
         fixed[i] = a
         stack.extend(g.succ[g.succ_lo[a] : g.succ_lo[a + 1]])
-    return _evaluate(g, inst.phi, fixed)[0][-1]
+    return fixed
+
+
+def policy_value(
+    inst: MdpInstance,
+    policy_fn: Callable[[State], Action],
+    horizon_cap: int = DEFAULT_HORIZON_CAP,
+    graphs: Optional[dict] = None,
+) -> float:
+    """Exact value of a fixed deterministic policy on the same state graph.
+    ``policy_fn`` is called once on each non-terminal state reachable under
+    it and must return one of that state's legal actions."""
+    g = _graph(inst, horizon_cap, graphs)
+    return _evaluate(g, inst.phi, _policy_actions(g, policy_fn))[0][-1]
 
 
 def prescribed_action(inst: MdpInstance, state: State) -> Action:
     """The prescribed strategy as a policy: publish every created block
     immediately, adopt the public chain otherwise, and create factored
-    blocks while quota remains."""
-    _ar, af, _cr, _cf, sec, pub, _fork = state
-    if sec:
-        move: tuple[str, int] = (PUBLISH, len(sec))
-    elif pub:
-        move = (ADOPT, 0)
-    else:
-        move = (WAIT, 0)
-    inter = _resolve_chain_move(state, move[0], move[1])
-    if inter is None:  # publishing an equal-length prefix twice, etc.
-        move = (ADOPT, 0) if pub else (WAIT, 0)
-        inter = _resolve_chain_move(state, move[0], move[1])
-    return (move[0], move[1], _kinds(inst, inter)[0])
+    blocks while quota remains; see :func:`legal_actions`."""
+    return legal_actions(inst, state)[0]
 
 
 def rollout_rewards(
@@ -573,29 +578,32 @@ def rollout_rewards(
     policy_fn: Callable[[State], Action],
     games: int,
     seed: SeedLike,
+    graphs: Optional[dict] = None,
 ) -> np.ndarray:
-    """Forward-simulate ``games`` epochs under a fixed policy; returns the
-    per-game attacker rewards."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(ss)
+    """Forward-simulate ``games`` epochs under a fixed policy on the
+    compiled graph; returns the per-game attacker rewards.  ``policy_fn`` is
+    as for :func:`policy_value`, ``graphs`` as for :func:`solve`.  Each step
+    draws one uniform and takes the first successor whose cumulative
+    probability exceeds it, else the last."""
+    g = _graph(inst, math.inf, graphs)  # rollouts have no state budget
+    act = _policy_actions(g, policy_fn)
+    leaf_of, succ_lo, succ, prob = g.leaf_of, g.succ_lo, g.succ, g.prob
+    rng = np.random.default_rng(as_seedseq(seed))
     rewards = np.empty(games, dtype=float)
-    for g in range(games):
-        state = initial_state()
-        while True:
-            tv = terminal_value(inst, state)
-            if tv is not None:
-                rewards[g] = tv
-                break
-            branches = successors(inst, state, policy_fn(state))
+    for n in range(games):
+        i = len(g.states) - 1
+        while leaf_of[i] < 0:
             r = rng.random()
+            a = act[i]
+            lo, hi = succ_lo[a], succ_lo[a + 1]
+            i = succ[hi - 1]
             acc = 0.0
-            nxt = branches[-1][1]
-            for p, cand in branches:
-                acc += p
+            for e in range(lo, hi):
+                acc += prob[e]
                 if r < acc:
-                    nxt = cand
+                    i = succ[e]
                     break
-            state = nxt
+        rewards[n] = _leaf_reward(g.leaves[leaf_of[i]], inst.phi, g.ell)
     return rewards
 
 
@@ -626,25 +634,6 @@ class BestResponse:
         return self.classified == "prescribed"
 
 
-def _walk_policy_shape(res: SolveResult) -> bool:
-    """True when, on every state reachable under the optimal policy, the
-    chosen action matches the prescribed one."""
-    inst = res.instance
-    seen: set[State] = set()
-    stack = [initial_state()]
-    while stack:
-        state = stack.pop()
-        if state in seen or terminal_value(inst, state) is not None:
-            continue
-        seen.add(state)
-        action = res.policy[state]
-        if action != prescribed_action(inst, state):
-            return False
-        for _p, nxt in successors(inst, state, action):
-            stack.append(nxt)
-    return True
-
-
 def best_response(
     share: float,
     ell: int,
@@ -653,7 +642,6 @@ def best_response(
     games: int = 5000,
     seed: SeedLike = 0,
     horizon_cap: int = DEFAULT_HORIZON_CAP,
-    value_tol: float = 1e-9,
     graphs: Optional[dict] = None,
 ) -> BestResponse:
     """Enumerate integral internal allocations, solve each exactly, evaluate
@@ -663,9 +651,10 @@ def best_response(
     through: the best deviating policy and the prescribed policy are each
     played for ``games`` rollouts, and the deviation counts only when a
     two-sided Welch test separates the means at 3 sigma.  A policy that
-    exactly matches the prescribed shape (no withholding, prescribed
-    allocation, factored within quota) classifies as prescribed without any
-    statistics.  With ``games=0`` the exact solver values decide instead.
+    exactly matches the prescribed shape (the prescribed allocation, and the
+    prescribed action on every state reachable under it) classifies as
+    prescribed without any statistics.  With ``games=0`` the exact solver
+    values decide instead.
 
     The exact optimal and prescribed values are always reported; small true
     gains below the resolution of the rollout protocol are therefore visible
@@ -686,8 +675,7 @@ def best_response(
         j_presc = None
         j_values = [None]
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    child_presc, child_best = ss.spawn(2)
+    child_presc, child_best = as_seedseq(seed).spawn(2)
 
     candidates: list[tuple[Optional[int], float]] = []
     best_j: Optional[int] = None
@@ -699,9 +687,9 @@ def best_response(
         res = solve(inst, horizon_cap=horizon_cap, graphs=graphs)
         total_states += res.states
         candidates.append((j, res.value))
-        better = res.value > best_value + value_tol
+        better = res.value > best_value + VALUE_TOL
         tie_prefers = (
-            abs(res.value - best_value) <= value_tol and j == j_presc
+            abs(res.value - best_value) <= VALUE_TOL and j == j_presc
         )
         if better or tie_prefers or best_solve is None:
             best_value = max(res.value, best_value)
@@ -709,28 +697,26 @@ def best_response(
             best_solve = res
 
     presc_inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=j_presc)
-    presc_value = policy_value(
-        presc_inst, lambda s: prescribed_action(presc_inst, s), horizon_cap, graphs
-    )
+    presc_fn = partial(prescribed_action, presc_inst)
+    presc_value = policy_value(presc_inst, presc_fn, horizon_cap, graphs)
 
-    shape_match = (
-        best_solve is not None
-        and best_j == j_presc
-        and _walk_policy_shape(best_solve)
-    )
+    shape_match = False
+    if best_solve is not None and best_j == j_presc:
+        g = _graph(presc_inst, horizon_cap, graphs)
+        shape_match = _policy_actions(g, best_solve.policy.__getitem__) == (
+            _policy_actions(g, presc_fn)
+        )
 
     rollout_mean = rollout_stderr = math.nan
     presc_mean = presc_stderr = math.nan
     welch = math.nan
     if games > 0 and best_solve is not None:
         rewards = rollout_rewards(
-            best_solve.instance, best_solve.policy.__getitem__, games, child_best
+            best_solve.instance, best_solve.policy.__getitem__, games, child_best, graphs
         )
         rollout_mean = float(rewards.mean())
         rollout_stderr = float(rewards.std(ddof=1) / math.sqrt(games)) if games > 1 else 0.0
-        presc_rewards = rollout_rewards(
-            presc_inst, lambda s: prescribed_action(presc_inst, s), games, child_presc
-        )
+        presc_rewards = rollout_rewards(presc_inst, presc_fn, games, child_presc, graphs)
         presc_mean = float(presc_rewards.mean())
         presc_stderr = (
             float(presc_rewards.std(ddof=1) / math.sqrt(games)) if games > 1 else 0.0
@@ -743,7 +729,7 @@ def best_response(
     elif games > 0:
         classified = "prescribed" if abs(welch) < 3.0 else "non-prescribed"
     else:
-        tol = value_tol * max(1.0, abs(presc_value))
+        tol = VALUE_TOL * max(1.0, abs(presc_value))
         classified = (
             "prescribed" if best_value <= presc_value + tol else "non-prescribed"
         )
@@ -803,7 +789,7 @@ def min_factor(
             f"need 1 <= phi_lo <= phi_hi < inf, got phi_lo={phi_lo}, phi_hi={phi_hi}"
         )
     graphs: dict = {}
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss = as_seedseq(seed)
     probes: list[tuple[float, str]] = []
     counter = [0]
 

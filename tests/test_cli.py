@@ -334,6 +334,21 @@ class TestPresetValues:
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid, field",
+        [
+            (["--share", "1.5", "--rhos", "0"], "shares"),
+            (["--share", "0.2", "--rhos", "0,1"], "rhos"),
+        ],
+    )
+    def test_mdp_grid_out_of_range_rejected(self, grid, field, tmp_path, capsys):
+        # a share of 1.5 used to become a "0,1.5,nan" row with exit 0
+        out = tmp_path / "m.csv"
+        code = main(["mdp", *grid, "--epoch-len", "3", "--out", str(out)])
+        assert code == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mdp_sentinel_for_non_ic_share(self, tmp_path, capsys):
         out = tmp_path / "sent.csv"
         code = main(

@@ -68,6 +68,15 @@ class TestInstance:
             assert all(0.0 <= p <= 1.0 for p in probs)
             assert math.fsum(probs) == 1.0
 
+    @pytest.mark.parametrize("phi", [math.inf, math.nan])
+    def test_non_finite_factor_rejected(self, phi):
+        # an infinite factor made terminal rewards inf * 0 = nan, so solve
+        # returned -inf and best_response classified the point "prescribed"
+        with pytest.raises(ValueError, match="phi"):
+            MdpInstance(ell=3, share=0.2, phi=phi, rho=0.5, alloc=0)
+        with pytest.raises(ValueError, match="phi"):
+            best_response(0.2, 3, phi, 0.5, games=0)
+
 
 class TestTransitions:
     def test_wait_then_create(self):
@@ -263,6 +272,21 @@ class TestRollouts:
         b = rollout_rewards(inst, lambda s: prescribed_action(inst, s), 100, seed=5)
         assert np.array_equal(a, b)
 
+    def test_graph_cache_leaves_rollouts_unchanged(self):
+        graphs: dict = {}
+        for phi in (1.0, 20.0):  # the second factor reuses the first's graph
+            inst = MdpInstance(ell=5, share=0.3, phi=phi, rho=0.0)
+            pol = solve(inst, graphs=graphs).policy
+            cached = rollout_rewards(inst, pol.__getitem__, 300, seed=6, graphs=graphs)
+            fresh = rollout_rewards(inst, pol.__getitem__, 300, seed=6)
+            assert np.array_equal(cached, fresh)
+        assert len(graphs) == 2
+
+    def test_rollout_rejects_illegal_action(self):
+        inst = MdpInstance(ell=4, share=0.3, phi=2.0, rho=0.5, alloc=0)
+        with pytest.raises(ValueError, match="invalid"):
+            rollout_rewards(inst, lambda s: (WAIT, 0, True), 10, seed=0)
+
 
 class TestBestResponse:
     def test_prescribed_for_small_share(self):
@@ -375,6 +399,47 @@ class TestGolden:
         assert _solver_digest(range(2, 6)) == (
             280,
             "594f50bef253a6a537cffdf6fe39ef3dc35ec89806681634a7213523ec26e791",
+        )
+
+
+def _best_response_digest() -> tuple[int, int, str]:
+    """sha256 over, per point: the classification, j*, the exact optimal
+    and prescribed values, both rollout means and the Welch z (floats as
+    hex) and the shape flag.  Points: ell 3-5, share 0.1, 0.2 and 0.35, phi
+    1, 5 and 20, rho 0 and 0.5, 200 games seeded by ell.  Also returns how
+    many points matched the prescribed shape."""
+    h = hashlib.sha256()
+    n = shapes = 0
+    for ell in (3, 4, 5):
+        for share in (0.1, 0.2, 0.35):
+            for phi in (1.0, 5.0, 20.0):
+                for rho in (0.0, 0.5):
+                    br = best_response(share, ell, phi, rho, games=200, seed=ell)
+                    record = (
+                        br.classified,
+                        br.j_star,
+                        br.value.hex(),
+                        br.prescribed_value.hex(),
+                        br.rollout_mean.hex(),
+                        br.prescribed_rollout_mean.hex(),
+                        br.welch_z.hex(),
+                        br.prescribed_shape,
+                    )
+                    h.update(repr(record).encode())
+                    n += 1
+                    shapes += br.prescribed_shape
+    return n, shapes, h.hexdigest()
+
+
+class TestBestResponseGolden:
+    def test_best_response_outputs_frozen(self):
+        # computed when rollouts stepped through successors/terminal_value
+        # and the shape check re-walked the optimal policy state by state;
+        # pins the rollout RNG use and both shape outcomes
+        assert _best_response_digest() == (
+            54,
+            19,
+            "ad9a242b169a2a007078d7d4f44f27f9a8073e821b9c99924a1ac73e5a125206",
         )
 
 
