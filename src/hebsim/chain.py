@@ -9,6 +9,7 @@ chains.  Epoch ``k`` of a chain is the block series at 1-indexed positions
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -192,6 +193,15 @@ class BlockStore:
     * per-block counts of factored blocks on the path from genesis,
     * per-block, per-creator factored and total block counts on that path.
 
+    Each creator gets a slot number the first time the store sees them; slot
+    0 stands for an unknown creator and always reads 0.  Per block the store
+    keeps two ``array('I')`` rows indexed by slot: the counts of every
+    creator's blocks on the path, and of their factored blocks.  An append
+    copies the parent's count row and bumps one slot; a regular block shares
+    its parent's factored row.  So a block costs 4 bytes per creator (8 when
+    factored) plus an array header of about 80 bytes per row.  A row reaches
+    only the highest slot counted on its path; slots past its end read 0.
+
     Blocks are never removed or mutated.
     """
 
@@ -202,8 +212,9 @@ class BlockStore:
         self._max_tips: list[int] = []
         # path-cumulative accounting, keyed by block id
         self._fac_total: dict[int, int] = {}
-        self._fac_by: dict[int, dict[str, int]] = {}
-        self._cnt_by: dict[int, dict[str, int]] = {}
+        self._slot: dict[str, int] = {}
+        self._fac_by: dict[int, array] = {}
+        self._cnt_by: dict[int, array] = {}
 
     # -- basic container protocol -------------------------------------------------
 
@@ -237,8 +248,7 @@ class BlockStore:
                 raise ChainError("genesis height must be 0")
             self._genesis_id = block.id
             self._fac_total[block.id] = 0
-            self._fac_by[block.id] = {}
-            self._cnt_by[block.id] = {}
+            self._fac_by[block.id] = self._cnt_by[block.id] = array("I", [0])
         else:
             if block.parent not in self._blocks:
                 raise ChainError(f"missing parent {block.parent}")
@@ -251,17 +261,15 @@ class BlockStore:
                 raise ChainError(f"unknown block kind {block.kind!r}")
             if block.creator is None:
                 raise ChainError("non-genesis block must carry a creator")
+            slot = self._slot.setdefault(block.creator, len(self._slot) + 1)
             fac = self._fac_total[block.parent]
             fac_by = self._fac_by[block.parent]
-            cnt_by = dict(self._cnt_by[block.parent])
-            cnt_by[block.creator] = cnt_by.get(block.creator, 0) + 1
             if block.kind == FACTORED:
                 fac += 1
-                fac_by = dict(fac_by)
-                fac_by[block.creator] = fac_by.get(block.creator, 0) + 1
+                fac_by = _bumped(fac_by, slot)
             self._fac_total[block.id] = fac
             self._fac_by[block.id] = fac_by
-            self._cnt_by[block.id] = cnt_by
+            self._cnt_by[block.id] = _bumped(self._cnt_by[block.parent], slot)
         self._blocks[block.id] = block
         if block.height > self.max_height:
             self.max_height = block.height
@@ -276,10 +284,16 @@ class BlockStore:
         return self._fac_total[block_id]
 
     def factored_by_on_path(self, block_id: int, creator: str) -> int:
-        return self._fac_by[block_id].get(creator, 0)
+        try:
+            return self._fac_by[block_id][self._slot.get(creator, 0)]
+        except IndexError:  # slot past the row's end: none of theirs on the path
+            return 0
 
     def count_by_on_path(self, block_id: int, creator: str) -> int:
-        return self._cnt_by[block_id].get(creator, 0)
+        try:
+            return self._cnt_by[block_id][self._slot.get(creator, 0)]
+        except IndexError:  # slot past the row's end: none of theirs on the path
+            return 0
 
     def path_weight(self, block_id: int, factor: Fraction) -> Fraction:
         """Accumulated weight of the path genesis..block_id (genesis excluded)."""
@@ -343,6 +357,15 @@ class BlockStore:
             if line.strip():
                 store.append(Block.from_json(line))
         return store
+
+
+def _bumped(row: array, slot: int) -> array:
+    """A copy of ``row`` with ``slot`` incremented, zero-padded to reach it."""
+    row = row[:]
+    if slot >= len(row):
+        row.frombytes(bytes((slot + 1 - len(row)) * row.itemsize))
+    row[slot] += 1
+    return row
 
 
 # -- module-level operations ---------------------------------------------------------

@@ -254,6 +254,8 @@ def cmd_mdp(args) -> int:
     rhos = _field(cfg, "rhos", _floats)
     ell = _field(cfg, "epoch_len", int, 6)
     games = _field(cfg, "games", int, 500)
+    if games == 1 or games < 0:
+        raise ConfigError("games", f"must be 0 (exact values) or at least 2, got {games}")
     seed = _field(cfg, "seed", int, 0)
     phi_lo = _field(cfg, "phi_lo", float, 1.0)
     phi_hi = _field(cfg, "phi_hi", float, 1.0e8)

@@ -66,7 +66,8 @@ class MinerView:
     Quota counts per epoch: on the path to a public or private block,
     :meth:`factored_used` and :meth:`blocks_used` count the miner's private
     blocks plus her public ones above ``epoch_start_tip`` (none when the
-    public part ends at or below ``epoch_start_height``)."""
+    public part ends at or below ``epoch_start_height``).  Her counts at
+    ``epoch_start_tip`` are read once, when the view is built."""
 
     __slots__ = (
         "miner_id",
@@ -78,6 +79,8 @@ class MinerView:
         "epoch_start_height",
         "epoch_start_tip",
         "rng",
+        "_factored_at_start",
+        "_blocks_at_start",
     )
 
     def __init__(
@@ -101,19 +104,25 @@ class MinerView:
         self.epoch_start_height = epoch_start_height
         self.epoch_start_tip = epoch_start_tip
         self.rng = rng
+        self._factored_at_start = store.factored_by_on_path(epoch_start_tip, miner_id)
+        self._blocks_at_start = store.count_by_on_path(epoch_start_tip, miner_id)
 
     def public_tips(self) -> list[int]:
         return self.store.tip_ids()
 
     def factored_used(self, parent_id: int) -> int:
         """Own factored blocks on the path to ``parent_id`` this epoch."""
-        return self._used(parent_id, self.store.factored_by_on_path, FACTORED)
+        return self._used(
+            parent_id, self.store.factored_by_on_path, self._factored_at_start, FACTORED
+        )
 
     def blocks_used(self, parent_id: int) -> int:
         """Own blocks on the path to ``parent_id`` this epoch."""
-        return self._used(parent_id, self.store.count_by_on_path, None)
+        return self._used(
+            parent_id, self.store.count_by_on_path, self._blocks_at_start, None
+        )
 
-    def _used(self, block_id: int, on_path, kind: Optional[str]) -> int:
+    def _used(self, block_id: int, on_path, at_start: int, kind: Optional[str]) -> int:
         used = 0
         while block_id in self.local:  # her private blocks are all her own
             b = self.local[block_id]
@@ -121,8 +130,7 @@ class MinerView:
             block_id = b.parent
         if self.store.get(block_id).height <= self.epoch_start_height:
             return used
-        me = self.miner_id
-        return used + on_path(block_id, me) - on_path(self.epoch_start_tip, me)
+        return used + on_path(block_id, self.miner_id) - at_start
 
 
 class Strategy(Protocol):

@@ -654,7 +654,8 @@ def best_response(
     exactly matches the prescribed shape (the prescribed allocation, and the
     prescribed action on every state reachable under it) classifies as
     prescribed without any statistics.  With ``games=0`` the exact solver
-    values decide instead.
+    values decide instead; one game gives no standard error, so ``games``
+    must be 0 or at least 2.
 
     The exact optimal and prescribed values are always reported; small true
     gains below the resolution of the rollout protocol are therefore visible
@@ -663,6 +664,8 @@ def best_response(
     ``graphs`` caches compiled state graphs (see :func:`solve`); without it
     the prescribed evaluation still reuses its allocation's graph.
     """
+    if games == 1 or games < 0:
+        raise ValueError(f"games must be 0 or at least 2, got {games}")
     if graphs is None:
         graphs = {}
     balance = ell * share
@@ -715,12 +718,10 @@ def best_response(
             best_solve.instance, best_solve.policy.__getitem__, games, child_best, graphs
         )
         rollout_mean = float(rewards.mean())
-        rollout_stderr = float(rewards.std(ddof=1) / math.sqrt(games)) if games > 1 else 0.0
+        rollout_stderr = float(rewards.std(ddof=1) / math.sqrt(games))
         presc_rewards = rollout_rewards(presc_inst, presc_fn, games, child_presc, graphs)
         presc_mean = float(presc_rewards.mean())
-        presc_stderr = (
-            float(presc_rewards.std(ddof=1) / math.sqrt(games)) if games > 1 else 0.0
-        )
+        presc_stderr = float(presc_rewards.std(ddof=1) / math.sqrt(games))
         denom = math.sqrt(rollout_stderr**2 + presc_stderr**2)
         welch = (rollout_mean - presc_mean) / denom if denom > 0 else 0.0
 

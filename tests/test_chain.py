@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -288,6 +290,68 @@ class TestTreeProperty:
                 assert store.count_by_on_path(bid, m) == sum(
                     1 for b in path if b.creator == m
                 )
+
+    def test_path_counts_on_deep_forked_tree_match_walk(self):
+        # a spine over 500 deep with short forks off recent blocks, then side
+        # branches off old blocks whose creators the store first sees there:
+        # their slots lie past the end of every main-chain row
+        rng = random.Random(17)
+        early = [f"e{i}" for i in range(26)]
+        late = [f"late{i}" for i in range(6)]
+        store = BlockStore()
+        store.append(genesis_block(0))
+        ids = [0]
+        tip = 0
+        for i in range(1, 1601):
+            if i <= 1200 or rng.random() < 0.5:
+                fork = rng.random() < 0.15
+                parent = ids[-rng.randrange(1, min(30, len(ids)) + 1)] if fork else tip
+                creator = rng.choice(early)
+            else:
+                parent = ids[rng.randrange(len(ids) // 2)]
+                creator = rng.choice(late + early[:3])
+            kind = FACTORED if rng.random() < 0.4 else REGULAR
+            store.append(Block(i, parent, creator, kind, store.get(parent).height + 1))
+            ids.append(i)
+            if store.get(i).height > store.get(tip).height:
+                tip = i
+        assert store.max_height >= 500
+        assert len(store._cnt_by[tip]) <= min(store._slot[m] for m in late)
+        back = BlockStore.from_jsonl(store.to_jsonl())
+        creators = early + late + ["nobody"]
+        for bid in ids:
+            path = store.chain_to(bid).blocks[1:]
+            cnt = Counter(b.creator for b in path)
+            fac = Counter(b.creator for b in path if b.kind == FACTORED)
+            for s in (store, back):
+                assert s.factored_on_path(bid) == sum(fac.values())
+                for m in creators:
+                    assert s.count_by_on_path(bid, m) == cnt[m]
+                    assert s.factored_by_on_path(bid, m) == fac[m]
+
+
+class TestFootprint:
+    def test_append_footprint_per_block(self):
+        # 200 creators, about half the blocks factored; the Blocks are made
+        # before tracing starts, so only the store's own allocations count
+        rng = random.Random(3)
+        n = 2000
+        blocks = [
+            Block(i, i - 1, f"m{rng.randrange(200)}",
+                  FACTORED if rng.random() < 0.5 else REGULAR, i)
+            for i in range(1, n + 1)
+        ]
+        genesis = genesis_block(0)
+        tracemalloc.start()
+        try:
+            store = BlockStore()
+            store.append(genesis)
+            for b in blocks:
+                store.append(b)
+            used, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert used / n <= 2000
 
 
 class TestSerialization:

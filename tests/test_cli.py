@@ -349,6 +349,18 @@ class TestPresetValues:
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("games", [1, -4])
+    def test_mdp_games_without_stderr_rejected(self, games, tmp_path, capsys):
+        # games=1 used to classify every probe "prescribed" (phi_min 1 here)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"shares": [0.35], "rhos": [0.0], "epoch_len": 6, "games": games}
+        ))
+        out = tmp_path / "m.csv"
+        assert main(["mdp", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error: games:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mdp_sentinel_for_non_ic_share(self, tmp_path, capsys):
         out = tmp_path / "sent.csv"
         code = main(

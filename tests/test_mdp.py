@@ -305,6 +305,13 @@ class TestBestResponse:
         assert not br.is_prescribed
         assert math.isnan(br.rollout_mean)
 
+    @pytest.mark.parametrize("games", [1, -4])
+    def test_games_without_stderr_rejected(self, games):
+        # one game has no standard error: welch_z read 0 and every point
+        # classified "prescribed", whatever the exact gain
+        with pytest.raises(ValueError, match="games"):
+            best_response(0.4, 6, 1.0, 0.0, games=games)
+
     def test_enumerates_allocations(self):
         br = best_response(0.2, 6, 20.0, 0.5, games=0, seed=0)
         assert [j for j, _ in br.candidates] == [0, 1, 2]
