@@ -9,6 +9,7 @@ chains.  Epoch ``k`` of a chain is the block series at 1-indexed positions
 from __future__ import annotations
 
 import json
+import numbers
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,8 +138,10 @@ class EpochParams:
         object.__setattr__(self, "mint", as_fraction(self.mint))
         object.__setattr__(self, "user_balance", as_fraction(self.user_balance))
         object.__setattr__(self, "guard_ratio", as_fraction(self.guard_ratio))
-        if self.epoch_len < 1:
-            raise ValueError("epoch_len must be a positive integer")
+        if not isinstance(self.epoch_len, numbers.Integral) or self.epoch_len < 1:
+            raise ValueError(
+                f"epoch_len must be a positive integer, got {self.epoch_len!r}"
+            )
         if self.factor < 1:
             raise ValueError("factor must be >= 1")
         if not 0 <= self.rho < 1:

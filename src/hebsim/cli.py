@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from hebsim import metrics
@@ -27,7 +28,7 @@ from hebsim.engine import (
 )
 from hebsim.mdp import DEFAULT_HORIZON_CAP, min_factor
 from hebsim.presets import PRESETS, get_preset
-from hebsim.protocols import get_protocol, make_strategy, strategy_names
+from hebsim.protocols import get_protocol, make_strategy
 from hebsim import __version__
 
 
@@ -42,88 +43,109 @@ def _fmt(x: float) -> str:
 
 
 def load_config(args, required: bool = True) -> dict:
-    if getattr(args, "preset", None):
+    """The preset or JSON config file named by ``args``, with every
+    config-valued flag that was given copied over the field of its name."""
+    if args.preset:
         cfg = get_preset(args.preset)
-    elif getattr(args, "config", None):
-        cfg = json.loads(Path(args.config).read_text())
+    elif args.config:
+        try:
+            cfg = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as e:
+            raise ConfigError("config", f"cannot read {args.config}: {e}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigError("config", f"{args.config} does not hold a JSON object")
     elif required:
         raise ConfigError("config", "either --preset or --config is required")
     else:
         cfg = {}
-    for key in ("seed", "runs", "jobs", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    cfg.update((key, val) for key, val in vars(args).items()
+               if val is not None and key not in ("command", "fn", "config", "preset"))
     return cfg
 
 
 def build_experiment(cfg: dict):
     """Validate a simulate config and build (params, miners, protocol)."""
-    try:
-        protocol = get_protocol(cfg.get("protocol", "nakamoto"))
-    except ValueError as e:
-        raise ConfigError("protocol", str(e)) from None
+    protocol = _field(cfg, "protocol", get_protocol, "nakamoto")
     try:
         params = EpochParams(
-            epoch_len=_field(cfg, "epoch_len", int, 100),
-            factor=_field(cfg, "factor", as_fraction, 1),
-            rho=_field(cfg, "rho", as_fraction, 0),
-            mint=_field(cfg, "mint", as_fraction, 1),
-            user_balance=_field(cfg, "user_balance", as_fraction, 10**6),
+            epoch_len=_field(cfg, "epoch_len", _int, 100),
+            factor=_field(cfg, "factor", _fraction, 1),
+            rho=_field(cfg, "rho", _fraction, 0),
+            mint=_field(cfg, "mint", _fraction, 1),
+            user_balance=_field(cfg, "user_balance", _fraction, 10**6),
         )
     except ValueError as e:
         raise ConfigError("epoch params", str(e)) from None
-    miner_cfgs = cfg.get("miners")
-    if not miner_cfgs:
-        raise ConfigError("miners", "at least one miner required")
-    shares = []
+    miner_cfgs = _field(cfg, "miners", _list(_typed(dict, "an object")))
+    ids, shares, strategies = [], [], []
     for i, mc in enumerate(miner_cfgs):
-        if "id" not in mc:
-            raise ConfigError("miners", f"miner #{i + 1} lacks an id")
-        if "share" not in mc:
-            raise ConfigError("miners", f"miner {mc.get('id')} lacks a share")
-        shares.append(_field(mc, "share", as_fraction))
+        ids.append(_field(mc, "id", str, name=f"miners[{i}].id"))
+        shares.append(_field(mc, "share", _fraction, name=f"miners[{i}].share"))
+        strategies.append(_field(mc, "strategy", partial(make_strategy, protocol=protocol),
+                                 "prescribed", name=f"miners[{i}].strategy"))
+    if len(set(ids)) != len(ids):
+        raise ConfigError("miners", f"duplicate miner ids in {ids}")
+    fractional = _field(cfg, "allow_fractional", _typed(bool, "true or false"), False)
     try:
-        balances = normalized_balances(
-            shares, params, allow_fractional=bool(cfg.get("allow_fractional", False))
-        )
+        balances = normalized_balances(shares, params, allow_fractional=fractional)
     except ValueError as e:
         raise ConfigError("shares", str(e)) from None
-    miners = []
-    for mc, bal in zip(miner_cfgs, balances):
-        name = mc.get("strategy", "prescribed")
-        if name not in strategy_names():
-            raise ConfigError(
-                "strategy", f"unknown strategy {name!r} for miner {mc.get('id')}"
-            )
-        miner = MinerConfig(str(mc["id"]), bal, make_strategy(name, protocol))
+    miners = [MinerConfig(*m) for m in zip(ids, balances, strategies)]
+    for i, miner in enumerate(miners):
         try:
             allocate(miner, params, protocol)
         except StrategyFault as e:
-            raise ConfigError("strategy", f"{name!r}: {e}") from None
-        miners.append(miner)
+            raise ConfigError(f"miners[{i}].strategy", str(e)) from None
     return params, miners, protocol
 
 
-def _field(cfg: dict, key: str, convert=None, default=None):
+def _field(cfg: dict, key: str, convert=None, default=None, name=None):
     """``convert(cfg[key])``, with ``default`` for an absent key.  A null, an
     absent key without default, or a value ``convert`` rejects is a
-    ConfigError naming ``key``."""
+    ConfigError naming the field (``name``, else ``key``)."""
     x = cfg.get(key, default)
     if x is None:
-        raise ConfigError(key, "missing or null")
+        raise ConfigError(name or key, "missing or null")
     try:
         return x if convert is None else convert(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(key, f"invalid value: {x!r}") from None
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+        raise ConfigError(name or key, f"invalid value {x!r}: {e}") from None
 
 
-def _floats(xs) -> list[float]:
-    return [float(x) for x in xs]
+# strict converters: a JSON boolean is not a number, and a whole number is never truncated
 
 
-def _ints(xs) -> list[int]:
-    return [int(x) for x in xs]
+def _typed(kind: type, what: str):
+    def check(x):
+        if not isinstance(x, kind):
+            raise TypeError(f"expected {what}")
+        return x
+
+    return check
+
+
+def _real(x, convert=float):
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not a number")
+    return convert(x)
+
+
+def _int(x) -> int:
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError("not a whole number")
+    return _real(x, int)
+
+
+def _list(convert):
+    def each(xs) -> list:
+        if not isinstance(xs, list) or not xs:
+            raise TypeError("expected a non-empty list")
+        return [convert(x) for x in xs]
+
+    return each
+
+
+_fraction, _floats = partial(_real, convert=as_fraction), _list(_real)
 
 
 def _write(path: str | None, text: str, default_name: str) -> Path:
@@ -139,9 +161,11 @@ def _write(path: str | None, text: str, default_name: str) -> Path:
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     params, miners, protocol = build_experiment(cfg)
-    runs = _field(cfg, "runs", int, 1)
-    seed = _field(cfg, "seed", int, 0)
-    jobs = _field(cfg, "jobs", int, 1)
+    runs = _field(cfg, "runs", _int, 1)
+    if runs < 1:
+        raise ConfigError("runs", f"must be at least 1, got {runs}")
+    seed = _field(cfg, "seed", _int, 0)
+    jobs = _field(cfg, "jobs", _int, 1)
 
     acc = GameAccumulator(
         [m.id for m in miners],
@@ -168,25 +192,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_epsilon(args) -> int:
     cfg = load_config(args, required=False)
-    if getattr(args, "dist", None):
-        try:
-            dists = [_floats(args.dist.split(","))]
-        except ValueError:
-            raise ConfigError("dist", f"not a comma-separated list: {args.dist!r}")
-        cfg["distributions"] = dists
-    if getattr(args, "epoch_len", None) is not None:
-        cfg["epoch_len"] = args.epoch_len
-    if getattr(args, "factor", None) is not None:
-        cfg["factor"] = args.factor
-    epoch_len = _field(cfg, "epoch_len", int, 1000)
-    factor = _field(cfg, "factor", float, 20)
+    epoch_len = _field(cfg, "epoch_len", _int, 1000)
+    factor = _field(cfg, "factor", _real, 20)
     if epoch_len < 1:
         raise ConfigError("epoch_len", f"must be a positive integer, got {epoch_len}")
     if factor < 1:
         raise ConfigError("factor", f"must be >= 1, got {factor}")
-    if not cfg.get("distributions"):
-        raise ConfigError("distributions", "no balance distributions given")
-    dists = _field(cfg, "distributions", lambda ds: [_floats(d) for d in ds])
+    dists = _field(cfg, "distributions", _list(_floats))
     width = max(len(d) for d in dists)
     header = ",".join(f"b{i+1}" for i in range(width)) + ",epsilon"
     lines = [header]
@@ -204,22 +216,19 @@ def cmd_epsilon(args) -> int:
 
 def cmd_curves(args) -> int:
     cfg = load_config(args)
-    which = getattr(args, "which", None) or cfg.get("which")
+    which = _field(cfg, "which")
     if which not in ("fig2a", "fig2b", "fig4", "fig5"):
         raise ConfigError("which", f"unknown curve set {which!r}")
-    if which == "fig2a":
-        shares, xs = _field(cfg, "shares", _floats), _field(cfg, "epoch_lens", _ints)
+    if which in ("fig2a", "fig2b"):
+        # fig2a sweeps epoch_lens at a fixed factor, fig2b factors at a fixed epoch_len
+        convert = {"epoch_len": _int, "factor": _real}
+        swept, fixed = convert if which == "fig2a" else reversed(convert)
         rows = metrics.normalized_weight_curve(
-            shares, epoch_lens=xs, factor=_field(cfg, "factor", float)
+            _field(cfg, "shares", _floats),
+            **{swept + "s": _field(cfg, swept + "s", _list(convert[swept])),
+               fixed: _field(cfg, fixed, convert[fixed])},
         )
-        lines = ["epoch_len,share,normalized_weight"]
-        lines += [f"{int(x)},{_fmt(s)},{_fmt(v)}" for x, s, v in rows]
-    elif which == "fig2b":
-        shares, xs = _field(cfg, "shares", _floats), _field(cfg, "factors", _floats)
-        rows = metrics.normalized_weight_curve(
-            shares, factors=xs, epoch_len=_field(cfg, "epoch_len", int)
-        )
-        lines = ["factor,share,normalized_weight"]
+        lines = [f"{swept},share,normalized_weight"]
         lines += [f"{_fmt(x)},{_fmt(s)},{_fmt(v)}" for x, s, v in rows]
     elif which == "fig4":
         lines = ["rho,pow_only_bound"]
@@ -242,28 +251,20 @@ def cmd_curves(args) -> int:
 
 def cmd_mdp(args) -> int:
     cfg = load_config(args, required=False)
-    if getattr(args, "share", None) is not None:
-        cfg["shares"] = [args.share]
-    if getattr(args, "rhos", None):
-        cfg["rhos"] = _floats(args.rhos.split(","))
-    if getattr(args, "epoch_len", None) is not None:
-        cfg["epoch_len"] = args.epoch_len
-    if not cfg.get("shares") or cfg.get("rhos") is None:
-        raise ConfigError("shares/rhos", "mdp needs share and rho grids")
     shares = _field(cfg, "shares", _floats)
     rhos = _field(cfg, "rhos", _floats)
-    ell = _field(cfg, "epoch_len", int, 6)
-    games = _field(cfg, "games", int, 500)
+    ell = _field(cfg, "epoch_len", _int, 6)
+    games = _field(cfg, "games", _int, 500)
     if games == 1 or games < 0:
         raise ConfigError("games", f"must be 0 (exact values) or at least 2, got {games}")
-    seed = _field(cfg, "seed", int, 0)
-    phi_lo = _field(cfg, "phi_lo", float, 1.0)
-    phi_hi = _field(cfg, "phi_hi", float, 1.0e8)
+    seed = _field(cfg, "seed", _int, 0)
+    phi_lo = _field(cfg, "phi_lo", _real, 1.0)
+    phi_hi = _field(cfg, "phi_hi", _real, 1.0e8)
     if not phi_lo >= 1.0:
         raise ConfigError("phi_lo", f"must be >= 1, got {phi_lo}")
     if not phi_lo <= phi_hi < math.inf:
         raise ConfigError("phi_hi", f"must be finite and >= phi_lo ({phi_lo}), got {phi_hi}")
-    cap = _field(cfg, "horizon_cap", int, DEFAULT_HORIZON_CAP)
+    cap = _field(cfg, "horizon_cap", _int, DEFAULT_HORIZON_CAP)
     if not 1 <= ell <= cap:
         # the exact solver's state count grows steeply with ell
         raise ConfigError("epoch_len", f"must lie in 1..{cap} (horizon_cap), got {ell}")
@@ -311,7 +312,7 @@ def cmd_costs(args) -> int:
     print(f"attack_cost_refunded={_fmt(refunded)}")
     print(f"attack_cost_sabotage={_fmt(sabotage)}")
     print(f"external_expense={_fmt(expense)}")
-    if getattr(args, "out", None):
+    if args.out:
         _write(
             args.out,
             "rho,attack_cost_refunded,attack_cost_sabotage,external_expense\n"
@@ -346,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     eps = sub.add_parser("epsilon", help="size-indifference per distribution")
     common(eps)
-    eps.add_argument("--dist", help="comma-separated shares, e.g. 0.3,0.7")
+    eps.add_argument("--dist", dest="distributions", metavar="DIST",
+                     type=lambda text: [text.split(",")],
+                     help="comma-separated shares, e.g. 0.3,0.7")
     eps.add_argument("--epoch-len", dest="epoch_len", type=int)
     eps.add_argument("--factor", type=float)
     eps.set_defaults(fn=cmd_epsilon)
@@ -358,8 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     mdp = sub.add_parser("mdp", help="minimal-factor search over (rho, share)")
     common(mdp)
-    mdp.add_argument("--share", type=float, help="attacker relative balance")
-    mdp.add_argument("--rhos", help="comma-separated rho grid")
+    mdp.add_argument("--share", dest="shares", metavar="SHARE",
+                     type=lambda text: [text], help="attacker relative balance")
+    mdp.add_argument("--rhos", type=lambda text: text.split(","),
+                     help="comma-separated rho grid")
     mdp.add_argument("--epoch-len", dest="epoch_len", type=int)
     mdp.set_defaults(fn=cmd_mdp)
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -89,8 +90,8 @@ class MdpInstance:
     publish_mode: str = "prefix"  # "prefix" | "all"
 
     def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("ell must be positive")
+        if not isinstance(self.ell, numbers.Integral) or self.ell < 1:
+            raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
         if not 0.0 <= self.share <= 1.0:
             raise ValueError("share must lie in [0, 1]")
         if not 1.0 <= self.phi < math.inf:  # also rejects nan

@@ -136,6 +136,10 @@ def normalized_weight(
     Tends to 1 as the epoch length grows; equal values across miners are
     equivalent to a zero size-indifference gap.
     """
+    if not 0 < share <= 1:
+        raise ValueError(f"share must lie in (0, 1], got {share}")
+    if epoch_len < 1:
+        raise ValueError(f"epoch_len must be at least 1, got {epoch_len}")
     ew = expected_weight(share, epoch_len, factor, allow_fractional)
     return ew / share / (epoch_len * factor)
 
@@ -154,22 +158,19 @@ def normalized_weight_curve(
     """
     if (epoch_lens is None) == (factors is None):
         raise ValueError("exactly one of epoch_lens / factors must be given")
-    rows = []
     if epoch_lens is not None:
-        assert factor is not None, "fixed factor required when sweeping epoch length"
-        for ell in epoch_lens:
-            for s in shares:
-                rows.append(
-                    (float(ell), s, normalized_weight(s, ell, factor, allow_fractional))
-                )
+        if factor is None:
+            raise ValueError("fixed factor required when sweeping epoch length")
+        grid = [(ell, ell, factor) for ell in epoch_lens]
     else:
-        assert epoch_len is not None, "fixed epoch_len required when sweeping factor"
-        for f in factors:
-            for s in shares:
-                rows.append(
-                    (float(f), s, normalized_weight(s, epoch_len, f, allow_fractional))
-                )
-    return rows
+        if epoch_len is None:
+            raise ValueError("fixed epoch_len required when sweeping factor")
+        grid = [(f, epoch_len, f) for f in factors]
+    return [
+        (float(x), s, normalized_weight(s, ell, f, allow_fractional))
+        for x, ell, f in grid
+        for s in shares
+    ]
 
 
 def pow_only_bound(rho: float) -> float:

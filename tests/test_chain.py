@@ -194,6 +194,12 @@ class TestEpochs:
         chain = self._chain(20)
         assert [b.id for b in epoch_slice(chain, 1, 10)] == list(range(11, 21))
 
+    @pytest.mark.parametrize("epoch_len", [2.5, 10.0, Fraction(10)])
+    def test_non_integer_epoch_len_rejected(self, epoch_len):
+        # 2.5 used to simulate a whole epoch, then fail slicing it
+        with pytest.raises(ValueError, match="epoch_len"):
+            EpochParams(epoch_len=epoch_len)
+
     def test_slice_too_short(self):
         chain = self._chain(5)
         with pytest.raises(ChainError, match="too short"):

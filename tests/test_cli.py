@@ -428,3 +428,126 @@ class TestMandatoryViaConfig:
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path)]) == 2
         assert "strategy" in capsys.readouterr().err
+
+
+_ONE_MINER = {"protocol": "nakamoto", "epoch_len": 10,
+              "miners": [{"id": "a", "share": 1.0}]}
+
+
+class TestMalformedInput:
+    """Each input exits 2 with a ConfigError naming the field, never a
+    traceback, and writes no output."""
+
+    @pytest.mark.parametrize(
+        "argv, cfg, field",
+        [
+            (["simulate"], None, "config"),  # the config file does not exist
+            (["simulate"], [1, 2], "config"),
+            (["simulate"], {**_ONE_MINER, "miners": 5}, "miners"),
+            (["simulate"], {**_ONE_MINER, "miners": [5]}, "miners"),
+            (["simulate"], {**_ONE_MINER, "protocol": []}, "protocol"),
+            (["mdp"], {"shares": [0.2], "rhos": [0.0], "epoch_len": 2.5}, "epoch_len"),
+            (["simulate"], {**_ONE_MINER, "epoch_len": 10.7, "runs": 2.9}, "epoch_len"),
+            (["simulate"], {**_ONE_MINER, "runs": 2.9}, "runs"),
+            (["simulate"], {**_ONE_MINER, "seed": True}, "seed"),
+            (["simulate"], {**_ONE_MINER, "allow_fractional": "no"}, "allow_fractional"),
+            (["mdp", "--share", "0.2", "--rhos", "0.1,x", "--epoch-len", "3"], {},
+             "rhos"),
+            (["simulate"], "{not json", "config"),
+        ],
+        ids=["missing-file", "json-list", "miners-number", "miners-of-numbers",
+             "protocol-list", "mdp-fractional-epoch-len", "fractional-epoch-len",
+             "fractional-runs", "boolean-seed", "string-allow-fractional",
+             "bad-rhos-flag", "invalid-json"],
+    )
+    def test_exits_2_naming_field(self, argv, cfg, field, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if cfg is not None:
+            path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        out = tmp_path / "res.csv"
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}:" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == ([path] if cfg is not None else [])
+
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            ({**_ONE_MINER, "runs": 0}, "runs"),
+            ({**_ONE_MINER, "miners": [{"id": "a", "share": 0.5},
+                                       {"id": "a", "share": 0.5}]}, "miners"),
+        ],
+    )
+    def test_simulate_rejects_before_any_epoch(
+        self, cfg, field, tmp_path, capsys, monkeypatch
+    ):
+        def no_epochs(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(cli, "iter_game_results", no_epochs)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"which": "fig2a", "shares": [0.0], "epoch_lens": [200], "factor": 20},
+            {"which": "fig2a", "shares": [0.1], "epoch_lens": [0], "factor": 20},
+        ],
+    )
+    def test_degenerate_fig2a_point(self, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "res.csv"
+        assert main(["curves", "--config", str(path), "--out", str(out)]) == 2
+        assert "must" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFlagsMatchConfig:
+    """A flag overrides the config field of its name: the output equals that
+    of a config file holding the flag's value."""
+
+    MDP = {"shares": [0.2], "rhos": [0.0], "epoch_len": 2, "games": 0}
+    EPS = {"distributions": [[0.5, 0.5]], "epoch_len": 100, "factor": 2}
+    SIM = {**_ONE_MINER, "miners": [{"id": "a", "share": 0.5},
+                                    {"id": "b", "share": 0.5}],
+           "runs": 2, "seed": 1}
+
+    @pytest.mark.parametrize(
+        "command, base, flag, text, field, value",
+        [
+            ("mdp", {**MDP, "epoch_len": 3}, "--share", "0.35", "shares", [0.35]),
+            ("mdp", {**MDP, "epoch_len": 3}, "--rhos", "0.0,0.5", "rhos", [0.0, 0.5]),
+            ("mdp", MDP, "--epoch-len", "3", "epoch_len", 3),
+            ("epsilon", EPS, "--dist", "0.3,0.7", "distributions", [[0.3, 0.7]]),
+            ("epsilon", EPS, "--epoch-len", "1000", "epoch_len", 1000),
+            ("epsilon", EPS, "--factor", "20", "factor", 20.0),
+            ("simulate", SIM, "--runs", "3", "runs", 3),
+            ("simulate", SIM, "--seed", "7", "seed", 7),
+        ],
+    )
+    def test_flag_equals_config_value(
+        self, command, base, flag, text, field, value, tmp_path, capsys
+    ):
+        outputs = []
+        for name, cfg, extra in (
+            ("flag", base, [flag, text]),
+            ("file", {**base, field: value}, []),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / name / "res.csv"
+            assert main([command, "--config", str(path), *extra, "--out", str(out)]) == 0
+            outputs.append({
+                p.name: p.read_bytes()
+                for p in sorted(out.parent.iterdir())
+                if not p.name.endswith(".timing.csv")  # wall times
+            })
+        assert outputs[0] == outputs[1]
+        assert outputs[0]

@@ -56,6 +56,12 @@ class TestInstance:
         with pytest.raises(ValueError):
             MdpInstance(ell=10, share=0.2, phi=20.0, rho=0.5)
 
+    @pytest.mark.parametrize("ell", [2.5, 3.0])
+    def test_non_integer_ell_rejected(self, ell):
+        # a fractional ell leaves the graph without terminal states
+        with pytest.raises(ValueError, match="ell"):
+            MdpInstance(ell=ell, share=0.2, phi=2.0, rho=0.0)
+
     def test_alloc_slack_keeps_probabilities_in_unit_interval(self):
         # the alloc bound's 1e-9 slack admits an internal spend just above
         # the balance; the external part clamps at zero

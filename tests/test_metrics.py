@@ -184,6 +184,23 @@ class TestNormalizedWeightCurve:
         with pytest.raises(ValueError):
             normalized_weight_curve([0.1])
 
+    @pytest.mark.parametrize(
+        "sweep", [{"epoch_lens": [100]}, {"factors": [20.0]}]
+    )
+    def test_requires_the_fixed_parameter(self, sweep):
+        with pytest.raises(ValueError, match="fixed"):
+            normalized_weight_curve([0.1], **sweep)
+
+    @pytest.mark.parametrize(
+        "share, epoch_len, name",
+        [(0.0, 100, "share"), (1.5, 100, "share"), (-0.1, 100, "share"),
+         (0.1, 0, "epoch_len")],
+    )
+    def test_degenerate_point_rejected(self, share, epoch_len, name):
+        # these divided by zero (or by a negative share) before
+        with pytest.raises(ValueError, match=name):
+            normalized_weight(share, epoch_len, 20.0)
+
 
 class TestSimpleFormulas:
     def test_pow_only_bound(self):
