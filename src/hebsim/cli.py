@@ -26,7 +26,7 @@ from hebsim.engine import (
     iter_game_results,
     normalized_balances,
 )
-from hebsim.mdp import DEFAULT_HORIZON_CAP, min_factor
+from hebsim.mdp import StateBudgetError, min_factor
 from hebsim.presets import PRESETS, get_preset
 from hebsim.protocols import get_protocol, make_strategy
 from hebsim import __version__
@@ -136,6 +136,16 @@ def _int(x) -> int:
     return _real(x, int)
 
 
+def _at_least(lo: int):
+    def check(x) -> int:
+        n = _int(x)
+        if n < lo:
+            raise ValueError(f"must be at least {lo}")
+        return n
+
+    return check
+
+
 def _list(convert):
     def each(xs) -> list:
         if not isinstance(xs, list) or not xs:
@@ -145,11 +155,17 @@ def _list(convert):
     return each
 
 
+def _path(x) -> str:
+    if not isinstance(x, str) or not x:
+        raise TypeError("expected a non-empty file path")
+    return x
+
+
 _fraction, _floats = partial(_real, convert=as_fraction), _list(_real)
 
 
-def _write(path: str | None, text: str, default_name: str) -> Path:
-    out = Path(path) if path else Path(default_name)
+def _write(path: str, text: str) -> Path:
+    out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)
     return out
@@ -161,11 +177,10 @@ def _write(path: str | None, text: str, default_name: str) -> Path:
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     params, miners, protocol = build_experiment(cfg)
-    runs = _field(cfg, "runs", _int, 1)
-    if runs < 1:
-        raise ConfigError("runs", f"must be at least 1, got {runs}")
-    seed = _field(cfg, "seed", _int, 0)
-    jobs = _field(cfg, "jobs", _int, 1)
+    runs = _field(cfg, "runs", _at_least(1), 1)
+    seed = _field(cfg, "seed", _at_least(0), 0)
+    jobs = _field(cfg, "jobs", _at_least(1), 1)
+    out = _field(cfg, "out", _path, "simulate.csv")
 
     acc = GameAccumulator(
         [m.id for m in miners],
@@ -183,7 +198,7 @@ def cmd_simulate(args) -> int:
             )
 
     stats = acc.stats()
-    out = _write(cfg.get("out"), stats.to_csv(), "simulate.csv")
+    out = _write(out, stats.to_csv())
     runs_path = out.with_name(out.stem + "_runs.csv")
     runs_path.write_text("\n".join(run_lines) + "\n")
     print(f"wrote {out} and {runs_path} ({runs} runs, seed {seed})")
@@ -192,13 +207,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_epsilon(args) -> int:
     cfg = load_config(args, required=False)
-    epoch_len = _field(cfg, "epoch_len", _int, 1000)
+    epoch_len = _field(cfg, "epoch_len", _at_least(1), 1000)
     factor = _field(cfg, "factor", _real, 20)
-    if epoch_len < 1:
-        raise ConfigError("epoch_len", f"must be a positive integer, got {epoch_len}")
     if factor < 1:
         raise ConfigError("factor", f"must be >= 1, got {factor}")
     dists = _field(cfg, "distributions", _list(_floats))
+    out = _field(cfg, "out", _path, "table2.csv")
     width = max(len(d) for d in dists)
     header = ",".join(f"b{i+1}" for i in range(width)) + ",epsilon"
     lines = [header]
@@ -209,7 +223,7 @@ def cmd_epsilon(args) -> int:
             raise ConfigError("shares", str(e)) from None
         cells = [f"{s:.4g}" for s in d] + ["-"] * (width - len(d))
         lines.append(",".join(cells) + f",{_fmt(eps)}")
-    out = _write(cfg.get("out"), "\n".join(lines) + "\n", "table2.csv")
+    out = _write(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -219,6 +233,7 @@ def cmd_curves(args) -> int:
     which = _field(cfg, "which")
     if which not in ("fig2a", "fig2b", "fig4", "fig5"):
         raise ConfigError("which", f"unknown curve set {which!r}")
+    out = _field(cfg, "out", _path, f"{which}.csv")
     if which in ("fig2a", "fig2b"):
         # fig2a sweeps epoch_lens at a fixed factor, fig2b factors at a fixed epoch_len
         convert = {"epoch_len": _int, "factor": _real}
@@ -244,7 +259,7 @@ def cmd_curves(args) -> int:
                 lines.append(
                     f"{_fmt(f)},{_fmt(s)},{_fmt(metrics.permissiveness(s, f))}"
                 )
-    out = _write(cfg.get("out"), "\n".join(lines) + "\n", f"{which}.csv")
+    out = _write(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -253,21 +268,18 @@ def cmd_mdp(args) -> int:
     cfg = load_config(args, required=False)
     shares = _field(cfg, "shares", _floats)
     rhos = _field(cfg, "rhos", _floats)
-    ell = _field(cfg, "epoch_len", _int, 6)
+    ell = _field(cfg, "epoch_len", _at_least(1), 6)
     games = _field(cfg, "games", _int, 500)
     if games == 1 or games < 0:
         raise ConfigError("games", f"must be 0 (exact values) or at least 2, got {games}")
-    seed = _field(cfg, "seed", _int, 0)
+    seed = _field(cfg, "seed", _at_least(0), 0)
+    out = _field(cfg, "out", _path, "fig3.csv")
     phi_lo = _field(cfg, "phi_lo", _real, 1.0)
     phi_hi = _field(cfg, "phi_hi", _real, 1.0e8)
     if not phi_lo >= 1.0:
         raise ConfigError("phi_lo", f"must be >= 1, got {phi_lo}")
     if not phi_lo <= phi_hi < math.inf:
         raise ConfigError("phi_hi", f"must be finite and >= phi_lo ({phi_lo}), got {phi_hi}")
-    cap = _field(cfg, "horizon_cap", _int, DEFAULT_HORIZON_CAP)
-    if not 1 <= ell <= cap:
-        # the exact solver's state count grows steeply with ell
-        raise ConfigError("epoch_len", f"must lie in 1..{cap} (horizon_cap), got {ell}")
     if not all(0.0 <= s <= 1.0 for s in shares):
         raise ConfigError("shares", f"each must lie in [0, 1], got {shares}")
     if not all(0.0 <= r < 1.0 for r in rhos):
@@ -278,16 +290,12 @@ def cmd_mdp(args) -> int:
     for rho in rhos:
         for share in shares:
             t0 = time.perf_counter()
-            res = min_factor(
-                share,
-                rho,
-                ell,
-                phi_lo=phi_lo,
-                phi_hi=phi_hi,
-                games=games,
-                seed=seed,
-                horizon_cap=cap,
-            )
+            try:
+                res = min_factor(
+                    share, rho, ell, phi_lo=phi_lo, phi_hi=phi_hi, games=games, seed=seed
+                )
+            except StateBudgetError as e:
+                raise ConfigError("epoch_len", str(e)) from None
             phi_min = -1.0 if res.phi_min is None else res.phi_min
             if not res.monotone_ok:
                 print(
@@ -298,7 +306,7 @@ def cmd_mdp(args) -> int:
             dt = time.perf_counter() - t0
             lines.append(f"{_fmt(rho)},{_fmt(share)},{_fmt(phi_min)}")
             timing.append(f"{_fmt(rho)},{_fmt(share)},{dt:.3f}")
-    out = _write(cfg.get("out"), "\n".join(lines) + "\n", "fig3.csv")
+    out = _write(out, "\n".join(lines) + "\n")
     out.with_suffix(".timing.csv").write_text("\n".join(timing) + "\n")
     print(f"wrote {out} (+ timing sidecar)")
     return 0
@@ -317,7 +325,6 @@ def cmd_costs(args) -> int:
             args.out,
             "rho,attack_cost_refunded,attack_cost_sabotage,external_expense\n"
             f"{_fmt(rho)},{_fmt(refunded)},{_fmt(sabotage)},{_fmt(expense)}\n",
-            "costs.csv",
         )
     return 0
 

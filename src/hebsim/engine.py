@@ -362,8 +362,13 @@ def run_epoch(
 
     Allocates each miner's balance, then repeats {select miner proportionally
     to external expenditure, generate one block, run the publication fixpoint}
-    until the main chain has grown by ``params.epoch_len`` blocks.  End
-    balances follow the protocol's reward distribution.
+    until the main chain reaches the end of epoch ``k``.  End balances follow
+    the protocol's reward distribution.
+
+    On a given ``store``, ``k`` is the main chain's length floor-divided by
+    ``params.epoch_len``, and the epoch starts at main-chain position
+    ``k * epoch_len``: blocks a previous epoch published past its end
+    already belong to epoch ``k``.
     """
     if not miners:
         raise ValueError("need at least one miner")
@@ -386,12 +391,11 @@ def run_epoch(
     if store is None:
         store = BlockStore()
         store.append(genesis_block(0))
-    start_len = store.main_chain_length()
-    if start_len % params.epoch_len != 0:
-        raise ChainError("store main chain is not aligned to an epoch boundary")
-    epoch_index = start_len // params.epoch_len
+    start_main = store.main_chain()
+    epoch_index = start_main.length // params.epoch_len
+    start_len = epoch_index * params.epoch_len
     target_len = start_len + params.epoch_len
-    start_tip = store.main_chain().tip
+    start_tip = start_main.blocks[start_len]
     next_id = 1 + max(b.id for b in store.blocks())
 
     sched_rng, miner_rngs = derive_streams(seed, ids)

@@ -40,6 +40,11 @@ and one uniform draw over the action's successor probabilities) and the
 check that an optimal policy has the prescribed shape.  The one-step kernel
 :func:`successors` and :func:`terminal_value` spell out the same model
 state by state.
+
+The state count grows about 2.3-fold per unit of epoch length.  One
+resource guard bounds it: compiling a graph past :data:`MAX_STATES` states
+raises :class:`StateBudgetError`, so every entry point (solve, policy
+evaluation, rollouts, the best-response search) stops before it costs more.
 """
 
 from __future__ import annotations
@@ -66,7 +71,12 @@ Action = tuple[str, int, bool]
 # state: (att_reg, att_fac, coh_reg, coh_fac, secret_ext, public_ext, fork)
 State = tuple[int, int, int, int, tuple[bool, ...], tuple[bool, ...], bool]
 
-DEFAULT_HORIZON_CAP = 12
+# The most states one compiled graph may hold; _compile raises
+# StateBudgetError past it.  The largest graph at ell 12 (share 0.2, phi 20,
+# rho 0) has 1,082,448 states; it compiles in 31-38 s and peaks at 569 MB RSS
+# on a 2-vCPU Xeon.  Each step of ell multiplies the count by about 2.3, so
+# ell 13 trips the budget after about 43 s.  Read at call time.
+MAX_STATES = 1_200_000
 
 # best_response: exact values this close tie, and the tie goes to
 # prescribed play (relative to the prescribed value when games=0)
@@ -74,7 +84,7 @@ VALUE_TOL = 1e-9
 
 
 class StateBudgetError(Exception):
-    """The requested horizon exceeds the configured state budget."""
+    """The game's state graph has more than :data:`MAX_STATES` states."""
 
 
 @dataclass(frozen=True)
@@ -457,6 +467,11 @@ def _compile(inst: MdpInstance) -> _Graph:
             g.leaf_of.append(leaf_ids.setdefault(leaf, len(leaf_ids)))
         g.act_lo.append(len(g.actions))
         i = index[state] = len(g.states)
+        if i >= MAX_STATES:
+            raise StateBudgetError(
+                f"the game at ell={inst.ell} has more than {MAX_STATES:,} states "
+                "(mdp.MAX_STATES)"
+            )
         g.states.append(state)
         return i
 
@@ -496,15 +511,8 @@ def _evaluate(
     return val, choice
 
 
-def _graph(
-    inst: MdpInstance, horizon_cap: float, graphs: Optional[dict]
-) -> _Graph:
+def _graph(inst: MdpInstance, graphs: Optional[dict]) -> _Graph:
     """The compiled graph of ``inst``, from ``graphs`` when it holds one."""
-    if inst.ell > horizon_cap:
-        raise StateBudgetError(
-            f"ell={inst.ell} exceeds the state budget cap {horizon_cap}; "
-            "raise horizon_cap explicitly if you accept the cost"
-        )
     if graphs is None:
         return _compile(inst)
     key = (inst.ell, inst.share, inst.rho, inst.alloc, inst.publish_mode, inst.phi == 1.0)
@@ -514,16 +522,12 @@ def _graph(
     return g
 
 
-def solve(
-    inst: MdpInstance,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
-    graphs: Optional[dict] = None,
-) -> SolveResult:
+def solve(inst: MdpInstance, graphs: Optional[dict] = None) -> SolveResult:
     """Exact optimal value and policy; the policy covers every non-terminal
     state reachable from the initial state.  ``graphs`` caches compiled
     graphs across calls that differ only in the factor; results are the same
     with or without it."""
-    g = _graph(inst, horizon_cap, graphs)
+    g = _graph(inst, graphs)
     val, choice = _evaluate(g, inst.phi)
     states, actions = g.states, g.actions
     policy = {states[i]: actions[a] for i, a in zip(g.inner, choice)}
@@ -557,13 +561,12 @@ def _policy_actions(g: _Graph, policy_fn: Callable[[State], Action]) -> dict[int
 def policy_value(
     inst: MdpInstance,
     policy_fn: Callable[[State], Action],
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
     graphs: Optional[dict] = None,
 ) -> float:
     """Exact value of a fixed deterministic policy on the same state graph.
     ``policy_fn`` is called once on each non-terminal state reachable under
     it and must return one of that state's legal actions."""
-    g = _graph(inst, horizon_cap, graphs)
+    g = _graph(inst, graphs)
     return _evaluate(g, inst.phi, _policy_actions(g, policy_fn))[0][-1]
 
 
@@ -586,7 +589,7 @@ def rollout_rewards(
     as for :func:`policy_value`, ``graphs`` as for :func:`solve`.  Each step
     draws one uniform and takes the first successor whose cumulative
     probability exceeds it, else the last."""
-    g = _graph(inst, math.inf, graphs)  # rollouts have no state budget
+    g = _graph(inst, graphs)
     act = _policy_actions(g, policy_fn)
     leaf_of, succ_lo, succ, prob = g.leaf_of, g.succ_lo, g.succ, g.prob
     rng = np.random.default_rng(as_seedseq(seed))
@@ -642,7 +645,6 @@ def best_response(
     rho: float,
     games: int = 5000,
     seed: SeedLike = 0,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
     graphs: Optional[dict] = None,
 ) -> BestResponse:
     """Enumerate integral internal allocations, solve each exactly, evaluate
@@ -688,7 +690,7 @@ def best_response(
     total_states = 0
     for j in j_values:
         inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=j)
-        res = solve(inst, horizon_cap=horizon_cap, graphs=graphs)
+        res = solve(inst, graphs)
         total_states += res.states
         candidates.append((j, res.value))
         better = res.value > best_value + VALUE_TOL
@@ -702,11 +704,11 @@ def best_response(
 
     presc_inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=j_presc)
     presc_fn = partial(prescribed_action, presc_inst)
-    presc_value = policy_value(presc_inst, presc_fn, horizon_cap, graphs)
+    presc_value = policy_value(presc_inst, presc_fn, graphs)
 
     shape_match = False
     if best_solve is not None and best_j == j_presc:
-        g = _graph(presc_inst, horizon_cap, graphs)
+        g = _graph(presc_inst, graphs)
         shape_match = _policy_actions(g, best_solve.policy.__getitem__) == (
             _policy_actions(g, presc_fn)
         )
@@ -773,7 +775,6 @@ def min_factor(
     games: int = 500,
     seed: SeedLike = 0,
     rel_tol: float = 0.05,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
 ) -> MinFactorResult:
     """Binary search (on the log scale) for the least factor at which
     prescribed play is classified as a best response; None when even the
@@ -800,10 +801,7 @@ def min_factor(
             entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + (counter[0],)
         )
         counter[0] += 1
-        br = best_response(
-            share, ell, phi, rho, games=games, seed=child, horizon_cap=horizon_cap,
-            graphs=graphs,
-        )
+        br = best_response(share, ell, phi, rho, games=games, seed=child, graphs=graphs)
         probes.append((phi, br.classified))
         return br.is_prescribed
 

@@ -274,8 +274,7 @@ class TestCriterion8:
         report("criterion 8b: ell=2 exhaustive oracle", oracle_ok, "exact match")
 
         # minimal-factor search, scaled-down point exactly as stated
-        res8 = min_factor(0.2, 0.5, 8, games=500, seed=0, rel_tol=0.25,
-                          horizon_cap=12)
+        res8 = min_factor(0.2, 0.5, 8, games=500, seed=0, rel_tol=0.25)
         finite_ok = res8.phi_min is not None
         report(
             "criterion 8c: min_factor(0.2, 0.5, ell=8, 500 rollouts) finite",
@@ -286,8 +285,7 @@ class TestCriterion8:
         )
 
         # supplementary: the next even horizon (integral balances) is robust
-        res10 = min_factor(0.2, 0.5, 10, games=500, seed=0, rel_tol=0.25,
-                           horizon_cap=12)
+        res10 = min_factor(0.2, 0.5, 10, games=500, seed=0, rel_tol=0.25)
         report(
             "criterion 8c+: supplementary ell=10",
             res10.phi_min is not None and res10.phi_min < 100,
@@ -297,8 +295,7 @@ class TestCriterion8:
         none_ok = True
         details = []
         for rho in (0.0, 0.25, 0.5):
-            r = min_factor(0.3, rho, 8, games=5000, seed=0, rel_tol=0.25,
-                           horizon_cap=12)
+            r = min_factor(0.3, rho, 8, games=5000, seed=0, rel_tol=0.25)
             none_ok &= r.phi_min is None
             details.append(f"rho={rho}: {r.phi_min}")
         report(

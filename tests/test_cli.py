@@ -300,7 +300,7 @@ class TestPresetValues:
             main(["mdp", "--share", "0.2", "--rhos", "0.0", "--epoch-len", "4",
                   "--out", str(tmp_path / "m.csv")])
 
-    @pytest.mark.parametrize("ell", ["0", "-3", "13"])
+    @pytest.mark.parametrize("ell", ["0", "-3"])
     def test_mdp_epoch_len_outside_horizon_cap_rejected(self, ell, tmp_path, capsys):
         out = tmp_path / "m.csv"
         code = main(["mdp", "--share", "0.2", "--rhos", "0.0", "--epoch-len", ell,
@@ -309,6 +309,38 @@ class TestPresetValues:
         assert "epoch_len" in capsys.readouterr().err
         assert not out.exists()
         assert not out.with_suffix(".timing.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, cfg",
+        [
+            (["--share", "0.2", "--rhos", "0.0", "--epoch-len", "8"], {}),
+            # the first grid point fits the budget: still no output at all
+            ([], {"shares": [0.0, 0.2], "rhos": [0.0], "epoch_len": 4, "games": 0}),
+        ],
+        ids=["epoch-len-8", "later-grid-point"],
+    )
+    def test_mdp_state_budget_is_a_config_error(
+        self, argv, cfg, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(mdp, "MAX_STATES", 100)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["mdp", "--config", str(path), *argv, "--out", "m.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: epoch_len:" in err and "mdp.MAX_STATES" in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_mdp_ignores_a_horizon_cap_key(self, tmp_path, capsys):
+        cfg = {"shares": [0.2], "rhos": [0.0], "epoch_len": 4, "games": 0}
+        rows = []
+        for extra in ({}, {"horizon_cap": 3}):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({**cfg, **extra}))
+            out = tmp_path / "m.csv"
+            assert main(["mdp", "--config", str(path), "--out", str(out)]) == 0
+            rows.append(out.read_text())
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize(
         "bracket, field",
@@ -454,11 +486,15 @@ class TestMalformedInput:
             (["mdp", "--share", "0.2", "--rhos", "0.1,x", "--epoch-len", "3"], {},
              "rhos"),
             (["simulate"], "{not json", "config"),
+            (["simulate", "--seed", "-1"], _ONE_MINER, "seed"),
+            (["simulate", "--jobs", "-4"], _ONE_MINER, "jobs"),
+            (["mdp", "--share", "0.2", "--rhos", "0", "--seed", "-1"], {}, "seed"),
         ],
         ids=["missing-file", "json-list", "miners-number", "miners-of-numbers",
              "protocol-list", "mdp-fractional-epoch-len", "fractional-epoch-len",
              "fractional-runs", "boolean-seed", "string-allow-fractional",
-             "bad-rhos-flag", "invalid-json"],
+             "bad-rhos-flag", "invalid-json", "negative-seed-flag",
+             "negative-jobs-flag", "mdp-negative-seed-flag"],
     )
     def test_exits_2_naming_field(self, argv, cfg, field, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -477,6 +513,9 @@ class TestMalformedInput:
             ({**_ONE_MINER, "runs": 0}, "runs"),
             ({**_ONE_MINER, "miners": [{"id": "a", "share": 0.5},
                                        {"id": "a", "share": 0.5}]}, "miners"),
+            ({**_ONE_MINER, "seed": -1}, "seed"),
+            ({**_ONE_MINER, "jobs": 0}, "jobs"),
+            ({**_ONE_MINER, "jobs": -4}, "jobs"),
         ],
     )
     def test_simulate_rejects_before_any_epoch(
@@ -507,6 +546,36 @@ class TestMalformedInput:
         assert main(["curves", "--config", str(path), "--out", str(out)]) == 2
         assert "must" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("simulate", {**_ONE_MINER, "out": 5}),
+            ("epsilon", {"distributions": [[0.3, 0.7]], "out": 5}),
+            ("curves", {"which": "fig4", "rhos": [0.1], "out": 5}),
+            ("curves", {"which": "fig4", "rhos": [0.1], "out": ""}),
+            ("mdp", {"shares": [0.2], "rhos": [0.0], "epoch_len": 2, "games": 0,
+                     "out": 5}),
+        ],
+        ids=["simulate", "epsilon", "curves", "curves-empty", "mdp"],
+    )
+    def test_out_not_a_path_rejected_before_any_work(
+        self, command, cfg, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran")
+
+        monkeypatch.setattr(cli, "iter_game_results", no_work)
+        monkeypatch.setattr(cli, "min_factor", no_work)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: out:" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestFlagsMatchConfig:

@@ -136,13 +136,41 @@ class TestRunEpoch:
         assert second.epoch_index == 1
         assert second.main.length >= 20
 
-    def test_misaligned_store_rejected(self):
+    def test_unaligned_store_starts_at_last_epoch_boundary(self):
+        # a 10-block main chain in 7-block epochs: epoch 1 starts at position 7
         params = EpochParams(epoch_len=10)
         proto, miners = nakamoto_miners([0.5, 0.5], params)
         res = run_epoch(params, miners, proto, seed=1)
-        bad_params = EpochParams(epoch_len=7)
-        with pytest.raises(Exception, match="aligned"):
-            run_epoch(bad_params, miners, proto, seed=2, store=res.store)
+        assert res.main.length == 10
+        short = EpochParams(epoch_len=7)
+        nxt = run_epoch(short, miners, proto, seed=2, store=res.store)
+        assert nxt.epoch_index == 1
+        assert nxt.main.length == 14
+        assert nxt.prefix_ok
+        assert nxt.blocks_created == 4
+        assert sum(n for n, _w in nxt.stats.values()) == 7
+
+    def test_overshoot_chains_into_next_epoch(self):
+        # a lone miner withholds 6 blocks and publishes them at once, one past
+        # the end of epoch 0; epoch 1 starts at position 5 and counts block 6
+        params = EpochParams(epoch_len=5)
+        proto = get_protocol("nakamoto")
+        first = run_epoch(
+            params, [MinerConfig("a", Fraction(5), BatchPublisher(6))], proto, seed=1
+        )
+        assert first.main.length == 6
+        strat = BatchPublisher(1)
+        second = run_epoch(
+            params, [MinerConfig("a", Fraction(5), strat)], proto, seed=2,
+            store=first.store,
+        )
+        assert second.epoch_index == 1
+        assert second.prefix_ok
+        assert second.main.length == 10
+        assert second.blocks_created == 4
+        assert strat.used == [1, 2, 3, 4]  # her own blocks on the path, from position 6
+        assert second.stats["a"] == (5, Fraction(5))
+        assert second.balances["a"] + second.user_payout == Fraction(5)
 
     def test_zero_balances_stall(self):
         params = EpochParams(epoch_len=10)
@@ -156,6 +184,29 @@ class TestRunEpoch:
         proto, miners = nakamoto_miners([1.0], params)
         with pytest.warns(UserWarning, match="negligible"):
             run_epoch(params, miners, proto, seed=0)
+
+
+class BatchPublisher:
+    """Extends her own chain, else a public tip, and withholds her blocks
+    until she holds ``batch`` of them; records ``blocks_used`` at each parent."""
+
+    def __init__(self, batch):
+        self.batch = batch
+        self.used = []
+
+    def allocate(self, balance, params):
+        return Allocation(Fraction(0), balance)
+
+    def generate_block(self, view):
+        if view.local:
+            parent = next(reversed(view.local))
+        else:
+            parent = view.public_tips()[0]
+        self.used.append(view.blocks_used(parent))
+        return parent, REGULAR
+
+    def publish(self, view):
+        return sorted(view.local) if len(view.local) >= self.batch else []
 
 
 class BadAllocator:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -197,9 +198,8 @@ class TestSolve:
             presc_h = policy_value(high, lambda s: prescribed_action(high, s))
             assert res_h.value > presc_h + 0.1
 
-    def test_budget_cap(self):
-        with pytest.raises(StateBudgetError):
-            solve(MdpInstance(ell=14, share=0.2, phi=1.0, rho=0.0))
+    def test_ell14_pure_race_fits_the_state_budget(self):
+        assert solve(MdpInstance(ell=14, share=0.2, phi=1.0, rho=0.0)).states == 7036
 
     def test_exhaustive_oracle_ell2(self):
         cases = [
@@ -296,18 +296,18 @@ class TestRollouts:
 
 class TestBestResponse:
     def test_prescribed_for_small_share(self):
-        br = best_response(0.1, 8, 1.0, 0.0, games=500, seed=11, horizon_cap=12)
+        br = best_response(0.1, 8, 1.0, 0.0, games=500, seed=11)
         assert br.is_prescribed
         assert br.prescribed_shape
         assert br.value == pytest.approx(br.prescribed_value, abs=1e-9)
 
     def test_non_prescribed_for_large_share(self):
-        br = best_response(0.4, 8, 1.0, 0.0, games=3000, seed=12, horizon_cap=12)
+        br = best_response(0.4, 8, 1.0, 0.0, games=3000, seed=12)
         assert not br.is_prescribed
         assert br.value > br.prescribed_value + 0.5
 
     def test_games_zero_uses_exact_values(self):
-        br = best_response(0.35, 8, 1.0, 0.0, games=0, seed=0, horizon_cap=12)
+        br = best_response(0.35, 8, 1.0, 0.0, games=0, seed=0)
         assert not br.is_prescribed
         assert math.isnan(br.rollout_mean)
 
@@ -495,6 +495,37 @@ class TestGraphCache:
             policy_value(inst, lambda s: action)
 
 
+class TestStateBudget:
+    """``mdp.MAX_STATES`` bounds every compiled graph, whichever entry
+    point compiles it."""
+
+    INST = MdpInstance(ell=8, share=0.2, phi=20.0, rho=0.0)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda inst: solve(inst),
+            lambda inst: policy_value(inst, partial(prescribed_action, inst)),
+            lambda inst: rollout_rewards(inst, partial(prescribed_action, inst), 10, 0),
+            lambda inst: best_response(inst.share, inst.ell, inst.phi, inst.rho, games=0),
+        ],
+        ids=["solve", "policy_value", "rollout_rewards", "best_response"],
+    )
+    def test_every_entry_point_stops_at_the_budget(self, run, monkeypatch):
+        monkeypatch.setattr(mdp, "MAX_STATES", 1000)
+        with pytest.raises(StateBudgetError, match="ell=8"):
+            run(self.INST)
+
+    def test_budget_admits_exactly_max_states(self, monkeypatch):
+        inst = MdpInstance(ell=4, share=0.3, phi=2.0, rho=0.5, alloc=1)
+        n = solve(inst).states
+        monkeypatch.setattr(mdp, "MAX_STATES", n)
+        assert solve(inst).states == n
+        monkeypatch.setattr(mdp, "MAX_STATES", n - 1)
+        with pytest.raises(StateBudgetError):
+            solve(inst)
+
+
 class TestPolicyDump:
     def test_json_dump_roundtrips(self):
         import json
@@ -537,8 +568,7 @@ class TestEngineCrossValidation:
 
         ell, share, phi, rho = 10, 0.2, 20.0, 0.5
         inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=2)
-        exact = policy_value(inst, lambda s: prescribed_action(inst, s),
-                             horizon_cap=12)
+        exact = policy_value(inst, lambda s: prescribed_action(inst, s))
 
         params = EpochParams(
             epoch_len=ell, factor=Fraction(20), rho=Fraction(1, 2),
