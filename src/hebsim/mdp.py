@@ -27,17 +27,26 @@ ties only ever arise between two chains of equal length, so they are decided
 by comparing integer counts of factored blocks, which depends on phi only
 through whether it is 1.  So the graph is compiled once into flat arrays
 (states in post-order, the legal actions of each state, each action's
-successors and probabilities, and each terminal state's integer block
-counts), and each phi costs one backward pass over those arrays.  That one
-pass serves both :func:`solve` (maximising over the legal actions) and
-:func:`policy_value` (the actions fixed).  A caller that evaluates several
-factors passes a ``graphs`` dict to reuse the compiled graphs;
-:func:`min_factor` keeps one for the length of its search and there is no
-process-wide cache.  A fixed policy is first mapped, by one walk over
-the states reachable under it, to an action index per state; that map
-serves the exact evaluation, the seeded rollouts (each step an index lookup
-and one uniform draw over the action's successor probabilities) and the
-check that an optimal policy has the prescribed shape.  The one-step kernel
+successors and probabilities, each terminal state's integer block counts,
+and each state's level: 0 when terminal, else one more than its highest
+successor), and each phi costs one backward pass over those arrays in
+numpy, one level at a time.  A level's action values are summed one
+successor column at a time and its best actions found by scanning one
+action slot at a time, the float operations of a scalar loop, so values and
+tie-breaking are bit-identical to it.  That one pass serves both
+:func:`solve` (maximising over the legal actions, with a level plan built
+once per graph) and :func:`policy_value` (one fixed action per state).
+:func:`solve` keeps its results by state index; the state-keyed
+``policy`` and ``state_values`` dicts are built only when read.  A caller
+that evaluates several factors passes a ``graphs`` dict to reuse the
+compiled graphs; :func:`min_factor` keeps one for the length of its search
+and there is no process-wide cache.  A fixed policy (a function of the
+state, or a solved result) is first mapped, by one walk over the states
+reachable under it, to an action index per state; that map serves the
+exact evaluation, the seeded rollouts and the check that an optimal policy
+has the prescribed shape.  A rollout step is one lookup of the state's
+cumulative successor probabilities and at most two comparisons with the
+next uniform, drawn from the generator in batches.  The one-step kernel
 :func:`successors` and :func:`terminal_value` spell out the same model
 state by state.
 
@@ -49,13 +58,13 @@ evaluation, rollouts, the best-response search) stops before it costs more.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -175,59 +184,36 @@ def _lighter(fac_a: int, fac_b: int, phi: float) -> Optional[bool]:
     return fac_a < fac_b
 
 
-def _wfloat(reg: int, fac: int, phi: float) -> float:
-    return reg + phi * fac
-
-
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
+    """The optimal value of one game, with every state's value and chosen
+    action kept by index into its compiled graph.  ``policy`` (each
+    non-terminal state's optimal action) and ``state_values`` (every state's
+    value), both keyed by state in the graph's post-order, are built on
+    first access.  A result is also a policy for :func:`policy_value` and
+    :func:`rollout_rewards`."""
+
     value: float
-    policy: dict[State, Action]
     states: int
     instance: MdpInstance
-    state_values: dict[State, float] = field(default_factory=dict)
+    _graph: _Graph = field(repr=False)
+    _values: np.ndarray = field(repr=False)
+    _choices: np.ndarray = field(repr=False)
 
-    def to_json(self) -> str:
-        """Debug dump: instance parameters plus (state, action, value)
-        triples for every non-terminal state the solver visited."""
+    @cached_property
+    def policy(self) -> dict[State, Action]:
+        g = self._graph
+        chosen = self._choices[np.frombuffer(g.inner, np.intc)].tolist()
+        return dict(zip(map(g.states.__getitem__, g.inner), map(g.actions.__getitem__, chosen)))
 
-        def enc_state(s: State) -> dict:
-            return {
-                "established": list(s[:4]),
-                "secret": "".join("F" if t else "R" for t in s[4]),
-                "public": "".join("F" if t else "R" for t in s[5]),
-                "fork": s[6],
-            }
+    @cached_property
+    def state_values(self) -> dict[State, float]:
+        return dict(zip(self._graph.states, self._values.tolist()))
 
-        def enc_action(a: Action) -> dict:
-            return {"move": a[0], "publish_len": a[1], "factored": a[2]}
 
-        entries = [
-            {
-                "state": enc_state(s),
-                "action": enc_action(a),
-                "value": self.state_values.get(s),
-            }
-            for s, a in sorted(self.policy.items())
-        ]
-        return json.dumps(
-            {
-                "instance": {
-                    "ell": self.instance.ell,
-                    "share": self.instance.share,
-                    "phi": self.instance.phi,
-                    "rho": self.instance.rho,
-                    "alloc": self.instance.alloc,
-                    "publish_mode": self.instance.publish_mode,
-                    "alpha": self.instance.alpha,
-                },
-                "value": self.value,
-                "states": self.states,
-                "policy": entries,
-            },
-            sort_keys=True,
-        )
-
+# A fixed deterministic policy: a map from each state to one of its legal
+# actions, or a SolveResult (its optimal policy).
+Policy = Union[Callable[[State], Action], SolveResult]
 
 # the chain that decides a terminal state's reward
 _SECRET, _PUBLIC, _SPLIT = 0, 1, 2
@@ -255,22 +241,27 @@ def _leaf(inst: MdpInstance, state: State) -> Optional[tuple[int, ...]]:
     return (winner, ar, af, cr, cf, len(sec) - sec_fac, sec_fac, len(pub) - pub_fac, pub_fac)
 
 
-def _leaf_reward(leaf: tuple[int, ...], phi: float, ell: int) -> float:
-    winner, ar, af, cr, cf, sec_reg, sec_fac, pub_reg, pub_fac = leaf
+def _leaf_rewards(leaves: np.ndarray, phi: float, ell: int) -> np.ndarray:
+    """The attacker's reward at each row of ``leaves`` (the counts of
+    :func:`_leaf`): her share of the winning chain's weight, a block
+    weighing 1 or ``phi``, times ``ell``; the mean of both chains' rewards
+    on an exact tie."""
+    winner, ar, af, cr, cf, sec_reg, sec_fac, pub_reg, pub_fac = leaves.T
 
-    def reward(att_w: float, coh_w: float) -> float:
+    def reward(att_w: np.ndarray, coh_w: np.ndarray) -> np.ndarray:
         total = att_w + coh_w
-        if total <= 0.0:
-            return 0.0
-        return att_w / total * ell
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(total <= 0.0, 0.0, att_w / total * ell)
 
-    att_est_w = _wfloat(ar, af, phi)
-    coh_est_w = _wfloat(cr, cf, phi)
-    win_sec = reward(att_est_w + _wfloat(sec_reg, sec_fac, phi), coh_est_w)
-    win_pub = reward(att_est_w, coh_est_w + _wfloat(pub_reg, pub_fac, phi))
-    if winner == _SPLIT:
-        return 0.5 * (win_sec + win_pub)
-    return win_sec if winner == _SECRET else win_pub
+    att_est_w = ar + phi * af
+    coh_est_w = cr + phi * cf
+    win_sec = reward(att_est_w + (sec_reg + phi * sec_fac), coh_est_w)
+    win_pub = reward(att_est_w, coh_est_w + (pub_reg + phi * pub_fac))
+    return np.where(
+        winner == _SPLIT,
+        0.5 * (win_sec + win_pub),
+        np.where(winner == _SECRET, win_sec, win_pub),
+    )
 
 
 def terminal_value(inst: MdpInstance, state: State) -> Optional[float]:
@@ -281,7 +272,9 @@ def terminal_value(inst: MdpInstance, state: State) -> Optional[float]:
     weight, splitting exact ties evenly.
     """
     leaf = _leaf(inst, state)
-    return None if leaf is None else _leaf_reward(leaf, inst.phi, inst.ell)
+    if leaf is None:
+        return None
+    return float(_leaf_rewards(np.array([leaf]), inst.phi, inst.ell)[0])
 
 
 def _resolve_chain_move(
@@ -413,24 +406,32 @@ class _Graph:
     """One game's state graph with everything but the factor resolved.
 
     ``states`` is in post-order: each state after all its successors, the
-    initial state last.  State ``i`` is terminal when ``leaf_of[i] >= 0``, an
-    index into ``leaves`` (see :func:`_leaf`).  Otherwise its legal actions,
-    in :func:`legal_actions` order, are ``actions[act_lo[i]:act_lo[i + 1]]``,
-    and action ``a`` leads to state ``succ[e]`` with probability ``prob[e]``
-    for ``e`` in ``range(succ_lo[a], succ_lo[a + 1])``, in
-    :func:`successors` order.
+    initial state last.  State ``i`` is terminal when ``leaf_of[i] >= 0``, a
+    row of ``leaves`` (the counts of :func:`_leaf`).  Otherwise its legal
+    actions, in :func:`legal_actions` order, are
+    ``actions[act_lo[i]:act_lo[i + 1]]``, and action ``a`` leads to state
+    ``succ[e]`` with probability ``probs[prob_of[e]]`` for ``e`` in
+    ``range(succ_lo[a], succ_lo[a + 1])``, in :func:`successors` order: one
+    to three successors, with a handful of distinct probabilities per game.
+    ``level[i]`` is 0 for a terminal state, else 1 + the largest level among
+    its successors, so a state's value depends on lower levels only.
+    ``plan`` is the maximising evaluation plan (see :func:`_plan`), built by
+    the first :func:`solve` and kept.
     """
 
     ell: int
     states: list[State] = field(default_factory=list)
-    leaves: list[tuple[int, ...]] = field(default_factory=list)
+    leaves: Optional[np.ndarray] = None  # int32, one row of 9 counts per leaf
     leaf_of: array = field(default_factory=lambda: array("i"))
+    level: Optional[np.ndarray] = None  # intc
     inner: array = field(default_factory=lambda: array("i"))  # non-terminal states
     act_lo: array = field(default_factory=lambda: array("i", [0]))
     actions: list[Action] = field(default_factory=list)
     succ_lo: array = field(default_factory=lambda: array("i", [0]))
     succ: array = field(default_factory=lambda: array("i"))
-    prob: array = field(default_factory=lambda: array("d"))
+    prob_of: Optional[np.ndarray] = None  # unsigned int, an index into probs
+    probs: Optional[np.ndarray] = None
+    plan: Optional[list] = None
 
 
 def _compile(inst: MdpInstance) -> _Graph:
@@ -441,6 +442,8 @@ def _compile(inst: MdpInstance) -> _Graph:
     index: dict[State, int] = {}
     leaf_ids: dict[tuple[int, ...], int] = {}
     action_ids: dict[Action, Action] = {}  # one object per distinct action
+    prob = array("d")
+    level: list[int] = []
 
     def visit(state: State) -> int:  # a state not yet in ``index``
         leaf = _leaf(inst, state)
@@ -459,12 +462,14 @@ def _compile(inst: MdpInstance) -> _Graph:
             base = len(g.succ)  # after the recursion above has appended its own
             g.actions += [action_ids.setdefault(a, a) for a in acts]
             g.succ_lo.extend([base + e for e in ends])
-            g.prob.extend([p for p, _s in branches])
+            prob.extend([p for p, _s in branches])
             g.succ.extend(ids)
             g.inner.append(len(g.states))
             g.leaf_of.append(-1)
+            level.append(1 + max(map(level.__getitem__, ids)))
         else:
             g.leaf_of.append(leaf_ids.setdefault(leaf, len(leaf_ids)))
+            level.append(0)
         g.act_lo.append(len(g.actions))
         i = index[state] = len(g.states)
         if i >= MAX_STATES:
@@ -476,39 +481,86 @@ def _compile(inst: MdpInstance) -> _Graph:
         return i
 
     visit(initial_state())
-    g.leaves = list(leaf_ids)
+    # visit refers to itself; unbinding it frees the exploration's tables now
+    # rather than at the next cyclic garbage collection
+    del visit
+    g.leaves = np.array(list(leaf_ids), dtype=np.int32)
+    g.level = np.array(level, dtype=np.intc)
+    g.probs, codes = np.unique(np.frombuffer(prob), return_inverse=True)
+    # two more codes stand for 0.0 and 1.0 in _plan
+    g.prob_of = codes.astype(np.min_scalar_type(len(g.probs) + 1))
     return g
 
 
-def _evaluate(
-    g: _Graph, phi: float, fixed: Optional[dict[int, int]] = None
-) -> tuple[list[float], list[int]]:
-    """Backward induction over a compiled graph at factor ``phi``, in one
-    pass over its post-order.  Returns every state's value and, per state in
-    ``g.inner``, the index of its best action.  Ties between equal-valued
-    actions resolve toward the first (prescribed-like moves first), making
-    the policy stable.  With ``fixed`` (state index -> action index) only
-    those states are evaluated, each under its given action."""
-    rewards = [_leaf_reward(leaf, phi, g.ell) for leaf in g.leaves]
-    rewards.append(math.nan)  # leaf_of[i] == -1: not terminal, not yet evaluated
-    val = list(map(rewards.__getitem__, g.leaf_of))
-    act_lo, succ_lo, succ, prob = g.act_lo, g.succ_lo, g.succ, g.prob
-    if fixed is None:
-        spans = ((i, act_lo[i], act_lo[i + 1]) for i in g.inner)
-    else:
-        spans = ((i, a, a + 1) for i, a in sorted(fixed.items()))
-    choice: list[int] = []
-    for i, lo, hi in spans:
-        best, best_a = -math.inf, lo
-        for a in range(lo, hi):
-            v = 0.0
-            for e in range(succ_lo[a], succ_lo[a + 1]):
-                v += prob[e] * val[succ[e]]
-            if v > best + 1e-15:
-                best, best_a = v, a
-        val[i] = best
-        choice.append(best_a)
-    return val, choice
+def _plan(g: _Graph, rows: np.ndarray, first: np.ndarray, count: np.ndarray) -> list:
+    """How :func:`_evaluate` visits the states ``rows``, state ``rows[j]``
+    choosing among the ``count[j]`` actions from ``first[j]`` on.
+
+    One entry per level, lowest first: the level's states, their first
+    actions, and two int grids indexed [successor column, action slot,
+    state], the successor's index and the code of its probability (an index
+    into ``probs`` followed by 0.0 and 1.0).  An action with fewer
+    successors than the level's most adds 0.0 times the value 0.0 (state
+    index ``len(states)``) per missing one; a slot past a state's last
+    action is worth 1.0 times -inf (index ``len(states) + 1``), which never
+    wins the scan."""
+    n = len(g.states)
+    zero, one = len(g.probs), len(g.probs) + 1
+    succ_lo = np.frombuffer(g.succ_lo, np.intc)
+    succ = np.frombuffer(g.succ, np.intc)
+    level = g.level[rows]
+    order = np.argsort(level, kind="stable")
+    plan = []
+    for part in np.split(order, np.flatnonzero(np.diff(level[order])) + 1):
+        r, f, k = rows[part], first[part], count[part]
+        slot = np.arange(k.max(), dtype=np.intc)[:, None]
+        real = slot < k
+        a = np.where(real, f + slot, f)
+        lo = succ_lo[a]
+        m = np.where(real, succ_lo[a + 1] - lo, 0)
+        col = np.arange(m.max(), dtype=np.intc)[:, None, None]
+        has = col < m
+        e = np.where(has, lo + col, 0)
+        to = np.where(has, succ[e], n).astype(np.intc)
+        code = np.where(has, g.prob_of[e], zero).astype(g.prob_of.dtype)
+        to[0][~real] = n + 1
+        code[0][~real] = one
+        plan.append((r, f, to, code))
+    return plan
+
+
+def _evaluate(g: _Graph, phi: float, plan: list) -> tuple[np.ndarray, np.ndarray]:
+    """Backward induction over a compiled graph at factor ``phi``, one level
+    of ``plan`` (see :func:`_plan`) at a time.  Returns every state's value
+    (nan for a non-terminal state outside the plan) and the index of each
+    planned state's chosen action (-1 elsewhere).
+
+    An action's value sums its successors' terms one column at a time, in
+    :func:`successors` order; the chosen action is the first whose value
+    beats the best so far by more than 1e-15, scanned one action slot at a
+    time, so ties resolve toward prescribed-like moves and the policy is
+    stable.  Both are the float operations of a scalar loop over the
+    states, so the results are bit-identical to it."""
+    n = len(g.states)
+    val = np.empty(n + 2)
+    val[:n] = np.append(_leaf_rewards(g.leaves, phi, g.ell), math.nan)[
+        np.frombuffer(g.leaf_of, np.intc)
+    ]
+    val[n:] = 0.0, -math.inf
+    probs = np.append(g.probs, (0.0, 1.0))
+    choice = np.full(n, -1, np.intc)
+    for rows, first, succ, code in plan:
+        v = np.zeros(succ.shape[1:])
+        for s, c in zip(succ, code):
+            v += probs[c] * val[s]
+        best, col = v[0], np.zeros(len(rows), np.intc)
+        for k in range(1, len(v)):
+            wins = v[k] > best + 1e-15
+            np.copyto(best, v[k], where=wins)
+            np.copyto(col, k, where=wins)
+        val[rows] = best
+        choice[rows] = first + col
+    return val[:n], choice
 
 
 def _graph(inst: MdpInstance, graphs: Optional[dict]) -> _Graph:
@@ -528,46 +580,65 @@ def solve(inst: MdpInstance, graphs: Optional[dict] = None) -> SolveResult:
     graphs across calls that differ only in the factor; results are the same
     with or without it."""
     g = _graph(inst, graphs)
-    val, choice = _evaluate(g, inst.phi)
-    states, actions = g.states, g.actions
-    policy = {states[i]: actions[a] for i, a in zip(g.inner, choice)}
-    return SolveResult(
-        val[-1], policy, len(states), inst, state_values=dict(zip(states, val))
-    )
+    if g.plan is None:
+        inner = np.frombuffer(g.inner, np.intc)
+        act_lo = np.frombuffer(g.act_lo, np.intc)
+        g.plan = _plan(g, inner, act_lo[inner], act_lo[inner + 1] - act_lo[inner])
+    values, choices = _evaluate(g, inst.phi, g.plan)
+    return SolveResult(float(values[-1]), len(g.states), inst, g, values, choices)
 
 
-def _policy_actions(g: _Graph, policy_fn: Callable[[State], Action]) -> dict[int, int]:
+def _policy_actions(g: _Graph, policy: Policy) -> dict[int, int]:
     """A fixed deterministic policy as state index -> action index, over
-    the non-terminal states reachable under it; an action that is not
-    legal in its state is a ValueError."""
+    the non-terminal states reachable under it.  A function that returns an
+    action not legal in its state is a ValueError; a :class:`SolveResult`
+    solved on ``g`` itself is read by index."""
+    if isinstance(policy, SolveResult) and policy._graph is g:
+        pick = policy._choices.tolist().__getitem__
+    else:
+        policy_fn = policy.policy.__getitem__ if isinstance(policy, SolveResult) else policy
+
+        def pick(i: int) -> int:
+            state = g.states[i]
+            action = policy_fn(state)
+            try:
+                return g.actions.index(action, g.act_lo[i], g.act_lo[i + 1])
+            except ValueError:
+                raise ValueError(f"action {action} invalid in state {state}") from None
+
     fixed: dict[int, int] = {}
     stack = [len(g.states) - 1]
     while stack:
         i = stack.pop()
-        lo, hi = g.act_lo[i], g.act_lo[i + 1]
-        if lo == hi or i in fixed:  # terminal, or seen
+        if g.act_lo[i] == g.act_lo[i + 1] or i in fixed:  # terminal, or seen
             continue
-        state = g.states[i]
-        action = policy_fn(state)
-        try:
-            a = g.actions.index(action, lo, hi)
-        except ValueError:
-            raise ValueError(f"action {action} invalid in state {state}") from None
-        fixed[i] = a
+        a = fixed[i] = pick(i)
         stack.extend(g.succ[g.succ_lo[a] : g.succ_lo[a + 1]])
     return fixed
 
 
+def _fixed_arrays(g: _Graph, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_policy_actions` as two arrays: the states and their actions."""
+    fixed = _policy_actions(g, policy)
+    return (
+        np.fromiter(fixed.keys(), np.intc, len(fixed)),
+        np.fromiter(fixed.values(), np.intc, len(fixed)),
+    )
+
+
 def policy_value(
     inst: MdpInstance,
-    policy_fn: Callable[[State], Action],
+    policy: Policy,
     graphs: Optional[dict] = None,
 ) -> float:
     """Exact value of a fixed deterministic policy on the same state graph.
-    ``policy_fn`` is called once on each non-terminal state reachable under
-    it and must return one of that state's legal actions."""
+    A function ``policy`` is called once on each non-terminal state
+    reachable under it and must return one of that state's legal actions;
+    a :class:`SolveResult` of the same game plays its optimal policy."""
     g = _graph(inst, graphs)
-    return _evaluate(g, inst.phi, _policy_actions(g, policy_fn))[0][-1]
+    rows, acts = _fixed_arrays(g, policy)
+    values, _choices = _evaluate(g, inst.phi, _plan(g, rows, acts, np.ones_like(acts)))
+    return float(values[-1])
 
 
 def prescribed_action(inst: MdpInstance, state: State) -> Action:
@@ -577,38 +648,52 @@ def prescribed_action(inst: MdpInstance, state: State) -> Action:
     return legal_actions(inst, state)[0]
 
 
+# rollout_rewards draws its uniforms this many at a time
+_DRAWS = 4096
+
+
 def rollout_rewards(
     inst: MdpInstance,
-    policy_fn: Callable[[State], Action],
+    policy: Policy,
     games: int,
     seed: SeedLike,
     graphs: Optional[dict] = None,
 ) -> np.ndarray:
     """Forward-simulate ``games`` epochs under a fixed policy on the
-    compiled graph; returns the per-game attacker rewards.  ``policy_fn`` is
+    compiled graph; returns the per-game attacker rewards.  ``policy`` is
     as for :func:`policy_value`, ``graphs`` as for :func:`solve`.  Each step
-    draws one uniform and takes the first successor whose cumulative
-    probability exceeds it, else the last."""
+    takes the next uniform of the seeded generator and the first successor
+    whose cumulative probability exceeds it, else the last.  The uniforms
+    are drawn ``_DRAWS`` at a time, the same stream as one draw per step."""
     g = _graph(inst, graphs)
-    act = _policy_actions(g, policy_fn)
-    leaf_of, succ_lo, succ, prob = g.leaf_of, g.succ_lo, g.succ, g.prob
+    rows, acts = _fixed_arrays(g, policy)
+    succ_lo = np.frombuffer(g.succ_lo, np.intc)
+    succ = np.frombuffer(g.succ, np.intc)
+    # Each state's step as (c0, s0, c1, s1, s2): successor s0 below the
+    # cumulative probability c0, else s1 below c1, else s2.  With fewer
+    # than three successors a threshold of inf stands for a missing one.
+    lo, last = succ_lo[acts], succ_lo[acts + 1] - 1
+    mid = np.minimum(lo + 1, last)
+    p0, p1 = g.probs[g.prob_of[lo]], g.probs[g.prob_of[mid]]
+    cum0 = np.where(last > lo, p0, math.inf)
+    cum1 = np.where(last > mid, p0 + p1, math.inf)
+    step = dict(zip(rows.tolist(), zip(
+        cum0.tolist(), succ[lo].tolist(), cum1.tolist(), succ[mid].tolist(), succ[last].tolist()
+    )))
     rng = np.random.default_rng(as_seedseq(seed))
-    rewards = np.empty(games, dtype=float)
-    for n in range(games):
-        i = len(g.states) - 1
-        while leaf_of[i] < 0:
-            r = rng.random()
-            a = act[i]
-            lo, hi = succ_lo[a], succ_lo[a + 1]
-            i = succ[hi - 1]
-            acc = 0.0
-            for e in range(lo, hi):
-                acc += prob[e]
-                if r < acc:
-                    i = succ[e]
-                    break
-        rewards[n] = _leaf_reward(g.leaves[leaf_of[i]], inst.phi, g.ell)
-    return rewards
+    draw = chain.from_iterable(iter(lambda: rng.random(_DRAWS).tolist(), None)).__next__
+    get = step.get
+    root = len(g.states) - 1
+    ends = []
+    for _ in range(games):
+        i = root
+        while (t := get(i)) is not None:
+            c0, s0, c1, s1, s2 = t
+            r = draw()
+            i = s0 if r < c0 else s1 if r < c1 else s2
+        ends.append(i)
+    leaf = np.frombuffer(g.leaf_of, np.intc)[np.array(ends, dtype=np.intp)]
+    return _leaf_rewards(g.leaves, inst.phi, g.ell)[leaf]
 
 
 @dataclass
@@ -709,17 +794,13 @@ def best_response(
     shape_match = False
     if best_solve is not None and best_j == j_presc:
         g = _graph(presc_inst, graphs)
-        shape_match = _policy_actions(g, best_solve.policy.__getitem__) == (
-            _policy_actions(g, presc_fn)
-        )
+        shape_match = _policy_actions(g, best_solve) == _policy_actions(g, presc_fn)
 
     rollout_mean = rollout_stderr = math.nan
     presc_mean = presc_stderr = math.nan
     welch = math.nan
     if games > 0 and best_solve is not None:
-        rewards = rollout_rewards(
-            best_solve.instance, best_solve.policy.__getitem__, games, child_best, graphs
-        )
+        rewards = rollout_rewards(best_solve.instance, best_solve, games, child_best, graphs)
         rollout_mean = float(rewards.mean())
         rollout_stderr = float(rewards.std(ddof=1) / math.sqrt(games))
         presc_rewards = rollout_rewards(presc_inst, presc_fn, games, child_presc, graphs)

@@ -2,11 +2,15 @@
 
 These deliberately avoid the library's compressed state representations:
 the game oracle runs exhaustive expectimax over explicit block trees, and
-the race oracle is a plain dynamic program over step outcomes.
+the race oracle is a plain dynamic program over step outcomes.  The scalar
+references at the end walk a compiled MDP graph state by state, one float
+operation at a time, for the array-native passes to match bit for bit.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def game_value(ell, share, phi, rho, alloc_j):
@@ -154,3 +158,85 @@ def race_probability(alpha: float, target: int) -> float:
         for h in range(target - 1, -1, -1):
             win[a][h] = alpha * win[a + 1][h] + (1 - alpha) * win[a][h + 1]
     return win[0][0]
+
+
+# -- scalar references over a compiled graph (hebsim.mdp._Graph) -------------
+
+
+def leaf_reward(leaf, phi, ell):
+    """The attacker's reward at one leaf (a row of ``_Graph.leaves``)."""
+    winner, ar, af, cr, cf, sec_reg, sec_fac, pub_reg, pub_fac = leaf
+
+    def reward(att_w, coh_w):
+        total = att_w + coh_w
+        if total <= 0.0:
+            return 0.0
+        return att_w / total * ell
+
+    def wfloat(reg, fac):
+        return reg + phi * fac
+
+    att_est_w = wfloat(ar, af)
+    coh_est_w = wfloat(cr, cf)
+    win_sec = reward(att_est_w + wfloat(sec_reg, sec_fac), coh_est_w)
+    win_pub = reward(att_est_w, coh_est_w + wfloat(pub_reg, pub_fac))
+    if winner == 2:  # an exact tie splits the cohort
+        return 0.5 * (win_sec + win_pub)
+    return win_sec if winner == 0 else win_pub
+
+
+def evaluate(g, phi, fixed=None):
+    """Backward induction over a compiled graph in one pass over its
+    post-order.  Returns every state's value and, per state in ``g.inner``,
+    the index of its best action (the first whose value beats the best so
+    far by more than 1e-15).  With ``fixed`` (state index -> action index)
+    only those states are evaluated, each under its given action, and the
+    choices follow the sorted state indices."""
+    rewards = [leaf_reward(leaf, phi, g.ell) for leaf in g.leaves.tolist()]
+    rewards.append(math.nan)  # leaf_of[i] == -1: not terminal, not yet evaluated
+    val = list(map(rewards.__getitem__, g.leaf_of))
+    act_lo, succ_lo, succ = g.act_lo, g.succ_lo, g.succ
+    prob = g.probs[g.prob_of].tolist()
+    if fixed is None:
+        spans = ((i, act_lo[i], act_lo[i + 1]) for i in g.inner)
+    else:
+        spans = ((i, a, a + 1) for i, a in sorted(fixed.items()))
+    choice = []
+    for i, lo, hi in spans:
+        best, best_a = -math.inf, lo
+        for a in range(lo, hi):
+            v = 0.0
+            for e in range(succ_lo[a], succ_lo[a + 1]):
+                v += prob[e] * val[succ[e]]
+            if v > best + 1e-15:
+                best, best_a = v, a
+        val[i] = best
+        choice.append(best_a)
+    return val, choice
+
+
+def rollout(g, fixed, phi, games, rng):
+    """Play ``games`` epochs under ``fixed`` (state index -> action index),
+    one ``rng.random()`` per step: the first successor whose cumulative
+    probability exceeds the draw, else the last.  Returns the rewards and
+    the number of draws."""
+    leaf_of, succ_lo, succ = g.leaf_of, g.succ_lo, g.succ
+    prob = g.probs[g.prob_of].tolist()
+    rewards = np.empty(games, dtype=float)
+    draws = 0
+    for n in range(games):
+        i = len(g.states) - 1
+        while leaf_of[i] < 0:
+            r = rng.random()
+            draws += 1
+            a = fixed[i]
+            lo, hi = succ_lo[a], succ_lo[a + 1]
+            i = succ[hi - 1]
+            acc = 0.0
+            for e in range(lo, hi):
+                acc += prob[e]
+                if r < acc:
+                    i = succ[e]
+                    break
+        rewards[n] = leaf_reward(g.leaves[leaf_of[i]].tolist(), phi, g.ell)
+    return rewards, draws

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import game_value
 
 from hebsim import mdp
@@ -526,24 +527,59 @@ class TestStateBudget:
             solve(inst)
 
 
-class TestPolicyDump:
-    def test_json_dump_roundtrips(self):
-        import json
+class TestArrayPasses:
+    """The level-by-level evaluation and the batched-draw rollouts against
+    the scalar loops in ``oracles``: bit for bit."""
 
-        inst = MdpInstance(ell=3, share=0.3, phi=20.0, rho=0.5, alloc=0)
-        res = solve(inst)
-        doc = json.loads(res.to_json())
-        assert doc["instance"]["ell"] == 3
-        assert doc["value"] == pytest.approx(res.value)
-        assert doc["states"] == res.states
-        root = [
-            e for e in doc["policy"]
-            if e["state"] == {"established": [0, 0, 0, 0], "secret": "",
-                              "public": "", "fork": False}
+    @staticmethod
+    def _hex(values):
+        return [v.hex() for v in np.asarray(values).tolist()]
+
+    @pytest.mark.parametrize(
+        "ell, rho, alloc, phi",
+        [(8, 0.0, None, 20.0)]
+        + [(8, 0.5, j, phi) for j in range(4) for phi in (1.0, 20.0)]
+        + [(10, 0.5, 2, 20.0)],
+    )
+    def test_level_pass_matches_scalar_loop(self, ell, rho, alloc, phi):
+        inst = MdpInstance(ell=ell, share=0.2, phi=phi, rho=rho, alloc=alloc)
+        graphs: dict = {}
+        res = solve(inst, graphs)
+        g = mdp._graph(inst, graphs)
+        inner = np.frombuffer(g.inner, np.intc)
+        values, choices = oracles.evaluate(g, phi)
+        assert self._hex(res._values) == self._hex(values)
+        assert res._choices[inner].tolist() == choices
+
+        for policy in (res, partial(prescribed_action, inst)):
+            fixed = mdp._policy_actions(g, policy)
+            rows, acts = mdp._fixed_arrays(g, policy)
+            got, got_choices = mdp._evaluate(g, phi, mdp._plan(g, rows, acts, np.ones_like(acts)))
+            values, choices = oracles.evaluate(g, phi, fixed)
+            assert self._hex(got) == self._hex(values)
+            assert got_choices[sorted(fixed)].tolist() == choices
+            assert policy_value(inst, policy, graphs).hex() == values[-1].hex()
+
+        # every inner state sits above each of its successors
+        act_lo, succ_lo = (np.frombuffer(a, np.intc) for a in (g.act_lo, g.succ_lo))
+        source = np.repeat(np.arange(len(g.states)), np.diff(act_lo))[
+            np.repeat(np.arange(len(g.actions)), np.diff(succ_lo))
         ]
-        assert len(root) == 1
-        assert root[0]["value"] == pytest.approx(res.value)
-        assert root[0]["action"]["move"] in ("wait", "adopt", "publish")
+        assert (g.level[source] > g.level[np.frombuffer(g.succ, np.intc)]).all()
+        assert (g.level[np.frombuffer(g.leaf_of, np.intc) >= 0] == 0).all()
+
+    def test_batched_draws_match_one_draw_per_step(self):
+        inst = MdpInstance(ell=8, share=0.2, phi=20.0, rho=0.5, alloc=1)
+        graphs: dict = {}
+        res = solve(inst, graphs)
+        g = mdp._graph(inst, graphs)
+        for policy in (res, partial(prescribed_action, inst)):
+            got = rollout_rewards(inst, policy, 5000, seed=7, graphs=graphs)
+            want, draws = oracles.rollout(
+                g, mdp._policy_actions(g, policy), inst.phi, 5000, np.random.default_rng(7)
+            )
+            assert draws > 5 * mdp._DRAWS  # the draw buffer refills mid-game
+            assert self._hex(got) == self._hex(want)
 
 
 class TestOracleEll4:
