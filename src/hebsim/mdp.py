@@ -25,30 +25,36 @@ Backward induction over this graph yields the exact optimal policy, not an
 approximation.  Only the terminal rewards depend on the factor phi: weight
 ties only ever arise between two chains of equal length, so they are decided
 by comparing integer counts of factored blocks, which depends on phi only
-through whether it is 1.  So the graph is compiled once into flat arrays
-(states in post-order, the legal actions of each state, each action's
-successors and probabilities, each terminal state's integer block counts,
-and each state's level: 0 when terminal, else one more than its highest
-successor), and each phi costs one backward pass over those arrays in
-numpy, one level at a time.  A level's action values are summed one
-successor column at a time and its best actions found by scanning one
-action slot at a time, the float operations of a scalar loop, so values and
-tie-breaking are bit-identical to it.  That one pass serves both
-:func:`solve` (maximising over the legal actions, with a level plan built
-once per graph) and :func:`policy_value` (one fixed action per state).
-:func:`solve` keeps its results by state index; the state-keyed
-``policy`` and ``state_values`` dicts are built only when read.  A caller
-that evaluates several factors passes a ``graphs`` dict to reuse the
-compiled graphs; :func:`min_factor` keeps one for the length of its search
-and there is no process-wide cache.  A fixed policy (a function of the
-state, or a solved result) is first mapped, by one walk over the states
-reachable under it, to an action index per state; that map serves the
-exact evaluation, the seeded rollouts and the check that an optimal policy
-has the prescribed shape.  A rollout step is one lookup of the state's
-cumulative successor probabilities and at most two comparisons with the
-next uniform, drawn from the generator in batches.  The one-step kernel
-:func:`successors` and :func:`terminal_value` spell out the same model
-state by state.
+through whether it is 1.  So the graph is compiled once into flat arrays:
+each state as a row of small integers (the four established counts, both
+extensions' lengths, the public extension's factored count and the fork
+flag) with its secret extension's types as bitmask words, the legal actions
+of each state as integer codes, each action's successors and probability
+codes, each terminal state's integer block counts, and each state's level (0
+when terminal, else one more than its highest successor).  The compile runs
+in numpy one frontier of states at a time, a frontier being the states whose
+chains hold a given number of blocks, and it checks the state budget before
+it expands each frontier.  States are numbered by level, the initial state
+last.  Each phi then costs one backward pass over those arrays in numpy, one
+level at a time.  A level's action values are summed one successor column at
+a time and its best actions found by scanning one action slot at a time, the
+float operations of a scalar loop, so values and tie-breaking are
+bit-identical to it.  That one pass serves both :func:`solve` (maximising
+over the legal actions, with a level plan built once per graph) and
+:func:`policy_value` (one fixed action per state).  :func:`solve` keeps its
+results by state index; the state-keyed ``policy`` and ``state_values``
+dicts are built only when read, in the order of a depth-first search from
+the initial state.  A caller that evaluates several factors passes a
+``graphs`` dict to reuse the compiled graphs; :func:`min_factor` keeps one
+for the length of its search and there is no process-wide cache.  A fixed
+policy (a function of the state, a solved result, or :data:`PRESCRIBED`) is
+first mapped, by one walk over the states reachable under it, to an action
+index per state; that map serves the exact evaluation, the seeded rollouts
+and the check that an optimal policy has the prescribed shape.  A rollout
+step is one lookup of the state's cumulative successor probabilities and at
+most two comparisons with the next uniform, drawn from the generator in
+batches.  The one-step kernel :func:`successors`, :func:`legal_actions` and
+:func:`terminal_value` spell out the same model state by state.
 
 The state count grows about 2.3-fold per unit of epoch length.  One
 resource guard bounds it: compiling a graph past :data:`MAX_STATES` states
@@ -60,9 +66,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
@@ -81,10 +86,11 @@ Action = tuple[str, int, bool]
 State = tuple[int, int, int, int, tuple[bool, ...], tuple[bool, ...], bool]
 
 # The most states one compiled graph may hold; _compile raises
-# StateBudgetError past it.  The largest graph at ell 12 (share 0.2, phi 20,
-# rho 0) has 1,082,448 states; it compiles in 31-38 s and peaks at 569 MB RSS
-# on a 2-vCPU Xeon.  Each step of ell multiplies the count by about 2.3, so
-# ell 13 trips the budget after about 43 s.  Read at call time.
+# StateBudgetError once the states it has found pass it, before it expands
+# another frontier.  The largest graph at ell 12 (share 0.2, phi 20, rho 0)
+# has 1,082,448 states; it compiles in about 4 s and peaks at about 420-480
+# MB RSS on a 2-vCPU Xeon.  Each step of ell multiplies the count by about
+# 2.3, so ell 13 trips the budget after about 5 s.  Read at call time.
 MAX_STATES = 1_200_000
 
 # best_response: exact values this close tie, and the tie goes to
@@ -189,9 +195,9 @@ class SolveResult:
     """The optimal value of one game, with every state's value and chosen
     action kept by index into its compiled graph.  ``policy`` (each
     non-terminal state's optimal action) and ``state_values`` (every state's
-    value), both keyed by state in the graph's post-order, are built on
-    first access.  A result is also a policy for :func:`policy_value` and
-    :func:`rollout_rewards`."""
+    value), both keyed by state in the order of :func:`_post_order`, are
+    built on first access.  A result is also a policy for
+    :func:`policy_value` and :func:`rollout_rewards`."""
 
     value: float
     states: int
@@ -203,17 +209,36 @@ class SolveResult:
     @cached_property
     def policy(self) -> dict[State, Action]:
         g = self._graph
-        chosen = self._choices[np.frombuffer(g.inner, np.intc)].tolist()
-        return dict(zip(map(g.states.__getitem__, g.inner), map(g.actions.__getitem__, chosen)))
+        post = _post_order(g)
+        inner = post[g.leaf_of[post] < 0]
+        chosen = g.act[self._choices[inner]].tolist()
+        return dict(zip(_decode_states(g, inner), map(_decode_action, chosen)))
 
     @cached_property
     def state_values(self) -> dict[State, float]:
-        return dict(zip(self._graph.states, self._values.tolist()))
+        post = _post_order(self._graph)
+        return dict(zip(_decode_states(self._graph, post), self._values[post].tolist()))
 
+    @cached_property
+    def _fixed(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_fixed_arrays` of this result on its own graph."""
+        return _walk(self._graph, self._choices)
+
+
+class _Prescribed:
+    """The type of :data:`PRESCRIBED`."""
+
+    def __repr__(self) -> str:
+        return "PRESCRIBED"
+
+
+# The prescribed policy read by index: each state's first legal action,
+# which is what prescribed_action returns, without a call per state.
+PRESCRIBED = _Prescribed()
 
 # A fixed deterministic policy: a map from each state to one of its legal
-# actions, or a SolveResult (its optimal policy).
-Policy = Union[Callable[[State], Action], SolveResult]
+# actions, a SolveResult (its optimal policy), or PRESCRIBED.
+Policy = Union[Callable[[State], Action], SolveResult, _Prescribed]
 
 # the chain that decides a terminal state's reward
 _SECRET, _PUBLIC, _SPLIT = 0, 1, 2
@@ -401,95 +426,565 @@ def successors(
     return _attacker_block(inst, inter, make_factored) + _cohort_blocks(inst, inter)
 
 
+# the columns of a state row: the established counts, both extensions'
+# lengths, the public extension's factored count and the fork flag
+_AR, _AF, _CR, _CF, _LS, _LP, _PF, _FORK = range(8)
+# an action code is m * 8 + 2 * (index of the move in _MOVES) + factored
+_MOVES = (PUBLISH, ADOPT, WAIT)
+# bits set per byte value, and the masks of the lowest 0..64 bits
+_POP8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+_LOW = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
+# a frontier expands at most this many states at once, and edges into
+# earlier frontiers are matched about this many at a time, which bounds the
+# scratch arrays of both
+_CHUNK = 1 << 13
+_MERGE = 1 << 20
+
+
 @dataclass
 class _Graph:
     """One game's state graph with everything but the factor resolved.
 
-    ``states`` is in post-order: each state after all its successors, the
-    initial state last.  State ``i`` is terminal when ``leaf_of[i] >= 0``, a
-    row of ``leaves`` (the counts of :func:`_leaf`).  Otherwise its legal
-    actions, in :func:`legal_actions` order, are
-    ``actions[act_lo[i]:act_lo[i + 1]]``, and action ``a`` leads to state
-    ``succ[e]`` with probability ``probs[prob_of[e]]`` for ``e`` in
+    States are numbered by level, lowest first: ``level[i]`` is 0 for a
+    terminal state, else 1 + the largest level among its successors, so
+    every state comes after all its successors and the initial state is
+    last.  State ``i`` is the integer row ``rows[i]`` (the columns ``_AR``
+    to ``_FORK``) with its secret extension's types in ``sec[i]``: a set
+    bit for a factored block, its last block in bit 0, 64 blocks per word.
+    The public extension needs no mask: the cohort adds factored blocks
+    while its quota lasts and regular ones after, so it is ``_PF`` factored
+    blocks followed by regular ones.  ``states`` and ``actions`` decode
+    every row and code into :data:`State` and :data:`Action` tuples when
+    read.
+
+    State ``i`` is terminal when ``leaf_of[i] >= 0``, a row of ``leaves``
+    (the counts of :func:`_leaf`).  Otherwise its legal actions, in
+    :func:`legal_actions` order, are ``act[act_lo[i]:act_lo[i + 1]]`` (codes
+    that ``actions`` decodes), and action ``a`` leads to state ``succ[e]``
+    with probability ``probs[prob_of[e]]`` for ``e`` in
     ``range(succ_lo[a], succ_lo[a + 1])``, in :func:`successors` order: one
     to three successors, with a handful of distinct probabilities per game.
-    ``level[i]`` is 0 for a terminal state, else 1 + the largest level among
-    its successors, so a state's value depends on lower levels only.
     ``plan`` is the maximising evaluation plan (see :func:`_plan`), built by
-    the first :func:`solve` and kept.
+    the first :func:`solve` and kept; ``prescribed`` is
+    :func:`_fixed_arrays` of :data:`PRESCRIBED`, built when first needed;
+    ``post`` is the order of the state-keyed dicts (see
+    :func:`_post_order`), built when one is first read.
     """
 
     ell: int
-    states: list[State] = field(default_factory=list)
-    leaves: Optional[np.ndarray] = None  # int32, one row of 9 counts per leaf
-    leaf_of: array = field(default_factory=lambda: array("i"))
-    level: Optional[np.ndarray] = None  # intc
-    inner: array = field(default_factory=lambda: array("i"))  # non-terminal states
-    act_lo: array = field(default_factory=lambda: array("i", [0]))
-    actions: list[Action] = field(default_factory=list)
-    succ_lo: array = field(default_factory=lambda: array("i", [0]))
-    succ: array = field(default_factory=lambda: array("i"))
-    prob_of: Optional[np.ndarray] = None  # unsigned int, an index into probs
-    probs: Optional[np.ndarray] = None
+    rows: np.ndarray  # int16 (int32 for ell >= 2**14), one row of 8 per state
+    sec: np.ndarray  # uint64, one row of ceil(ell / 64) words per state
+    leaves: np.ndarray  # int32, one row of 9 counts per leaf
+    leaf_of: np.ndarray  # intc; the arrays below are intc unless noted
+    level: np.ndarray
+    inner: np.ndarray  # the non-terminal states
+    act_lo: np.ndarray
+    act: np.ndarray
+    succ_lo: np.ndarray
+    succ: np.ndarray
+    prob_of: np.ndarray  # unsigned int, an index into probs
+    probs: np.ndarray
     plan: Optional[list] = None
+    prescribed: Optional[tuple[np.ndarray, np.ndarray]] = None
+    post: Optional[np.ndarray] = None
+
+    @property
+    def states(self) -> list[State]:
+        return _decode_states(self, np.arange(len(self.leaf_of)))
+
+    @property
+    def actions(self) -> list[Action]:
+        return list(map(_decode_action, self.act.tolist()))
+
+
+def _decode_action(code: int) -> Action:
+    return (_MOVES[code >> 1 & 3], code >> 3, bool(code & 1))
+
+
+def _action_code(action) -> int:
+    """The code of ``action``; -1 when it is no action at all."""
+    try:
+        move, m, kind = action
+        return m * 8 + _MOVES.index(move) * 2 + bool(kind)
+    except (TypeError, ValueError):
+        return -1
+
+
+def _decode_states(g: _Graph, ids) -> list[State]:
+    """The :data:`State` tuples of the states ``ids``."""
+    exts: dict = {}
+
+    def ext(length: int, words: tuple[int, ...]) -> tuple[bool, ...]:
+        key = (length, words)
+        if key not in exts:
+            mask = sum(w << 64 * k for k, w in enumerate(words))
+            exts[key] = tuple(bool(mask >> (length - 1 - k) & 1) for k in range(length))
+        return exts[key]
+
+    return [
+        (ar, af, cr, cf, ext(ls, words), (True,) * pf + (False,) * (lp - pf), bool(fork))
+        for (ar, af, cr, cf, ls, lp, pf, fork), words in zip(
+            g.rows[ids].tolist(), map(tuple, g.sec[ids].tolist())
+        )
+    ]
+
+
+def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenation of ``range(lo[j], lo[j] + count[j])`` over ``j``."""
+    end = np.cumsum(count, dtype=np.intp)
+    total = int(end[-1]) if len(end) else 0
+    return np.arange(total, dtype=np.intp) + np.repeat(lo - (end - count), count)
+
+
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``a``, in its integer type (a product with
+    ones, which numpy computes faster than ``a.sum(axis=1)`` for short
+    rows)."""
+    return a @ np.ones(a.shape[1], a.dtype)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """The number of set bits in each row of ``words`` (uint64)."""
+    return _rowsum(_POP8[words.view(np.uint8)].astype(np.int16))
+
+
+def _last(words: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Each row of a secret extension's type words with only its lowest
+    ``k`` bits: the types of its last ``k`` blocks."""
+    return words & _LOW[np.clip(k[:, None] - 64 * np.arange(words.shape[1]), 0, 64)]
+
+
+def _append(words: np.ndarray, factored: np.ndarray) -> np.ndarray:
+    """Each row of a secret extension's type words with one more block,
+    factored where ``factored``."""
+    out = words << np.uint64(1)
+    out[:, 1:] |= words[:, :-1] >> np.uint64(63)
+    out[:, 0] |= factored
+    return out
+
+
+def _within(used: np.ndarray, quota: Optional[int]) -> np.ndarray:
+    """:func:`within_quota` per row."""
+    return np.ones(len(used), bool) if quota is None else used < quota
+
+
+def _key_layout(row_bits: list[int], sec_bits: list[int]) -> list:
+    """Where :func:`_keys` puts each field: per uint64 word, the row columns
+    it holds with their weights ``2**offset`` (as int64, which wraps to the
+    same bits), and the type words with their offsets.  ``row_bits`` and
+    ``sec_bits`` give each field's width; a field never straddles two
+    words."""
+    words: list[list[tuple[int, int]]] = []
+    used = 64
+    for field, size in enumerate(row_bits + sec_bits):
+        if used + size > 64:
+            words.append([])
+            used = 0
+        words[-1].append((field, used))
+        used += size
+    rows = len(row_bits)
+    return [
+        (
+            [f for f, _ in word if f < rows],
+            np.array([1 << at for f, at in word if f < rows], np.uint64).view(np.int64),
+            [(f - rows, np.uint64(at)) for f, at in word if f >= rows],
+        )
+        for word in words
+    ]
+
+
+def _keys(rows: np.ndarray, sec: np.ndarray, layout: list) -> list[np.ndarray]:
+    """uint64 words that tell apart rows of small integers, each with its
+    uint64 type words (see :func:`_key_layout`), as sort keys for
+    :func:`_dedup`.  A state's counts take ``ell.bit_length()`` bits, its
+    fork flag one and its secret extension ``ell``, so ``ell <= 28`` needs
+    one word."""
+    keys = []
+    for cols, weights, secs in layout:
+        key = (rows[:, cols] @ weights).view(np.uint64)
+        for k, at in secs:
+            key |= sec[:, k] << at
+        keys.append(key)
+    return keys
+
+
+def _dedup(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """An order that sorts rows by ``keys`` (the last the most significant)
+    and, in that order, whether each row starts a run of equal keys; the
+    order within a run is arbitrary."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    new = np.zeros(len(order), bool)
+    new[:1] = True
+    for k in keys:
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    return order, new
+
+
+def _expand(inst: MdpInstance, rows: np.ndarray, sec: np.ndarray):
+    """The legal actions and successors of the non-terminal states
+    ``rows``/``sec``, in :func:`legal_actions` and :func:`successors` order.
+
+    Returns each state's action count, the action codes, each action's
+    successor count, and the successors: candidate state rows and type words
+    (the attacker's blocks, then the cohort's), each edge's index into them
+    and its probability code (0 for ``alpha``, 1 for ``1 - alpha``, 2 for
+    half of that on a cohort split)."""
+    alpha = inst.alpha
+    typed = not inst.collapse_types
+    ls, lp, fork = rows[:, _LS], rows[:, _LP], rows[:, _FORK]
+    spop = _popcount(sec)
+
+    # chain moves: publish m for m = ls down to max(lp, 1) (never m = lp
+    # again on a fork), then adopt while there is a public extension, then wait
+    npub = np.maximum(ls - np.maximum(lp, 1) - fork + 1, 0)
+    if inst.publish_mode == "all":
+        npub = np.minimum(npub, 1)
+    nmove = npub + (lp > 0) + 1
+    move_lo = np.cumsum(nmove) - nmove
+    of = np.repeat(np.arange(len(rows)), nmove)
+    j = np.arange(len(of)) - move_lo[of]
+    move = (j >= npub[of]).astype(np.int8) + (j >= npub[of] + (lp[of] > 0))  # 0, 1, 2
+    m = np.where(move == 0, ls[of] - j, 0)
+
+    # the state each move leaves before the next block
+    mid, msec, mpop = rows[of], sec[of], spop[of]
+    adopt = np.flatnonzero(move == 1)
+    mid[adopt, _CR] += mid[adopt, _LP] - mid[adopt, _PF]
+    mid[adopt, _CF] += mid[adopt, _PF]
+    mid[adopt, _LS:] = 0
+    msec[adopt] = 0
+    mpop[adopt] = 0
+    publish = move == 0
+    mid[publish & (m == mid[:, _LP]), _FORK] = 1
+    take = np.flatnonzero(publish & (m > mid[:, _LP]))  # the secret prefix wins
+    keep = mid[take, _LS] - m[take]
+    msec[take] = _last(msec[take], keep)
+    moved = mpop[take] - _popcount(msec[take])
+    mpop[take] -= moved
+    mid[take, _AR] += m[take] - moved
+    mid[take, _AF] += moved
+    mid[take, _LS] = keep
+    mid[take, _LP:] = 0
+
+    # the attacker's block types: factored first while her quota lasts
+    nkind = 1 + (typed & _within(mid[:, _AF] + mpop, inst.attacker_quota))
+    by = np.repeat(np.arange(len(mid)), nkind)
+    kind = np.zeros(len(by), bool)
+    kind[np.cumsum(nkind) - nkind] = nkind == 2
+    codes = (m * 8 + move * 2)[by].astype(np.int32) + kind
+    nact = np.add.reduceat(nkind, move_lo)
+
+    cand_rows, cand_sec = [], []
+    ref = np.zeros((len(by), 3), np.intp)
+    prob = np.zeros((len(by), 3), np.uint8)
+    has = np.zeros((len(by), 3), bool)
+    if alpha > 0.0:  # the attacker's block, at the end of her secret extension
+        att = mid[by]
+        att[:, _LS] += 1
+        cand_rows.append(att)
+        cand_sec.append(_append(msec[by], kind))
+        ref[:, 0] = np.arange(len(by))
+        has[:, 0] = True
+    if alpha < 1.0:  # the cohort's block, on the lighter public tip
+        base = len(by) if alpha > 0.0 else 0
+        own = mid.copy()  # on the cohort's own extension
+        own[:, _PF] += typed & _within(own[:, _CF] + own[:, _PF], inst.cohort_quota)
+        own[:, _LP] += 1
+        own[:, _FORK] = 0
+        # on a fork the cohort extends the lighter of two equal-length tips:
+        # the attacker's published prefix, or its own extension
+        forks = np.flatnonzero(mid[:, _FORK])
+        length = mid[forks, _LP]
+        rest = _last(msec[forks], mid[forks, _LS] - length)
+        moved = mpop[forks] - _popcount(rest)
+        tie = (inst.phi == 1.0) | (moved == mid[forks, _PF])
+        lighter = tie | (moved < mid[forks, _PF])
+        fk, length, moved, rest = forks[lighter], length[lighter], moved[lighter], rest[lighter]
+        first, first_sec = own.copy(), msec.copy()
+        first[fk] = mid[fk]
+        first[fk, _AR] += length - moved
+        first[fk, _AF] += moved
+        first[fk, _LS] -= length
+        first[fk, _LP] = 1
+        first[fk, _PF] = typed & _within(mid[fk, _CF], inst.cohort_quota)
+        first[fk, _FORK] = 0
+        first_sec[fk] = rest
+        split = forks[tie]
+        cand_rows += [first, own[split]]
+        cand_sec += [first_sec, msec[split]]
+        ref[:, 1] = base + by
+        has[:, 1] = True
+        prob[:, 1] = 1
+        second = np.full(len(mid), -1, np.intp)
+        second[split] = base + len(mid) + np.arange(len(split))
+        ref[:, 2] = second[by]
+        has[:, 2] = ref[:, 2] >= 0
+        prob[has[:, 2], 1:] = 2
+    return (
+        nact,
+        codes,
+        _rowsum(has.view(np.uint8)),
+        np.concatenate(cand_rows),
+        np.concatenate(cand_sec),
+        ref[has],
+        prob[has],
+    )
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(parts)``, emptying ``parts`` as it goes so that each
+    part is freed once copied."""
+    out = np.empty((sum(map(len, parts)),) + parts[0].shape[1:], parts[0].dtype)
+    at = len(out)
+    while parts:
+        part = parts.pop()
+        out[at - len(part) : at] = part
+        at -= len(part)
+    return out
+
+
+def _leaf_rows(inst: MdpInstance, rows: np.ndarray, sec: np.ndarray) -> np.ndarray:
+    """:func:`_leaf` of each terminal state ``rows``/``sec``, as int32 rows."""
+    est = _rowsum(rows[:, _AR:_LS])
+    ls, lp, pf = rows[:, _LS], rows[:, _LP], rows[:, _PF]
+    sf = _popcount(sec)
+    full_sec, full_pub = est + ls == inst.ell, est + lp == inst.ell
+    split = (inst.phi == 1.0) | (sf == pf)
+    both = np.where(split, _SPLIT, np.where(sf < pf, _SECRET, _PUBLIC))
+    winner = np.where(full_sec & full_pub, both, np.where(full_sec, _SECRET, _PUBLIC))
+    ar, af, cr, cf = rows[:, _AR:_LS].T
+    return np.stack((winner, ar, af, cr, cf, ls - sf, sf, lp - pf, pf), axis=1).astype(np.int32)
+
+
+def _levels(ell: int, rows: np.ndarray, act_lo: np.ndarray, succ_lo: np.ndarray,
+            succ: np.ndarray) -> np.ndarray:
+    """Each state's level (0 when terminal, else 1 + its highest
+    successor's), one group of equal (established, extension) lengths at a
+    time from the last: every step increases that pair, so a group's
+    successors lie in later groups."""
+    pair = rows[:, _AR:_LS].sum(axis=1, dtype=np.intp) * (2 * ell + 1) + rows[:, _LS] + rows[:, _LP]
+    by = np.argsort(pair, kind="stable")
+    by = by[act_lo[by] < act_lo[by + 1]]
+    first = succ_lo[act_lo[by]]
+    count = succ_lo[act_lo[by + 1]] - first
+    lo = np.cumsum(count) - count  # each state's first edge in ``targets``
+    targets = np.empty(int(count.sum()), np.intc)  # the successors, state by state
+    for i in range(0, len(by), _CHUNK):
+        part = slice(i, i + _CHUNK)
+        targets[lo[i] : lo[i] + count[part].sum()] = succ[_ranges(first[part], count[part])]
+    cuts = [0, *(np.flatnonzero(np.diff(pair[by])) + 1).tolist(), len(by)]
+    level = np.zeros(len(rows), np.intc)
+    for i, j in zip(cuts[-2::-1], cuts[:0:-1]):
+        end = lo[j] if j < len(by) else len(targets)
+        level[by[i:j]] = np.maximum.reduceat(level[targets[lo[i] : end]], lo[i:j] - lo[i]) + 1
+    return level
 
 
 def _compile(inst: MdpInstance) -> _Graph:
-    """Explore the state graph from the initial state, depth first, in the
-    order of :func:`legal_actions` and :func:`successors`; each chain move
-    is resolved once for both block types."""
-    g = _Graph(inst.ell)
-    index: dict[State, int] = {}
-    leaf_ids: dict[tuple[int, ...], int] = {}
-    action_ids: dict[Action, Action] = {}  # one object per distinct action
-    prob = array("d")
-    level: list[int] = []
+    """Explore the state graph from the initial state one frontier at a
+    time, in numpy.
 
-    def visit(state: State) -> int:  # a state not yet in ``index``
-        leaf = _leaf(inst, state)
-        if leaf is None:
-            acts: list[Action] = []
-            branches: list[tuple[float, State]] = []
-            ends: list[int] = []
-            for move, m, inter in _chain_moves(inst, state):
-                cohort = _cohort_blocks(inst, inter)
-                for kind in _kinds(inst, inter):
-                    acts.append((move, m, kind))
-                    branches += _attacker_block(inst, inter, kind)
-                    branches += cohort
-                    ends.append(len(branches))
-            ids = [j if (j := index.get(s)) is not None else visit(s) for _p, s in branches]
-            base = len(g.succ)  # after the recursion above has appended its own
-            g.actions += [action_ids.setdefault(a, a) for a in acts]
-            g.succ_lo.extend([base + e for e in ends])
-            prob.extend([p for p, _s in branches])
-            g.succ.extend(ids)
-            g.inner.append(len(g.states))
-            g.leaf_of.append(-1)
-            level.append(1 + max(map(level.__getitem__, ids)))
-        else:
-            g.leaf_of.append(leaf_ids.setdefault(leaf, len(leaf_ids)))
-            level.append(0)
-        g.act_lo.append(len(g.actions))
-        i = index[state] = len(g.states)
-        if i >= MAX_STATES:
+    Frontier ``d`` holds the states whose established prefix and extensions
+    hold ``d`` blocks between them.  A step creates one block; a step that
+    drops none (waiting, adopting without a secret extension, publishing
+    against an empty or equally long public extension, or the cohort's
+    block on a fork extending its own tip) leads to the next frontier, and
+    every other step to an earlier one.  Every reachable state can be
+    reached by steps that drop no block (the cohort's established blocks by
+    adopting, the attacker's by publishing, then both extensions by waiting:
+    block types depend only on the counts a state keeps), so each frontier
+    is complete once the one before it is expanded.  Its candidate states
+    are deduplicated by sorting their integer keys (see :func:`_keys`),
+    numbered, checked against :data:`MAX_STATES` and expanded by
+    :func:`_expand`, a chunk at a time.  Edges into earlier frontiers are
+    matched to their states by sorting, a run of frontiers at a time, at the
+    end; an edge without a state is a RuntimeError.  The graph is then
+    renumbered by level (see :func:`_levels`)."""
+    ell = inst.ell
+    dtype = np.int16 if ell < 1 << 14 else np.int32
+    width = ell.bit_length()
+    words = -(-ell // 64)  # the secret extension's type words per state
+    layout = _key_layout([width] * _FORK + [1], [min(64, ell - 64 * k) for k in range(words)])
+    front = [(np.zeros((1, 8), dtype), np.zeros((1, words), np.uint64))]
+    n = n_back = 0
+    state_keys, back_keys, back_at = [], [], []
+    rows_out, sec_out, nact_out, codes_out, nsucc_out, prob_out = [], [], [], [], [], []
+    succ_out: list[np.ndarray] = []
+    refs: list[np.ndarray] = []  # the last frontier's edges: >= 0 into ``front``
+    while front:
+        rows = np.concatenate([f[0] for f in front])
+        sec = np.concatenate([f[1] for f in front])
+        keys = _keys(rows, sec, layout)
+        order, new = _dedup(keys)
+        ids = np.empty(len(order), np.intc)
+        ids[order] = n + np.cumsum(new) - 1
+        for r in refs:
+            ahead = r >= 0
+            r[ahead] = ids[r[ahead]]
+            succ_out.append(r.astype(np.intc))
+        first = order[new]
+        rows, sec = rows[first], sec[first]
+        state_keys.append([k[first] for k in keys])
+        n += len(rows)
+        if n > MAX_STATES:
             raise StateBudgetError(
-                f"the game at ell={inst.ell} has more than {MAX_STATES:,} states "
-                "(mdp.MAX_STATES)"
+                f"the game at ell={ell} has more than {MAX_STATES:,} states (mdp.MAX_STATES)"
             )
-        g.states.append(state)
-        return i
+        rows_out.append(rows)
+        sec_out.append(sec)
+        depth = len(state_keys) - 1
+        est = _rowsum(rows[:, _AR:_LS])
+        inner = np.flatnonzero((est + rows[:, _LS] < ell) & (est + rows[:, _LP] < ell))
+        nact = np.zeros(len(rows), np.intc)
+        front, refs, n_front = [], [], 0
+        for lo in range(0, len(inner), _CHUNK):
+            part = inner[lo : lo + _CHUNK]
+            nact[part], codes, nsucc, cr, cs, ref, prob = _expand(inst, rows[part], sec[part])
+            codes_out.append(codes)
+            nsucc_out.append(nsucc)
+            prob_out.append(prob)
+            at = _rowsum(cr[:, :_PF])  # each successor's frontier
+            ahead = at > depth
+            # an edge refers to its successor's place in the next frontier,
+            # or (as -1 - place) among the distinct successors in earlier ones
+            place = np.empty(len(cr), np.int64)
+            place[ahead] = n_front + np.arange(np.count_nonzero(ahead))
+            behind = np.flatnonzero(~ahead)
+            keys = _keys(cr[behind], cs[behind], layout)
+            order, new = _dedup(keys)
+            place[behind[order]] = -1 - n_back - (np.cumsum(new) - 1)
+            refs.append(place[ref])
+            front.append((cr[ahead], cs[ahead]))
+            n_front += len(front[-1][0])
+            first = order[new]
+            back_keys.append([k[first] for k in keys])
+            back_at.append(at[behind[first]])
+            n_back += len(first)
+        nact_out.append(nact)
 
-    visit(initial_state())
-    # visit refers to itself; unbinding it frees the exploration's tables now
-    # rather than at the next cyclic garbage collection
-    del visit
-    g.leaves = np.array(list(leaf_ids), dtype=np.int32)
-    g.level = np.array(level, dtype=np.intc)
-    g.probs, codes = np.unique(np.frombuffer(prob), return_inverse=True)
-    # two more codes stand for 0.0 and 1.0 in _plan
-    g.prob_of = codes.astype(np.min_scalar_type(len(g.probs) + 1))
-    return g
+    # match each successor in an earlier frontier to its state, a run of
+    # frontiers at a time: the smallest entry in a run of equal keys is the
+    # state
+    back_state = np.empty(n_back, np.intc)
+    at = np.concatenate(back_at)
+    back_keys = [np.concatenate(k) for k in zip(*back_keys)]
+    sizes = np.cumsum([0] + [len(k[0]) for k in state_keys])
+    counts = np.bincount(at, minlength=len(state_keys))
+    d0 = 0
+    for d in range(len(state_keys)):
+        if d + 1 < len(state_keys) and sizes[d + 1] - sizes[d0] + counts[d0 : d + 1].sum() < _MERGE:
+            continue
+        sel = np.flatnonzero((at >= d0) & (at <= d))
+        keys = [
+            np.concatenate([k[w] for k in state_keys[d0 : d + 1]] + [back[sel]])
+            for w, back in enumerate(back_keys)
+        ]
+        order, new = _dedup(keys)
+        del keys
+        starts = np.flatnonzero(new)
+        head = np.repeat(np.minimum.reduceat(order, starts), np.diff(starts, append=len(order)))
+        ns = sizes[d + 1] - sizes[d0]
+        copy = order >= ns
+        if (head[copy] >= ns).any():
+            raise RuntimeError(f"ell={ell}: a step reached a state no frontier holds")
+        back_state[sel[order[copy] - ns]] = sizes[d0] + head[copy]
+        d0 = d + 1
+    del state_keys, back_keys, back_at, at
+    for part in succ_out:
+        behind = part < 0
+        part[behind] = back_state[-1 - part[behind]]
+    succ = _join(succ_out)
+    del back_state
+    rows, sec, nact = _join(rows_out), _join(sec_out), _join(nact_out)
+    codes, nsucc, prob = _join(codes_out), _join(nsucc_out), _join(prob_out)
+    act_lo = np.zeros(n + 1, np.intc)
+    np.cumsum(nact, dtype=np.intc, out=act_lo[1:])
+    succ_lo = np.zeros(len(codes) + 1, np.intc)
+    np.cumsum(nsucc, dtype=np.intc, out=succ_lo[1:])
+
+    level = _levels(ell, rows, act_lo, succ_lo, succ)
+
+    # renumber by level, the initial state alone at the highest, a chunk of
+    # states at a time
+    order = np.argsort(level, kind="stable")
+    rank = np.empty(n, np.intc)
+    rank[order] = np.arange(n, dtype=np.intc)
+    rows, sec, level = rows[order], sec[order], level[order]
+    leaf_of = np.full(n, -1, np.intc)
+    term = np.flatnonzero(nact[order] == 0)
+    leaves = _leaf_rows(inst, rows[term], sec[term])  # one row per distinct leaf
+    no_sec = np.empty((len(leaves), 0), np.uint64)
+    by, new = _dedup(_keys(leaves, no_sec, _key_layout([max(width, 2)] * 9, [])))
+    leaf_of[term[by]] = np.cumsum(new) - 1
+    leaves = leaves[by[new]]
+    table = np.array([inst.alpha, 1.0 - inst.alpha, (1.0 - inst.alpha) * 0.5])
+    used = np.flatnonzero(np.bincount(prob, minlength=3))
+    probs = np.unique(table[used])
+    code_of = np.zeros(3, np.min_scalar_type(len(probs) + 1))  # two more codes in _plan
+    code_of[used] = np.searchsorted(probs, table[used])
+    g_act_lo = np.zeros(n + 1, np.intc)
+    np.cumsum(nact[order], dtype=np.intc, out=g_act_lo[1:])
+    g_act = np.empty(len(codes), np.int32)
+    g_succ_lo = np.zeros(len(codes) + 1, np.intc)
+    g_succ = np.empty(len(succ), np.intc)
+    g_prob_of = np.empty(len(succ), code_of.dtype)
+    for lo in range(0, n, _CHUNK):
+        part = order[lo : lo + _CHUNK]
+        acts = _ranges(act_lo[part], nact[part])
+        a0, e0 = g_act_lo[lo], g_succ_lo[g_act_lo[lo]]
+        g_act[a0 : a0 + len(acts)] = codes[acts]
+        count = nsucc[acts]
+        np.cumsum(count, dtype=np.intc, out=g_succ_lo[a0 + 1 : a0 + 1 + len(acts)])
+        g_succ_lo[a0 + 1 : a0 + 1 + len(acts)] += e0
+        edges = _ranges(succ_lo[acts], count)
+        g_succ[e0 : e0 + len(edges)] = rank[succ[edges]]
+        g_prob_of[e0 : e0 + len(edges)] = code_of[prob[edges]]
+    return _Graph(
+        ell=ell,
+        rows=rows,
+        sec=sec,
+        leaves=leaves,
+        leaf_of=leaf_of,
+        level=level,
+        inner=np.flatnonzero(leaf_of < 0).astype(np.intc),
+        act_lo=g_act_lo,
+        act=g_act,
+        succ_lo=g_succ_lo,
+        succ=g_succ,
+        prob_of=g_prob_of,
+        probs=probs,
+    )
+
+
+def _post_order(g: _Graph) -> np.ndarray:
+    """The states in the order a depth-first search from the initial state
+    finishes them, each state's successors taken in action and
+    :func:`successors` order: the order of ``SolveResult.state_values``.
+    Built once per graph."""
+    if g.post is None:
+        first = g.succ_lo[g.act_lo].tolist()
+        succ = g.succ.tolist()
+        root = len(first) - 2
+        seen = bytearray(root + 1)
+        seen[root] = 1
+        stack, at, post = [root], [first[root]], []
+        while stack:
+            i, e = stack[-1], at[-1]
+            end = first[i + 1]
+            while e < end and seen[succ[e]]:
+                e += 1
+            if e < end:
+                at[-1] = e + 1
+                t = succ[e]
+                seen[t] = 1
+                stack.append(t)
+                at.append(first[t])
+            else:
+                post.append(stack.pop())
+                at.pop()
+        g.post = np.array(post, np.intc)
+    return g.post
 
 
 def _plan(g: _Graph, rows: np.ndarray, first: np.ndarray, count: np.ndarray) -> list:
@@ -504,10 +999,9 @@ def _plan(g: _Graph, rows: np.ndarray, first: np.ndarray, count: np.ndarray) -> 
     index ``len(states)``) per missing one; a slot past a state's last
     action is worth 1.0 times -inf (index ``len(states) + 1``), which never
     wins the scan."""
-    n = len(g.states)
+    n = len(g.leaf_of)
     zero, one = len(g.probs), len(g.probs) + 1
-    succ_lo = np.frombuffer(g.succ_lo, np.intc)
-    succ = np.frombuffer(g.succ, np.intc)
+    succ_lo, succ = g.succ_lo, g.succ
     level = g.level[rows]
     order = np.argsort(level, kind="stable")
     plan = []
@@ -541,11 +1035,9 @@ def _evaluate(g: _Graph, phi: float, plan: list) -> tuple[np.ndarray, np.ndarray
     time, so ties resolve toward prescribed-like moves and the policy is
     stable.  Both are the float operations of a scalar loop over the
     states, so the results are bit-identical to it."""
-    n = len(g.states)
+    n = len(g.leaf_of)
     val = np.empty(n + 2)
-    val[:n] = np.append(_leaf_rewards(g.leaves, phi, g.ell), math.nan)[
-        np.frombuffer(g.leaf_of, np.intc)
-    ]
+    val[:n] = np.append(_leaf_rewards(g.leaves, phi, g.ell), math.nan)[g.leaf_of]
     val[n:] = 0.0, -math.inf
     probs = np.append(g.probs, (0.0, 1.0))
     choice = np.full(n, -1, np.intc)
@@ -581,49 +1073,65 @@ def solve(inst: MdpInstance, graphs: Optional[dict] = None) -> SolveResult:
     with or without it."""
     g = _graph(inst, graphs)
     if g.plan is None:
-        inner = np.frombuffer(g.inner, np.intc)
-        act_lo = np.frombuffer(g.act_lo, np.intc)
+        inner, act_lo = g.inner, g.act_lo
         g.plan = _plan(g, inner, act_lo[inner], act_lo[inner + 1] - act_lo[inner])
     values, choices = _evaluate(g, inst.phi, g.plan)
-    return SolveResult(float(values[-1]), len(g.states), inst, g, values, choices)
+    return SolveResult(float(values[-1]), len(values), inst, g, values, choices)
 
 
-def _policy_actions(g: _Graph, policy: Policy) -> dict[int, int]:
-    """A fixed deterministic policy as state index -> action index, over
-    the non-terminal states reachable under it.  A function that returns an
-    action not legal in its state is a ValueError; a :class:`SolveResult`
-    solved on ``g`` itself is read by index."""
-    if isinstance(policy, SolveResult) and policy._graph is g:
-        pick = policy._choices.tolist().__getitem__
-    else:
-        policy_fn = policy.policy.__getitem__ if isinstance(policy, SolveResult) else policy
-
-        def pick(i: int) -> int:
-            state = g.states[i]
-            action = policy_fn(state)
-            try:
-                return g.actions.index(action, g.act_lo[i], g.act_lo[i + 1])
-            except ValueError:
-                raise ValueError(f"action {action} invalid in state {state}") from None
-
-    fixed: dict[int, int] = {}
-    stack = [len(g.states) - 1]
-    while stack:
-        i = stack.pop()
-        if g.act_lo[i] == g.act_lo[i + 1] or i in fixed:  # terminal, or seen
-            continue
-        a = fixed[i] = pick(i)
-        stack.extend(g.succ[g.succ_lo[a] : g.succ_lo[a + 1]])
-    return fixed
+def _walk(g: _Graph, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The non-terminal states reachable when each state ``i`` plays action
+    ``pick[i]``, in index order, and their actions: a breadth-first search
+    in numpy."""
+    act_lo, succ_lo = g.act_lo, g.succ_lo
+    seen = np.zeros(len(g.leaf_of), bool)
+    found = []
+    front = np.array([len(g.leaf_of) - 1])
+    while len(front):
+        seen[front] = True
+        front = front[act_lo[front] < act_lo[front + 1]]
+        found.append(front)
+        a = pick[front]
+        nxt = np.unique(g.succ[_ranges(succ_lo[a], succ_lo[a + 1] - succ_lo[a])])
+        front = nxt[~seen[nxt]]
+    rows = np.sort(np.concatenate(found)).astype(np.intc)
+    return rows, pick[rows].astype(np.intc)
 
 
 def _fixed_arrays(g: _Graph, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_policy_actions` as two arrays: the states and their actions."""
-    fixed = _policy_actions(g, policy)
-    return (
-        np.fromiter(fixed.keys(), np.intc, len(fixed)),
-        np.fromiter(fixed.values(), np.intc, len(fixed)),
-    )
+    """A fixed deterministic policy as two arrays: the non-terminal states
+    reachable under it and the index of each one's action.  A function that
+    returns an action not legal in its state is a ValueError; a
+    :class:`SolveResult` solved on ``g`` itself and :data:`PRESCRIBED` are
+    read by index, walked once and kept (callers do not modify the arrays)."""
+    if policy is PRESCRIBED:
+        if g.prescribed is None:
+            g.prescribed = _walk(g, g.act_lo[:-1])
+        return g.prescribed
+    if isinstance(policy, SolveResult) and policy._graph is g:
+        return policy._fixed
+    policy_fn = policy.policy.__getitem__ if isinstance(policy, SolveResult) else policy
+    fixed: dict[int, int] = {}
+    stack = [len(g.leaf_of) - 1]
+    while stack:
+        i = stack.pop()
+        lo, hi = g.act_lo[i : i + 2].tolist()
+        if lo == hi or i in fixed:  # terminal, or seen
+            continue
+        state = _decode_states(g, [i])[0]
+        action = policy_fn(state)
+        try:
+            a = fixed[i] = lo + g.act[lo:hi].tolist().index(_action_code(action))
+        except ValueError:
+            raise ValueError(f"action {action} invalid in state {state}") from None
+        stack.extend(g.succ[g.succ_lo[a] : g.succ_lo[a + 1]].tolist())
+    rows = np.array(sorted(fixed), np.intc)
+    return rows, np.array([fixed[i] for i in rows.tolist()], np.intc)
+
+
+def _policy_actions(g: _Graph, policy: Policy) -> dict[int, int]:
+    """:func:`_fixed_arrays` as a map from state index to action index."""
+    return dict(zip(*(a.tolist() for a in _fixed_arrays(g, policy))))
 
 
 def policy_value(
@@ -634,7 +1142,8 @@ def policy_value(
     """Exact value of a fixed deterministic policy on the same state graph.
     A function ``policy`` is called once on each non-terminal state
     reachable under it and must return one of that state's legal actions;
-    a :class:`SolveResult` of the same game plays its optimal policy."""
+    a :class:`SolveResult` of the same game plays its optimal policy, and
+    :data:`PRESCRIBED` the prescribed one."""
     g = _graph(inst, graphs)
     rows, acts = _fixed_arrays(g, policy)
     values, _choices = _evaluate(g, inst.phi, _plan(g, rows, acts, np.ones_like(acts)))
@@ -667,8 +1176,7 @@ def rollout_rewards(
     are drawn ``_DRAWS`` at a time, the same stream as one draw per step."""
     g = _graph(inst, graphs)
     rows, acts = _fixed_arrays(g, policy)
-    succ_lo = np.frombuffer(g.succ_lo, np.intc)
-    succ = np.frombuffer(g.succ, np.intc)
+    succ_lo, succ = g.succ_lo, g.succ
     # Each state's step as (c0, s0, c1, s1, s2): successor s0 below the
     # cumulative probability c0, else s1 below c1, else s2.  With fewer
     # than three successors a threshold of inf stands for a missing one.
@@ -683,7 +1191,7 @@ def rollout_rewards(
     rng = np.random.default_rng(as_seedseq(seed))
     draw = chain.from_iterable(iter(lambda: rng.random(_DRAWS).tolist(), None)).__next__
     get = step.get
-    root = len(g.states) - 1
+    root = len(g.leaf_of) - 1
     ends = []
     for _ in range(games):
         i = root
@@ -692,7 +1200,7 @@ def rollout_rewards(
             r = draw()
             i = s0 if r < c0 else s1 if r < c1 else s2
         ends.append(i)
-    leaf = np.frombuffer(g.leaf_of, np.intc)[np.array(ends, dtype=np.intp)]
+    leaf = g.leaf_of[np.array(ends, dtype=np.intp)]
     return _leaf_rewards(g.leaves, inst.phi, g.ell)[leaf]
 
 
@@ -788,13 +1296,16 @@ def best_response(
             best_solve = res
 
     presc_inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=j_presc)
-    presc_fn = partial(prescribed_action, presc_inst)
-    presc_value = policy_value(presc_inst, presc_fn, graphs)
+    presc_value = policy_value(presc_inst, PRESCRIBED, graphs)
 
     shape_match = False
     if best_solve is not None and best_j == j_presc:
         g = _graph(presc_inst, graphs)
-        shape_match = _policy_actions(g, best_solve) == _policy_actions(g, presc_fn)
+        best_rows, best_acts = _fixed_arrays(g, best_solve)
+        presc_rows, presc_acts = _fixed_arrays(g, PRESCRIBED)
+        shape_match = np.array_equal(best_rows, presc_rows) and np.array_equal(
+            best_acts, presc_acts
+        )
 
     rollout_mean = rollout_stderr = math.nan
     presc_mean = presc_stderr = math.nan
@@ -803,7 +1314,7 @@ def best_response(
         rewards = rollout_rewards(best_solve.instance, best_solve, games, child_best, graphs)
         rollout_mean = float(rewards.mean())
         rollout_stderr = float(rewards.std(ddof=1) / math.sqrt(games))
-        presc_rewards = rollout_rewards(presc_inst, presc_fn, games, child_presc, graphs)
+        presc_rewards = rollout_rewards(presc_inst, PRESCRIBED, games, child_presc, graphs)
         presc_mean = float(presc_rewards.mean())
         presc_stderr = float(presc_rewards.std(ddof=1) / math.sqrt(games))
         denom = math.sqrt(rollout_stderr**2 + presc_stderr**2)

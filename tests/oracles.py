@@ -4,13 +4,21 @@ These deliberately avoid the library's compressed state representations:
 the game oracle runs exhaustive expectimax over explicit block trees, and
 the race oracle is a plain dynamic program over step outcomes.  The scalar
 references at the end walk a compiled MDP graph state by state, one float
-operation at a time, for the array-native passes to match bit for bit.
+operation at a time, for the array-native passes to match bit for bit, and
+the reference compile builds a game's graph by a recursive depth-first
+search over the readable one-step model, for the integer-coded compile to
+match array for array.
 """
 
 import math
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
+
+from hebsim import mdp
 
 
 def game_value(ell, share, phi, rho, alloc_j):
@@ -225,7 +233,7 @@ def rollout(g, fixed, phi, games, rng):
     rewards = np.empty(games, dtype=float)
     draws = 0
     for n in range(games):
-        i = len(g.states) - 1
+        i = len(leaf_of) - 1
         while leaf_of[i] < 0:
             r = rng.random()
             draws += 1
@@ -240,3 +248,84 @@ def rollout(g, fixed, phi, games, rng):
                     break
         rewards[n] = leaf_reward(g.leaves[leaf_of[i]].tolist(), phi, g.ell)
     return rewards, draws
+
+
+# -- reference compile (the recursive exploration hebsim.mdp._compile replaced) --
+
+
+@dataclass
+class RefGraph:
+    """A compiled graph as the reference compile lays it out: ``states`` in
+    depth-first post-order, each state after all its successors and the
+    initial state last, with the arrays of ``hebsim.mdp._Graph``."""
+
+    ell: int
+    states: list = field(default_factory=list)
+    leaves: Optional[np.ndarray] = None  # int32, one row of 9 counts per leaf
+    leaf_of: array = field(default_factory=lambda: array("i"))
+    level: Optional[np.ndarray] = None  # intc
+    inner: array = field(default_factory=lambda: array("i"))  # non-terminal states
+    act_lo: array = field(default_factory=lambda: array("i", [0]))
+    actions: list = field(default_factory=list)
+    succ_lo: array = field(default_factory=lambda: array("i", [0]))
+    succ: array = field(default_factory=lambda: array("i"))
+    prob_of: Optional[np.ndarray] = None  # unsigned int, an index into probs
+    probs: Optional[np.ndarray] = None
+
+
+def compile_graph(inst):
+    """Explore the state graph from the initial state, depth first, in the
+    order of :func:`legal_actions` and :func:`successors`; each chain move
+    is resolved once for both block types."""
+    g = RefGraph(inst.ell)
+    index = {}
+    leaf_ids = {}
+    action_ids = {}  # one object per distinct action
+    prob = array("d")
+    level = []
+
+    def visit(state):  # a state not yet in ``index``
+        leaf = mdp._leaf(inst, state)
+        if leaf is None:
+            acts = []
+            branches = []
+            ends = []
+            for move, m, inter in mdp._chain_moves(inst, state):
+                cohort = mdp._cohort_blocks(inst, inter)
+                for kind in mdp._kinds(inst, inter):
+                    acts.append((move, m, kind))
+                    branches += mdp._attacker_block(inst, inter, kind)
+                    branches += cohort
+                    ends.append(len(branches))
+            ids = [j if (j := index.get(s)) is not None else visit(s) for _p, s in branches]
+            base = len(g.succ)  # after the recursion above has appended its own
+            g.actions += [action_ids.setdefault(a, a) for a in acts]
+            g.succ_lo.extend([base + e for e in ends])
+            prob.extend([p for p, _s in branches])
+            g.succ.extend(ids)
+            g.inner.append(len(g.states))
+            g.leaf_of.append(-1)
+            level.append(1 + max(map(level.__getitem__, ids)))
+        else:
+            g.leaf_of.append(leaf_ids.setdefault(leaf, len(leaf_ids)))
+            level.append(0)
+        g.act_lo.append(len(g.actions))
+        i = index[state] = len(g.states)
+        if i >= mdp.MAX_STATES:
+            raise mdp.StateBudgetError(
+                f"the game at ell={inst.ell} has more than {mdp.MAX_STATES:,} states "
+                "(mdp.MAX_STATES)"
+            )
+        g.states.append(state)
+        return i
+
+    visit(mdp.initial_state())
+    # visit refers to itself; unbinding it frees the exploration's tables now
+    # rather than at the next cyclic garbage collection
+    del visit
+    g.leaves = np.array(list(leaf_ids), dtype=np.int32)
+    g.level = np.array(level, dtype=np.intc)
+    g.probs, codes = np.unique(np.frombuffer(prob), return_inverse=True)
+    # two more codes stand for 0.0 and 1.0 in _plan
+    g.prob_of = codes.astype(np.min_scalar_type(len(g.probs) + 1))
+    return g

@@ -582,6 +582,143 @@ class TestArrayPasses:
             assert self._hex(got) == self._hex(want)
 
 
+def _golden_graphs(ell):
+    """One instance per distinct graph of TestGolden's sweep at one ell:
+    a graph depends on the factor only through whether it is 1."""
+    for share in (0.2, 0.35):
+        for phi in (1.0, 1.0 + 1e-9):
+            for rho in (0.0, 0.5):
+                allocs = [None] if rho == 0.0 else range(math.floor(ell * share / rho + 1e-9) + 1)
+                for alloc in allocs:
+                    for mode in ("prefix", "all"):
+                        yield MdpInstance(ell=ell, share=share, phi=phi, rho=rho,
+                                          alloc=alloc, publish_mode=mode)
+
+
+class TestIntegerCompile:
+    """The frontier-by-frontier numpy compile against the recursive
+    reference in ``oracles`` and against the one-step model."""
+
+    # 17-bit secret masks in one-word keys, after seven 5-bit counts
+    WIDE = MdpInstance(ell=17, share=0.9, phi=20.0, rho=0.5, alloc=0)
+    # keys of two words: 30-bit secret masks after seven 5-bit counts
+    TWO_WORDS = MdpInstance(ell=30, share=1.0, phi=20.0, rho=0.5, alloc=1)
+
+    @pytest.mark.parametrize(
+        "insts",
+        [list(_golden_graphs(ell)) for ell in range(2, 6)] + [[WIDE], [TWO_WORDS]],
+        ids=[f"ell{ell}" for ell in range(2, 6)] + ["ell17-wide", "ell30-two-words"],
+    )
+    def test_matches_reference_compile(self, insts):
+        for inst in insts:
+            want = oracles.compile_graph(inst)
+            g = mdp._compile(inst)
+            # the reference's order is the depth-first post-order
+            post = mdp._post_order(g)
+            rank = np.empty(len(post), np.intp)
+            rank[post] = np.arange(len(post))
+            acts = mdp._ranges(g.act_lo[post], np.diff(g.act_lo)[post])
+            edges = mdp._ranges(g.succ_lo[acts], np.diff(g.succ_lo)[acts])
+            assert mdp._decode_states(g, post) == want.states, inst
+            assert list(map(mdp._decode_action, g.act[acts].tolist())) == want.actions
+            assert np.diff(g.act_lo)[post].tolist() == np.diff(want.act_lo).tolist()
+            assert np.diff(g.succ_lo)[acts].tolist() == np.diff(want.succ_lo).tolist()
+            assert rank[g.succ[edges]].tolist() == want.succ.tolist()
+            assert g.probs.tolist() == want.probs.tolist()
+            assert g.prob_of.dtype == want.prob_of.dtype
+            assert g.prob_of[edges].tolist() == want.prob_of.tolist()
+            assert g.level[post].tolist() == want.level.tolist()
+            leaf_of, want_leaf_of = g.leaf_of[post], np.asarray(want.leaf_of)
+            assert (leaf_of < 0).tolist() == (want_leaf_of < 0).tolist()
+            leaves = g.leaves[leaf_of[leaf_of >= 0]]
+            assert leaves.tolist() == want.leaves[want_leaf_of[want_leaf_of >= 0]].tolist()
+            # numbered by level, the initial state last
+            assert (np.diff(g.level) >= 0).all() and post[-1] == len(post) - 1
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=alloc, publish_mode=mode)
+            for ell in (1, 3, 5)
+            for share, phi, rho, alloc in (
+                (0.35, 20.0, 0.0, None),
+                (0.35, 1.0, 0.0, None),
+                (0.6, 20.0, 0.5, 1),
+                (0.6, 1.0, 0.5, 0),
+            )
+            for mode in ("prefix", "all")
+        ],
+        ids=lambda inst: f"ell{inst.ell}-phi{inst.phi:g}-rho{inst.rho:g}-{inst.publish_mode}",
+    )
+    def test_compiled_graph_follows_the_one_step_model(self, inst):
+        g = mdp._compile(inst)
+        states = mdp._decode_states(g, np.arange(len(g.leaf_of)))
+        actions = list(map(mdp._decode_action, g.act.tolist()))
+        probs = g.probs[g.prob_of].tolist()
+        rewards = mdp._leaf_rewards(g.leaves, inst.phi, inst.ell).tolist()
+        act_lo, succ_lo, succ = g.act_lo.tolist(), g.succ_lo.tolist(), g.succ.tolist()
+        for i, state in enumerate(states):
+            if g.leaf_of[i] >= 0:
+                assert rewards[g.leaf_of[i]] == terminal_value(inst, state)
+                continue
+            assert terminal_value(inst, state) is None
+            assert actions[act_lo[i] : act_lo[i + 1]] == legal_actions(inst, state)
+            for a in range(act_lo[i], act_lo[i + 1]):
+                edges = range(succ_lo[a], succ_lo[a + 1])
+                got = [(probs[e], states[succ[e]]) for e in edges]
+                assert got == successors(inst, state, actions[a])
+
+    def test_secret_masks_span_words(self):
+        # an extension longer than 64 blocks spans words: against Python ints
+        rng = np.random.default_rng(0)
+        length = rng.integers(0, 130, 200)
+        masks = [int(rng.integers(0, 2, n) @ (1 << np.arange(n, dtype=object))) if n else 0
+                 for n in length.tolist()]
+        words = np.array([[m >> 64 * k & (2**64 - 1) for k in range(3)] for m in masks], np.uint64)
+
+        def ints(w):
+            return [sum(int(x) << 64 * k for k, x in enumerate(row)) for row in w.tolist()]
+
+        keep = rng.integers(0, length + 1)
+        factored = rng.integers(0, 2, len(masks)).astype(bool)
+        assert mdp._popcount(words).tolist() == [bin(m).count("1") for m in masks]
+        assert ints(mdp._last(words, keep)) == [
+            m & (1 << k) - 1 for m, k in zip(masks, keep.tolist())
+        ]
+        assert ints(mdp._append(words, factored)) == [
+            2 * m + f for m, f in zip(masks, factored.tolist())
+        ]
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            MdpInstance(ell=7, share=0.2, phi=20.0, rho=0.5, alloc=1),
+            MdpInstance(ell=7, share=0.2, phi=1.0, rho=0.5, alloc=2),
+            MdpInstance(ell=6, share=0.35, phi=5.0, rho=0.0),
+            MdpInstance(ell=5, share=0.3, phi=20.0, rho=0.5, alloc=1, publish_mode="all"),
+        ],
+    )
+    def test_prescribed_by_index_matches_prescribed_action(self, inst):
+        g = mdp._compile(inst)
+        want = mdp._policy_actions(g, partial(prescribed_action, inst))
+        assert mdp._policy_actions(g, mdp.PRESCRIBED) == want
+        presc = partial(prescribed_action, inst)
+        assert policy_value(inst, mdp.PRESCRIBED) == policy_value(inst, presc)
+
+    def test_state_budget_checked_before_each_frontier(self, monkeypatch):
+        # the budget stops the compile before the frontier that crosses it
+        # is expanded, not once every state is built
+        expanded = []
+        expand = mdp._expand
+        monkeypatch.setattr(mdp, "_expand", lambda *a: expanded.append(len(a[1])) or expand(*a))
+        monkeypatch.setattr(mdp, "MAX_STATES", 1000)
+        with pytest.raises(StateBudgetError):
+            mdp._compile(TestStateBudget.INST)
+        assert 0 < sum(expanded) <= 1000
+        monkeypatch.setattr(mdp, "MAX_STATES", 10**9)
+        assert len(mdp._compile(TestStateBudget.INST).leaf_of) == 35703
+
+
 class TestOracleEll4:
     def test_exhaustive_oracle_ell4(self):
         inst = MdpInstance(ell=4, share=0.4, phi=5.0, rho=0.5, alloc=1)
