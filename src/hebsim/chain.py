@@ -13,7 +13,7 @@ import numbers
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 REGULAR = "regular"
 FACTORED = "factored"
@@ -33,12 +33,15 @@ def as_fraction(x: Union[int, float, Fraction, str]) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A tree node: unit of the global storage.
 
     ``parent`` and ``creator`` are ``None`` exactly for the genesis block.
     ``kind`` is one of :data:`REGULAR` / :data:`FACTORED`.
+
+    A ``Block`` is an immutable tuple ``(id, parent, creator, kind,
+    height)``: assigning a field raises, and a block compares equal to a
+    plain tuple holding the same fields.
     """
 
     id: int
@@ -51,16 +54,7 @@ class Block:
         return self.parent is None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "id": self.id,
-                "parent": self.parent,
-                "creator": self.creator,
-                "kind": self.kind,
-                "height": self.height,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self._asdict(), sort_keys=True)
 
     @staticmethod
     def from_json(line: str) -> "Block":
@@ -242,43 +236,45 @@ class BlockStore:
     # -- append --------------------------------------------------------------------
 
     def append(self, block: Block) -> None:
-        if block.id in self._blocks:
-            raise ChainError(f"duplicate id {block.id}")
-        if block.parent is None:
+        bid, parent_id, creator, kind, height = block
+        blocks = self._blocks
+        if bid in blocks:
+            raise ChainError(f"duplicate id {bid}")
+        if parent_id is None:
             if self._genesis_id is not None:
                 raise ChainError("second genesis rejected")
-            if block.height != 0:
+            if height != 0:
                 raise ChainError("genesis height must be 0")
-            self._genesis_id = block.id
-            self._fac_total[block.id] = 0
-            self._fac_by[block.id] = self._cnt_by[block.id] = array("I", [0])
+            self._genesis_id = bid
+            self._fac_total[bid] = 0
+            self._fac_by[bid] = self._cnt_by[bid] = array("I", [0])
         else:
-            if block.parent not in self._blocks:
-                raise ChainError(f"missing parent {block.parent}")
-            parent = self._blocks[block.parent]
-            if block.height != parent.height + 1:
+            parent = blocks.get(parent_id)
+            if parent is None:
+                raise ChainError(f"missing parent {parent_id}")
+            if height != parent.height + 1:
                 raise ChainError(
-                    f"height {block.height} != parent height {parent.height} + 1"
+                    f"height {height} != parent height {parent.height} + 1"
                 )
-            if block.kind not in _KINDS:
-                raise ChainError(f"unknown block kind {block.kind!r}")
-            if block.creator is None:
+            if kind not in _KINDS:
+                raise ChainError(f"unknown block kind {kind!r}")
+            if creator is None:
                 raise ChainError("non-genesis block must carry a creator")
-            slot = self._slot.setdefault(block.creator, len(self._slot) + 1)
-            fac = self._fac_total[block.parent]
-            fac_by = self._fac_by[block.parent]
-            if block.kind == FACTORED:
+            slot = self._slot.setdefault(creator, len(self._slot) + 1)
+            fac = self._fac_total[parent_id]
+            fac_by = self._fac_by[parent_id]
+            if kind == FACTORED:
                 fac += 1
                 fac_by = _bumped(fac_by, slot)
-            self._fac_total[block.id] = fac
-            self._fac_by[block.id] = fac_by
-            self._cnt_by[block.id] = _bumped(self._cnt_by[block.parent], slot)
-        self._blocks[block.id] = block
-        if block.height > self.max_height:
-            self.max_height = block.height
-            self._max_tips = [block.id]
-        elif block.height == self.max_height:
-            self._max_tips.append(block.id)
+            self._fac_total[bid] = fac
+            self._fac_by[bid] = fac_by
+            self._cnt_by[bid] = _bumped(self._cnt_by[parent_id], slot)
+        blocks[bid] = block
+        if height > self.max_height:
+            self.max_height = height
+            self._max_tips = [bid]
+        elif height == self.max_height:
+            self._max_tips.append(bid)
 
     # -- path accounting -------------------------------------------------------------
 

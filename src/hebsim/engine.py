@@ -4,6 +4,15 @@ generation, and the publication fixpoint loop.
 A single epoch run is strictly sequential and deterministic given its seed.
 ``run_games`` executes independent runs (optionally in parallel) and merges
 their statistics keyed on run index, so parallelism never changes output.
+
+Each run derives a scheduler stream and one stream per miner from its seed
+(:func:`derive_streams`).  The scheduler draws its uniforms in batches
+sized to the blocks the epoch still misses (64 to 4,096 at a time), one per
+step, so a run selects exactly the miners that one ``random()`` call per
+step would; draws left over when the epoch ends are discarded, since the
+scheduler stream feeds nothing else.  A miner's generator is built the
+first time her strategy reads ``MinerView.rng``: prescribed miners draw
+only to break ties between longest chains, and most epochs have none.
 """
 
 from __future__ import annotations
@@ -12,10 +21,10 @@ import hashlib
 import json
 import math
 import warnings
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
@@ -67,7 +76,11 @@ class MinerView:
     :meth:`factored_used` and :meth:`blocks_used` count the miner's private
     blocks plus her public ones above ``epoch_start_tip`` (none when the
     public part ends at or below ``epoch_start_height``).  Her counts at
-    ``epoch_start_tip`` are read once, when the view is built."""
+    ``epoch_start_tip`` are read once, when the view is built.
+
+    ``rng`` is the miner's stream.  It may be given as a zero-argument
+    function returning the generator, which then runs the first time
+    ``rng`` is read."""
 
     __slots__ = (
         "miner_id",
@@ -78,7 +91,7 @@ class MinerView:
         "quota_limit",
         "epoch_start_height",
         "epoch_start_tip",
-        "rng",
+        "_rng",
         "_factored_at_start",
         "_blocks_at_start",
     )
@@ -93,7 +106,7 @@ class MinerView:
         quota_limit: Optional[int],
         epoch_start_height: int,
         epoch_start_tip: int,
-        rng: np.random.Generator,
+        rng: Union[np.random.Generator, Callable[[], np.random.Generator]],
     ):
         self.miner_id = miner_id
         self.store = store
@@ -103,9 +116,15 @@ class MinerView:
         self.quota_limit = quota_limit
         self.epoch_start_height = epoch_start_height
         self.epoch_start_tip = epoch_start_tip
-        self.rng = rng
+        self._rng = rng
         self._factored_at_start = store.factored_by_on_path(epoch_start_tip, miner_id)
         self._blocks_at_start = store.count_by_on_path(epoch_start_tip, miner_id)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        if not isinstance(self._rng, np.random.Generator):
+            self._rng = self._rng()
+        return self._rng
 
     def public_tips(self) -> list[int]:
         return self.store.tip_ids()
@@ -244,6 +263,17 @@ def as_seedseq(seed: SeedLike) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _stream(ss: np.random.SeedSequence, key: tuple[int, ...]) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + key)
+    )
+
+
+def miner_stream(seed: SeedLike, miner_id: str) -> np.random.Generator:
+    """The stream of miner ``miner_id`` under ``seed``."""
+    return _stream(as_seedseq(seed), (1, _stable_id_key(miner_id)))
+
+
 def derive_streams(
     seed: SeedLike, miner_ids: Sequence[str]
 ) -> tuple[np.random.Generator, dict[str, np.random.Generator]]:
@@ -253,19 +283,7 @@ def derive_streams(
     the draws of the others.
     """
     ss = as_seedseq(seed)
-    base_key = tuple(ss.spawn_key)
-    sched = np.random.default_rng(
-        np.random.SeedSequence(entropy=ss.entropy, spawn_key=base_key + (0,))
-    )
-    miners = {
-        m: np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=ss.entropy, spawn_key=base_key + (1, _stable_id_key(m))
-            )
-        )
-        for m in miner_ids
-    }
-    return sched, miners
+    return _stream(ss, (0,)), {m: miner_stream(ss, m) for m in miner_ids}
 
 
 # -- balance setup -----------------------------------------------------------------
@@ -302,9 +320,11 @@ def normalized_balances(
 
 def miner_selector(
     external_balances: dict[str, Union[Fraction, float]],
-) -> Callable[[np.random.Generator], str]:
-    """A function drawing a miner id with probability proportional to
-    external balance, one ``rng.random()`` per draw.
+) -> Callable[[np.random.Generator, int], list[str]]:
+    """A function ``draw(rng, n)`` returning ``n`` miner ids, each drawn with
+    probability proportional to external balance from one uniform of
+    ``rng.random(n)``: the first miner whose cumulative share exceeds it,
+    else the last.
 
     The draw consumes relative weights, so uniformly scaling all balances
     (e.g. two protocols whose allocations differ by a constant factor)
@@ -314,13 +334,21 @@ def miner_selector(
     total = sum(external_balances[m] for m in ids)
     if total <= 0:
         raise StalledSystemError("all external balances are zero")
-    cumulative = list(
+    cumulative = np.fromiter(
         accumulate(
             float(Fraction(external_balances[m]) / Fraction(total)) for m in ids
-        )
+        ),
+        dtype=float,
+        count=len(ids),
     )
+    names = np.array(ids, dtype=object)
     last = len(ids) - 1
-    return lambda rng: ids[min(bisect_right(cumulative, rng.random()), last)]
+
+    def draw(rng: np.random.Generator, n: int) -> list[str]:
+        picks = np.searchsorted(cumulative, rng.random(n), side="right")
+        return names[np.minimum(picks, last)].tolist()
+
+    return draw
 
 
 def select_miner(
@@ -328,7 +356,7 @@ def select_miner(
     rng: np.random.Generator,
 ) -> str:
     """One draw of :func:`miner_selector`."""
-    return miner_selector(external_balances)(rng)
+    return miner_selector(external_balances)(rng, 1)[0]
 
 
 # -- the scheduler ------------------------------------------------------------------
@@ -398,17 +426,20 @@ def run_epoch(
     start_tip = start_main.blocks[start_len]
     next_id = 1 + max(b.id for b in store.blocks())
 
-    sched_rng, miner_rngs = derive_streams(seed, ids)
+    ss = as_seedseq(seed)
+    sched_rng = _stream(ss, (0,))
 
     allocations = {m.id: allocate(m, params, protocol) for m in miners}
-    by_id = {m.id: m for m in miners}
     views = {}
     for m in miners:
         alloc = allocations[m.id]
         views[m.id] = MinerView(
             m.id, store, {}, params, alloc, params.quota_limit(alloc.internal),
-            start_len, start_tip.id, miner_rngs[m.id],
+            start_len, start_tip.id, partial(miner_stream, ss, m.id),
         )
+    # bound once per run, so a strategy class patched before the run is seen
+    generate = {m.id: m.strategy.generate_block for m in miners}
+    publish = {m.id: m.strategy.publish for m in miners}
 
     select = miner_selector({m.id: allocations[m.id].external for m in miners})
     quota_mode = protocol.quota_mode
@@ -421,20 +452,21 @@ def run_epoch(
 
     # miners whose ``local`` is non-empty: the only ones ``publish`` is asked
     holders: set[str] = set()
+    cap = max(params.epoch_len * len(miners), 16)
 
     def publication_fixpoint() -> None:
-        cap = max(params.epoch_len * len(miners), 16)
         rounds = 0
-        while True:
+        while holders:
             batch: list[Block] = []
-            for mid in sorted(holders):
+            for mid in sorted(holders) if len(holders) > 1 else holders:
                 view = views[mid]
-                for bid in by_id[mid].strategy.publish(view):
-                    if bid not in view.local:
+                local = view.local
+                for bid in publish[mid](view):
+                    if bid not in local:
                         raise StrategyFault(
                             f"miner {mid} published block {bid} it does not hold"
                         )
-                    batch.append(view.local[bid])
+                    batch.append(local[bid])
             if not batch:
                 return
             rounds += 1
@@ -442,7 +474,8 @@ def run_epoch(
                 raise PublicationLoopError(
                     f"publication loop exceeded {cap} rounds"
                 )
-            batch.sort(key=lambda b: (b.height, b.id))
+            if len(batch) > 1:
+                batch.sort(key=lambda b: (b.height, b.id))
             for b in batch:
                 try:
                     store.append(b)
@@ -458,15 +491,21 @@ def run_epoch(
     steps = 0
     created = 0
     max_steps = 1000 + 100 * params.epoch_len
+    draws = iter(())
     while store.main_chain_length() < target_len:
         steps += 1
         if steps > max_steps:
             raise RuntimeError(
                 f"epoch did not terminate within {max_steps} scheduler steps"
             )
-        mid = select(sched_rng)
+        mid = next(draws, None)
+        if mid is None:
+            # one uniform per step, drawn in batches sized to what is missing
+            missing = target_len - store.main_chain_length()
+            draws = iter(select(sched_rng, min(max(missing, 64), 4096)))
+            mid = next(draws)
         view = views[mid]
-        result = by_id[mid].strategy.generate_block(view)
+        result = generate[mid](view)
         if result is None:
             # mandatory-expenditure protocols: the selected miner has no
             # quota left; her mining power is wasted this step.

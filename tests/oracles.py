@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's compressed state representations:
 the game oracle runs exhaustive expectimax over explicit block trees, and
-the race oracle is a plain dynamic program over step outcomes.  The scalar
+the race oracle is a plain dynamic program over step outcomes.  The
+scheduler oracle selects an epoch's miners with one draw per step, as the
+engine did before it drew its uniforms in batches.  The scalar
 references at the end walk a compiled MDP graph state by state, one float
 operation at a time, for the array-native passes to match bit for bit, and
 the reference compile builds a game's graph by a recursive depth-first
@@ -12,8 +14,10 @@ match array for array.
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -248,6 +252,22 @@ def rollout(g, fixed, phi, games, rng):
                     break
         rewards[n] = leaf_reward(g.leaves[leaf_of[i]].tolist(), phi, g.ell)
     return rewards, draws
+
+
+def scheduler(external_balances, sched_rng, steps):
+    """The miners of ``steps`` scheduler steps, one ``sched_rng.random()``
+    per step: the first miner in id order whose cumulative share of the
+    external balance exceeds the draw, else the last."""
+    ids = sorted(external_balances)
+    total = sum(Fraction(external_balances[m]) for m in ids)
+    cumulative = list(
+        accumulate(float(Fraction(external_balances[m]) / total) for m in ids)
+    )
+    last = len(ids) - 1
+    return [
+        ids[min(bisect_right(cumulative, sched_rng.random()), last)]
+        for _ in range(steps)
+    ]
 
 
 # -- reference compile (the recursive exploration hebsim.mdp._compile replaced) --

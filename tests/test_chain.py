@@ -79,6 +79,21 @@ def brute_force_main_prefix(store):
     return prefix
 
 
+class TestBlock:
+    def test_fields_cannot_be_assigned(self):
+        b = Block(1, 0, "a", REGULAR, 1)
+        for field in ("id", "parent", "creator", "kind", "height"):
+            with pytest.raises(AttributeError):
+                setattr(b, field, None)
+
+    def test_json_round_trip(self):
+        for b in (genesis_block(0), Block(7, 3, "miner", FACTORED, 4)):
+            assert Block.from_json(b.to_json()) == b
+
+    def test_equals_tuple_of_its_fields(self):
+        assert Block(1, 0, "a", REGULAR, 1) == (1, 0, "a", REGULAR, 1)
+
+
 class TestAppend:
     def test_genesis_only(self):
         store = BlockStore()

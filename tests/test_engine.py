@@ -6,9 +6,11 @@ import pytest
 from scipy.stats import chisquare
 
 from hebsim.chain import EpochParams, FACTORED, REGULAR, epoch_slice
+from hebsim import engine
 from hebsim.engine import (
     Allocation,
     MinerConfig,
+    MinerView,
     StalledSystemError,
     StrategyFault,
     derive_streams,
@@ -18,6 +20,8 @@ from hebsim.engine import (
     select_miner,
 )
 from hebsim.protocols import get_protocol, make_strategy
+
+import oracles
 
 
 def nakamoto_miners(shares, params):
@@ -497,6 +501,155 @@ class TestPublicationFixpoint:
             pytest.fail("no seed exercised the two-round scenario")
 
 
+class StepRecorder:
+    """Plays ``inner`` and appends the miner id of every ``generate_block``
+    call (one per scheduler step, wasted steps included) to ``log``; with
+    ``draws``, also draws from ``view.rng`` at each call and records the
+    values per miner."""
+
+    def __init__(self, inner, log, draws=None):
+        self.inner = inner
+        self.log = log
+        self.draws = draws
+
+    def allocate(self, balance, params):
+        return self.inner.allocate(balance, params)
+
+    def generate_block(self, view):
+        self.log.append(view.miner_id)
+        if self.draws is not None:
+            self.draws.setdefault(view.miner_id, []).append(view.rng.random())
+        return self.inner.generate_block(view)
+
+    def publish(self, view):
+        return self.inner.publish(view)
+
+
+def recorded_run(params, proto, plays, seed, draws=None):
+    """Run one epoch of ``plays`` (id, balance, strategy name) and return
+    its result, the miner selected at each step, and the selections the
+    one-draw-per-step oracle makes from the same scheduler stream."""
+    log = []
+    miners = [
+        MinerConfig(m, Fraction(b), StepRecorder(make_strategy(name, proto), log, draws))
+        for m, b, name in plays
+    ]
+    res = run_epoch(params, miners, proto, seed)
+    external = {m.id: m.strategy.allocate(m.balance, params).external for m in miners}
+    sched, _ = derive_streams(seed, sorted(external))
+    return res, log, oracles.scheduler(external, sched, res.steps)
+
+
+NAKAMOTO_LONG = [("a", 1500, "prescribed"), ("b", 3500, "prescribed")]
+NAKAMOTO_LONG_PARAMS = EpochParams(epoch_len=5000, user_balance=Fraction(10**7))
+
+
+class TestSchedulerStream:
+    """The batched scheduler selects exactly the miners that one
+    ``random()`` draw per step selects."""
+
+    def test_wasted_steps_each_use_one_draw(self):
+        params = EpochParams(
+            epoch_len=6, factor=Fraction(20), rho=Fraction(1, 2),
+            user_balance=Fraction(10**6),
+        )
+        proto = get_protocol("heb_mandatory")
+        res, log, expected = recorded_run(
+            params, proto, [("a", 2, "prescribed"), ("b", 4, "prescribed")], seed=5
+        )
+        assert res.steps - res.blocks_created == 3
+        assert log == expected
+
+    def test_batch_refills_without_losing_a_draw(self):
+        res, log, expected = recorded_run(
+            NAKAMOTO_LONG_PARAMS, get_protocol("nakamoto"), NAKAMOTO_LONG, seed=2
+        )
+        assert res.steps > 4096
+        assert log == expected
+        # the comparison is sharp: one draw lost or repeated at the first
+        # refill shifts the later selections
+        sched, _ = derive_streams(2, ["a", "b"])
+        picks = oracles.scheduler({"a": 1500, "b": 3500}, sched, len(log) + 1)
+        assert log != picks[:4096] + picks[4097:]  # draw 4097 lost
+        assert log != picks[:4096] + picks[4095:-2]  # draw 4096 repeated
+
+    def test_epoch_ended_by_batch_publication(self):
+        params = EpochParams(
+            epoch_len=50, factor=Fraction(20), rho=Fraction(1, 2),
+            user_balance=Fraction(10**6),
+        )
+        proto = get_protocol("heb")
+        res, log, expected = recorded_run(
+            params,
+            proto,
+            [("a", 15, "prescribed"), ("b", 15, "prescribed"), ("w", 20, "pow_only")],
+            seed=0,
+        )
+        # the withholder's 50 blocks, published at once, end the epoch
+        assert res.stats["w"] == (50, Fraction(50))
+        assert res.main.tip.creator == "w"
+        assert res.steps > 64
+        assert log == expected
+
+
+class TestMinerStreams:
+    def test_lazy_streams_match_derived_streams(self):
+        # every miner draws at each of her steps: the draws from
+        # MinerView.rng are those of the streams derive_streams builds
+        params = EpochParams(epoch_len=30)
+        draws = {}
+        plays = [("a", 10, "prescribed"), ("b", 12, "prescribed"), ("c", 8, "prescribed")]
+        recorded_run(params, get_protocol("nakamoto"), plays, seed=17, draws=draws)
+        _, streams = derive_streams(17, ["a", "b", "c"])
+        assert set(draws) == {"a", "b", "c"}
+        for m, values in draws.items():
+            assert values == [streams[m].random() for _ in values]
+
+    def test_generator_not_built_for_a_miner_that_never_draws(self, monkeypatch):
+        built = []
+        orig = engine.miner_stream
+
+        def counting(seed, miner_id):
+            built.append(miner_id)
+            return orig(seed, miner_id)
+
+        monkeypatch.setattr(engine, "miner_stream", counting)
+        # a pow_only miner never draws; prescribed Nakamoto miners draw
+        # only between two longest chains, which a withholder who never
+        # publishes before the epoch ends does not create
+        params = EpochParams(epoch_len=10)
+        proto = get_protocol("nakamoto")
+        drawing = StepRecorder(make_strategy("prescribed", proto), [], {})
+        miners = [
+            MinerConfig("a", Fraction(6), make_strategy("prescribed", proto)),
+            MinerConfig("b", Fraction(3), drawing),
+            MinerConfig("w", Fraction(1), make_strategy("pow_only", proto)),
+        ]
+        res = run_epoch(params, miners, proto, seed=4)
+        assert res.stats["a"][0] + res.stats["b"][0] == 10
+        assert built == ["b"]
+
+    def test_view_builds_its_generator_once(self):
+        from hebsim.chain import BlockStore, genesis_block
+
+        store = BlockStore()
+        store.append(genesis_block(0))
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return np.random.default_rng(9)
+
+        view = MinerView(
+            "x", store, {}, EpochParams(epoch_len=4),
+            Allocation(Fraction(0), Fraction(1)), None, 0, 0, factory,
+        )
+        assert calls == []
+        first = view.rng
+        assert view.rng is first
+        assert calls == [1]
+
+
 class TestRunGames:
     def test_count_one_equals_single_run(self):
         params = EpochParams(epoch_len=20)
@@ -535,6 +688,23 @@ class TestRunGames:
         proto, miners = nakamoto_miners([0.5, 0.5], params)
         seq = run_games(params, miners, proto, 20, seed=3, jobs=1)
         par = run_games(params, miners, proto, 20, seed=3, jobs=2)
+        assert seq.to_csv() == par.to_csv()
+
+    def test_parallel_matches_sequential_heb_withholding(self):
+        # stores of forked, withheld Blocks come back from the workers intact
+        params = EpochParams(
+            epoch_len=20, factor=Fraction(20), rho=Fraction(1, 2),
+            user_balance=Fraction(10**6),
+        )
+        proto = get_protocol("heb")
+        balances = normalized_balances([0.3, 0.3, 0.4], params)
+        strategies = ("prescribed", "prescribed", "pow_only")
+        miners = [
+            MinerConfig(m, b, make_strategy(name, proto))
+            for m, b, name in zip("abw", balances, strategies)
+        ]
+        seq = run_games(params, miners, proto, 12, seed=6, jobs=1)
+        par = run_games(params, miners, proto, 12, seed=6, jobs=2)
         assert seq.to_csv() == par.to_csv()
 
 
@@ -663,6 +833,49 @@ GOLDEN_WITHHOLDING_RESULT = (
 )
 
 
+# heb_mandatory, quotas 2 (a) and 4 (b): three of the nine steps select a
+# miner whose quota is spent, and each still uses one scheduler draw
+GOLDEN_MANDATORY_STORE = """\
+{"creator": null, "height": 0, "id": 0, "kind": "regular", "parent": null}
+{"creator": "b", "height": 1, "id": 1, "kind": "regular", "parent": 0}
+{"creator": "b", "height": 2, "id": 2, "kind": "regular", "parent": 1}
+{"creator": "a", "height": 3, "id": 3, "kind": "regular", "parent": 2}
+{"creator": "a", "height": 4, "id": 4, "kind": "regular", "parent": 3}
+{"creator": "b", "height": 5, "id": 5, "kind": "regular", "parent": 4}
+{"creator": "b", "height": 6, "id": 6, "kind": "regular", "parent": 5}"""
+
+GOLDEN_MANDATORY_RESULT = (
+    '{"balances": {"a": "2000009/1000003", "b": "4000018/1000003"}, '
+    '"blocks_created": 6, "epoch_index": 0, "external_total": "3", '
+    '"internal_total": "3", "main_length": 6, "main_tip": 6, '
+    '"minted": {"a": "2", "b": "4"}, "prefix_ok": true, '
+    '"redistributed": {"a": "3/1000003", "b": "6/1000003"}, '
+    '"stats": {"a": [2, "2"], "b": [4, "4"]}, "steps": 9, '
+    '"user_payout": "3000000/1000003"}'
+)
+
+GOLDEN_NAKAMOTO3_STORE = """\
+{"creator": null, "height": 0, "id": 0, "kind": "regular", "parent": null}
+{"creator": "c", "height": 1, "id": 1, "kind": "regular", "parent": 0}
+{"creator": "c", "height": 2, "id": 2, "kind": "regular", "parent": 1}
+{"creator": "c", "height": 3, "id": 3, "kind": "regular", "parent": 2}
+{"creator": "a", "height": 4, "id": 4, "kind": "regular", "parent": 3}
+{"creator": "c", "height": 5, "id": 5, "kind": "regular", "parent": 4}
+{"creator": "b", "height": 6, "id": 6, "kind": "regular", "parent": 5}
+{"creator": "a", "height": 7, "id": 7, "kind": "regular", "parent": 6}
+{"creator": "c", "height": 8, "id": 8, "kind": "regular", "parent": 7}"""
+
+GOLDEN_NAKAMOTO3_RESULT = (
+    '{"balances": {"a": "2", "b": "1", "c": "5"}, "blocks_created": 8, '
+    '"epoch_index": 0, "external_total": "8", "internal_total": "0", '
+    '"main_length": 8, "main_tip": 8, '
+    '"minted": {"a": "2", "b": "1", "c": "5"}, "prefix_ok": true, '
+    '"redistributed": {"a": "0", "b": "0", "c": "0"}, '
+    '"stats": {"a": [2, "2"], "b": [1, "1"], "c": [5, "5"]}, '
+    '"steps": 8, "user_payout": "0"}'
+)
+
+
 class TestGoldenRun:
     def test_frozen_epoch_serialization(self):
         # regression pin: the exact store and result bytes of one small run
@@ -699,3 +912,29 @@ class TestGoldenRun:
         res = run_epoch(params, miners, proto, seed=0)
         assert res.store.to_jsonl() == GOLDEN_WITHHOLDING_STORE
         assert res.to_json() == GOLDEN_WITHHOLDING_RESULT
+
+    def test_frozen_mandatory_epoch_with_wasted_steps(self):
+        params = EpochParams(
+            epoch_len=6, factor=Fraction(20), rho=Fraction(1, 2),
+            user_balance=Fraction(10**6),
+        )
+        proto = get_protocol("heb_mandatory")
+        miners = [
+            MinerConfig("a", Fraction(2), make_strategy("prescribed", proto)),
+            MinerConfig("b", Fraction(4), make_strategy("prescribed", proto)),
+        ]
+        res = run_epoch(params, miners, proto, seed=5)
+        assert res.store.to_jsonl() == GOLDEN_MANDATORY_STORE
+        assert res.to_json() == GOLDEN_MANDATORY_RESULT
+        assert res.steps - res.blocks_created == 3
+
+    def test_frozen_three_miner_nakamoto_epoch(self):
+        params = EpochParams(epoch_len=8)
+        proto = get_protocol("nakamoto")
+        miners = [
+            MinerConfig(m, Fraction(b), make_strategy("prescribed", proto))
+            for m, b in (("a", 2), ("b", 3), ("c", 3))
+        ]
+        res = run_epoch(params, miners, proto, seed=11)
+        assert res.store.to_jsonl() == GOLDEN_NAKAMOTO3_STORE
+        assert res.to_json() == GOLDEN_NAKAMOTO3_RESULT
