@@ -124,14 +124,12 @@ class EpochParams:
     rho: Fraction = Fraction(0)
     mint: Fraction = Fraction(1)
     user_balance: Fraction = Fraction(10**6)
-    guard_ratio: Fraction = Fraction(1, 1000)
 
     def __post_init__(self):
         object.__setattr__(self, "factor", as_fraction(self.factor))
         object.__setattr__(self, "rho", as_fraction(self.rho))
         object.__setattr__(self, "mint", as_fraction(self.mint))
         object.__setattr__(self, "user_balance", as_fraction(self.user_balance))
-        object.__setattr__(self, "guard_ratio", as_fraction(self.guard_ratio))
         if not isinstance(self.epoch_len, numbers.Integral) or self.epoch_len < 1:
             raise ValueError(
                 f"epoch_len must be a positive integer, got {self.epoch_len!r}"
@@ -144,9 +142,6 @@ class EpochParams:
             raise ValueError("mint must be positive")
         if self.user_balance <= 0:
             raise ValueError("user_balance must be positive")
-
-    def block_weight(self, kind: str) -> Fraction:
-        return self.factor if kind == FACTORED else Fraction(1)
 
     def quota_limit(self, internal: Fraction) -> Optional[int]:
         """Blocks of quota an internal commitment buys at ``rho * mint`` each;
@@ -315,11 +310,6 @@ class BlockStore:
             cur = b.parent
         path.reverse()
         return Chain(path)
-
-    def longest_chains(self) -> list[Chain]:
-        if not self._blocks:
-            raise ChainError("store is empty")
-        return [self.chain_to(t) for t in self.tip_ids()]
 
     def main_chain(self) -> Chain:
         """Longest common prefix of all longest chains."""

@@ -155,6 +155,13 @@ def _list(convert):
     return each
 
 
+def _factor(x) -> float:
+    f = _real(x)
+    if not 1 <= f < math.inf:
+        raise ValueError("must lie in [1, inf)")
+    return f
+
+
 def _path(x) -> str:
     if not isinstance(x, str) or not x:
         raise TypeError("expected a non-empty file path")
@@ -208,9 +215,7 @@ def cmd_simulate(args) -> int:
 def cmd_epsilon(args) -> int:
     cfg = load_config(args, required=False)
     epoch_len = _field(cfg, "epoch_len", _at_least(1), 1000)
-    factor = _field(cfg, "factor", _real, 20)
-    if factor < 1:
-        raise ConfigError("factor", f"must be >= 1, got {factor}")
+    factor = _field(cfg, "factor", _factor, 20)
     dists = _field(cfg, "distributions", _list(_floats))
     out = _field(cfg, "out", _path, "table2.csv")
     width = max(len(d) for d in dists)
@@ -236,7 +241,7 @@ def cmd_curves(args) -> int:
     out = _field(cfg, "out", _path, f"{which}.csv")
     if which in ("fig2a", "fig2b"):
         # fig2a sweeps epoch_lens at a fixed factor, fig2b factors at a fixed epoch_len
-        convert = {"epoch_len": _int, "factor": _real}
+        convert = {"epoch_len": _int, "factor": _factor}
         swept, fixed = convert if which == "fig2a" else reversed(convert)
         rows = metrics.normalized_weight_curve(
             _field(cfg, "shares", _floats),
@@ -254,7 +259,7 @@ def cmd_curves(args) -> int:
     else:  # fig5
         lines = ["factor,share,permissiveness"]
         shares = _field(cfg, "shares", _floats)
-        for f in _field(cfg, "factors", _floats):
+        for f in _field(cfg, "factors", _list(_factor)):
             for s in shares:
                 lines.append(
                     f"{_fmt(f)},{_fmt(s)},{_fmt(metrics.permissiveness(s, f))}"
@@ -314,15 +319,16 @@ def cmd_mdp(args) -> int:
 
 def cmd_costs(args) -> int:
     rho = float(args.rho)
+    out = None if args.out is None else _field(vars(args), "out", _path)
     refunded, sabotage = metrics.attack_costs(rho)
     expense = metrics.external_expense(rho)
     print(f"rho={_fmt(rho)}")
     print(f"attack_cost_refunded={_fmt(refunded)}")
     print(f"attack_cost_sabotage={_fmt(sabotage)}")
     print(f"external_expense={_fmt(expense)}")
-    if args.out:
+    if out is not None:
         _write(
-            args.out,
+            out,
             "rho,attack_cost_refunded,attack_cost_sabotage,external_expense\n"
             f"{_fmt(rho)},{_fmt(refunded)},{_fmt(sabotage)},{_fmt(expense)}\n",
         )

@@ -47,6 +47,10 @@ from hebsim.chain import (
 
 SeedLike = Union[int, np.random.SeedSequence]
 
+# run_epoch warns when total miner balance exceeds this share of the user
+# balance: past it, the redistribution term dropped from utilities shows
+GUARD_RATIO = Fraction(1, 1000)
+
 
 class StrategyFault(Exception):
     """A miner strategy returned an invalid block or publication.
@@ -408,7 +412,7 @@ def run_epoch(
     total_balance = sum((m.balance for m in miners), Fraction(0))
     if total_balance == 0:
         raise StalledSystemError("all miner balances are zero")
-    if total_balance > params.user_balance * params.guard_ratio:
+    if total_balance > params.user_balance * GUARD_RATIO:
         warnings.warn(
             "total miner balance is not negligible next to the user balance "
             f"(ratio {float(total_balance / params.user_balance):.3g}); "

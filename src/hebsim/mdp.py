@@ -112,7 +112,6 @@ class MdpInstance:
     phi: float
     rho: float
     alloc: Optional[int] = None
-    publish_mode: str = "prefix"  # "prefix" | "all"
 
     def __post_init__(self):
         if not isinstance(self.ell, numbers.Integral) or self.ell < 1:
@@ -123,8 +122,6 @@ class MdpInstance:
             raise ValueError("phi must lie in [1, inf)")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
-        if self.publish_mode not in ("prefix", "all"):
-            raise ValueError("publish_mode must be 'prefix' or 'all'")
         balance = self.ell * self.share
         if self.rho > 0.0:
             if self.alloc is None:
@@ -334,10 +331,7 @@ def _chain_moves(inst: MdpInstance, state: State) -> list[tuple[str, int, State]
     sec, pub = state[4], state[5]
     moves: list[tuple[str, int]] = []
     if sec:
-        if inst.publish_mode == "prefix":
-            moves += [(PUBLISH, m) for m in range(len(sec), max(len(pub), 1) - 1, -1)]
-        else:
-            moves.append((PUBLISH, len(sec)))
+        moves += [(PUBLISH, m) for m in range(len(sec), max(len(pub), 1) - 1, -1)]
     if pub:
         moves.append((ADOPT, 0))
     moves.append((WAIT, 0))
@@ -453,15 +447,13 @@ class _Graph:
     bit for a factored block, its last block in bit 0, 64 blocks per word.
     The public extension needs no mask: the cohort adds factored blocks
     while its quota lasts and regular ones after, so it is ``_PF`` factored
-    blocks followed by regular ones.  ``states`` and ``actions`` decode
-    every row and code into :data:`State` and :data:`Action` tuples when
-    read.
+    blocks followed by regular ones.
 
     State ``i`` is terminal when ``leaf_of[i] >= 0``, a row of ``leaves``
     (the counts of :func:`_leaf`).  Otherwise its legal actions, in
     :func:`legal_actions` order, are ``act[act_lo[i]:act_lo[i + 1]]`` (codes
-    that ``actions`` decodes), and action ``a`` leads to state ``succ[e]``
-    with probability ``probs[prob_of[e]]`` for ``e`` in
+    that :func:`_decode_action` decodes), and action ``a`` leads to state
+    ``succ[e]`` with probability ``probs[prob_of[e]]`` for ``e`` in
     ``range(succ_lo[a], succ_lo[a + 1])``, in :func:`successors` order: one
     to three successors, with a handful of distinct probabilities per game.
     ``plan`` is the maximising evaluation plan (see :func:`_plan`), built by
@@ -487,14 +479,6 @@ class _Graph:
     plan: Optional[list] = None
     prescribed: Optional[tuple[np.ndarray, np.ndarray]] = None
     post: Optional[np.ndarray] = None
-
-    @property
-    def states(self) -> list[State]:
-        return _decode_states(self, np.arange(len(self.leaf_of)))
-
-    @property
-    def actions(self) -> list[Action]:
-        return list(map(_decode_action, self.act.tolist()))
 
 
 def _decode_action(code: int) -> Action:
@@ -638,8 +622,6 @@ def _expand(inst: MdpInstance, rows: np.ndarray, sec: np.ndarray):
     # chain moves: publish m for m = ls down to max(lp, 1) (never m = lp
     # again on a fork), then adopt while there is a public extension, then wait
     npub = np.maximum(ls - np.maximum(lp, 1) - fork + 1, 0)
-    if inst.publish_mode == "all":
-        npub = np.minimum(npub, 1)
     nmove = npub + (lp > 0) + 1
     move_lo = np.cumsum(nmove) - nmove
     of = np.repeat(np.arange(len(rows)), nmove)
@@ -1059,7 +1041,7 @@ def _graph(inst: MdpInstance, graphs: Optional[dict]) -> _Graph:
     """The compiled graph of ``inst``, from ``graphs`` when it holds one."""
     if graphs is None:
         return _compile(inst)
-    key = (inst.ell, inst.share, inst.rho, inst.alloc, inst.publish_mode, inst.phi == 1.0)
+    key = (inst.ell, inst.share, inst.rho, inst.alloc, inst.phi == 1.0)
     g = graphs.get(key)
     if g is None:
         g = graphs[key] = _compile(inst)
@@ -1127,11 +1109,6 @@ def _fixed_arrays(g: _Graph, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
         stack.extend(g.succ[g.succ_lo[a] : g.succ_lo[a + 1]].tolist())
     rows = np.array(sorted(fixed), np.intc)
     return rows, np.array([fixed[i] for i in rows.tolist()], np.intc)
-
-
-def _policy_actions(g: _Graph, policy: Policy) -> dict[int, int]:
-    """:func:`_fixed_arrays` as a map from state index to action index."""
-    return dict(zip(*(a.tolist() for a in _fixed_arrays(g, policy))))
 
 
 def policy_value(

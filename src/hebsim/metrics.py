@@ -8,7 +8,7 @@ stay accurate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -32,22 +32,6 @@ class BalanceDistribution:
 
     def __len__(self) -> int:
         return len(self.shares)
-
-
-@dataclass
-class MetricReport:
-    """Bundle of all protocol metrics for one parameter point."""
-
-    epsilon: float
-    expected_weights: list[float]
-    normalized_weights: list[float]
-    permissiveness: list[float]
-    pow_only_bound: float
-    attack_cost_refunded: float
-    attack_cost_sabotage: float
-    external_expense: float
-    redistribution_bound: float = 0.0
-    shares: list[float] = field(default_factory=list)
 
 
 def binom_logpmf(n: int, trials: int, p: float) -> float:
@@ -82,8 +66,8 @@ def conditional_weight(
     """
     if not 0 <= n <= epoch_len:
         raise ValueError(f"block count {n} outside [0, {epoch_len}]")
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
+    if not 1 <= factor < math.inf:
+        raise ValueError("factor must be >= 1 and finite")
     quota = epoch_len * share
     if not allow_fractional:
         if abs(quota - round(quota)) > 1e-9:
@@ -186,8 +170,8 @@ def permissiveness(share: float, factor: float) -> float:
     them: 1/(share + factor*(1-share)).  Equals 1 for factor 1."""
     if not 0 < share <= 1:
         raise ValueError("share must lie in (0, 1]")
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
+    if not 1 <= factor < math.inf:
+        raise ValueError("factor must be >= 1 and finite")
     return 1.0 / (share + factor * (1.0 - share))
 
 
@@ -240,34 +224,3 @@ def redistribution_bound(
     if m < 0 or u <= 0:
         raise ValueError("need miner internal >= 0 and user balance > 0")
     return m * m / (m + u)
-
-
-def build_report(
-    dist: BalanceDistribution | Sequence[float],
-    epoch_len: int,
-    factor: float,
-    rho: float,
-    user_balance: float = 1e6,
-    allow_fractional: bool = False,
-) -> MetricReport:
-    if not isinstance(dist, BalanceDistribution):
-        dist = BalanceDistribution(dist)
-    ews = [
-        expected_weight(s, epoch_len, factor, allow_fractional) for s in dist.shares
-    ]
-    refunded, sabotage = attack_costs(rho)
-    internal_total = rho * epoch_len  # prescribed allocation, unit mint
-    return MetricReport(
-        epsilon=epsilon(dist, epoch_len, factor, allow_fractional),
-        expected_weights=ews,
-        normalized_weights=[
-            ew / s / (epoch_len * factor) for s, ew in zip(dist.shares, ews)
-        ],
-        permissiveness=[permissiveness(s, factor) for s in dist.shares],
-        pow_only_bound=pow_only_bound(rho),
-        attack_cost_refunded=refunded,
-        attack_cost_sabotage=sabotage,
-        external_expense=external_expense(rho),
-        redistribution_bound=redistribution_bound(internal_total, user_balance),
-        shares=list(dist.shares),
-    )

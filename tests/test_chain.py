@@ -133,15 +133,15 @@ class TestChains:
     def test_single_node(self):
         store = BlockStore()
         store.append(genesis_block(0))
-        chains = store.longest_chains()
-        assert len(chains) == 1
-        assert chains[0].length == 0
+        tips = store.tip_ids()
+        assert tips == brute_force_longest_tips(store) == [0]
+        assert store.chain_to(tips[0]).length == 0
 
     def test_linear(self):
         store = build_store([(1, 0, "a", REGULAR), (2, 1, "a", REGULAR)])
-        chains = store.longest_chains()
-        assert len(chains) == 1
-        assert chains[0].length == 2
+        tips = store.tip_ids()
+        assert tips == brute_force_longest_tips(store) == [2]
+        assert store.chain_to(tips[0]).length == 2
 
     def test_two_branches_oracle(self):
         # two branches of length 2 from genesis, 5 blocks total
@@ -153,9 +153,11 @@ class TestChains:
                 (4, 3, "b", REGULAR),
             ]
         )
-        chains = store.longest_chains()
-        assert sorted(c.tip.id for c in chains) == brute_force_longest_tips(store)
-        assert len(chains) == 2
+        tips = store.tip_ids()
+        assert tips == brute_force_longest_tips(store)
+        assert len(tips) == 2
+        assert [store.chain_to(t).tip.id for t in tips] == tips
+        assert all(store.chain_to(t).length == 2 for t in tips)
 
     def test_main_chain_unique(self):
         store = build_store([(i, i - 1, "a", REGULAR) for i in range(1, 6)])
@@ -192,8 +194,10 @@ class TestChains:
             )
             ids.append(i)
         mc = store.main_chain()
-        for chain in store.longest_chains():
-            assert [b.id for b in chain][: len(mc)] == [b.id for b in mc]
+        tips = store.tip_ids()
+        assert tips == brute_force_longest_tips(store)
+        for tip in tips:
+            assert [b.id for b in store.chain_to(tip)][: len(mc)] == [b.id for b in mc]
 
 
 class TestEpochs:
@@ -410,11 +414,6 @@ class TestEpochParams:
     def test_unit_factor_allowed(self):
         # the degenerate single-block-type protocol is a valid configuration
         assert EpochParams(epoch_len=10, factor=1).factor == 1
-
-    def test_block_weight(self):
-        p = EpochParams(epoch_len=10, factor=Fraction(20))
-        assert p.block_weight(FACTORED) == 20
-        assert p.block_weight(REGULAR) == 1
 
 
 class TestMainChainMonotonicity:

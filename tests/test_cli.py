@@ -71,6 +71,8 @@ class TestEpsilonCmd:
             (["--epoch-len", "0"], "epoch_len"),
             (["--factor", "0"], "factor"),
             (["--epoch-len", "0", "--factor", "0"], "epoch_len"),
+            (["--factor", "nan"], "factor"),
+            (["--factor", "inf"], "factor"),
         ],
     )
     def test_zero_epoch_len_or_factor_rejected(self, flags, field, tmp_path, capsys):
@@ -489,12 +491,17 @@ class TestMalformedInput:
             (["simulate", "--seed", "-1"], _ONE_MINER, "seed"),
             (["simulate", "--jobs", "-4"], _ONE_MINER, "jobs"),
             (["mdp", "--share", "0.2", "--rhos", "0", "--seed", "-1"], {}, "seed"),
+            (["curves"], {"which": "fig2b", "shares": [0.1], "epoch_len": 100,
+                          "factors": [math.inf]}, "factors"),
+            (["curves"], {"which": "fig5", "shares": [0.1], "factors": [math.nan]},
+             "factors"),
         ],
         ids=["missing-file", "json-list", "miners-number", "miners-of-numbers",
              "protocol-list", "mdp-fractional-epoch-len", "fractional-epoch-len",
              "fractional-runs", "boolean-seed", "string-allow-fractional",
              "bad-rhos-flag", "invalid-json", "negative-seed-flag",
-             "negative-jobs-flag", "mdp-negative-seed-flag"],
+             "negative-jobs-flag", "mdp-negative-seed-flag", "fig2b-infinite-factor",
+             "fig5-nan-factor"],
     )
     def test_exits_2_naming_field(self, argv, cfg, field, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -576,6 +583,15 @@ class TestMalformedInput:
         assert "config error: out:" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_costs_empty_out_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["costs", "--rho", "0.5", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert "config error: out:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # rejected before any line is printed
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFlagsMatchConfig:

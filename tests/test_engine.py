@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +189,18 @@ class TestRunEpoch:
         proto, miners = nakamoto_miners([1.0], params)
         with pytest.warns(UserWarning, match="negligible"):
             run_epoch(params, miners, proto, seed=0)
+
+    def test_guard_ratio_boundary_is_strict(self):
+        # total miner balance 10: no warning at exactly the ratio, one just above
+        at = 10 / engine.GUARD_RATIO
+        for user_balance, warns in ((at, False), (at - Fraction(1, 10**9), True)):
+            params = EpochParams(epoch_len=10, user_balance=user_balance)
+            proto, miners = nakamoto_miners([1.0], params)
+            assert sum(m.balance for m in miners) == 10
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_epoch(params, miners, proto, seed=0)
+            assert any("negligible" in str(w.message) for w in caught) == warns
 
 
 class BatchPublisher:

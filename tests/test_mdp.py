@@ -244,12 +244,6 @@ class TestSolve:
         )
         assert policy_value(inst, res.policy.__getitem__) == res.value
 
-    def test_publish_all_mode_never_beats_prefix_mode(self):
-        kw = dict(ell=6, share=0.3, phi=5.0, rho=0.5, alloc=1)
-        prefix = solve(MdpInstance(**kw)).value
-        all_mode = solve(MdpInstance(publish_mode="all", **kw)).value
-        assert all_mode <= prefix + 1e-12
-
 
 class TestRollouts:
     def test_solver_matches_rollout_mean(self):
@@ -372,8 +366,7 @@ def _solver_digest(ells) -> tuple[int, str]:
     """sha256 over, per instance: the optimal value, the state count, the
     sorted policy, the state values in insertion order and the prescribed
     policy's value, floats as hex.  Instances: share 0.2 and 0.35, phi 1,
-    1 + 1e-9, 1.5, 5 and 20, rho 0 and 0.5, every allocation, both publish
-    modes."""
+    1 + 1e-9, 1.5, 5 and 20, rho 0 and 0.5, every allocation."""
     h = hashlib.sha256()
     n = 0
     for ell in ells:
@@ -385,34 +378,34 @@ def _solver_digest(ells) -> tuple[int, str]:
                         else range(math.floor(ell * share / rho + 1e-9) + 1)
                     )
                     for alloc in allocs:
-                        for mode in ("prefix", "all"):
-                            inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho,
-                                               alloc=alloc, publish_mode=mode)
-                            res = solve(inst)
-                            presc = policy_value(
-                                inst, lambda s: prescribed_action(inst, s)
-                            )
-                            record = (
-                                res.value.hex(),
-                                res.states,
-                                sorted(res.policy.items()),
-                                [(s, v.hex()) for s, v in res.state_values.items()],
-                                presc.hex(),
-                            )
-                            h.update(repr(record).encode())
-                            n += 1
+                        inst = MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=alloc)
+                        res = solve(inst)
+                        presc = policy_value(inst, lambda s: prescribed_action(inst, s))
+                        record = (
+                            res.value.hex(),
+                            res.states,
+                            sorted(res.policy.items()),
+                            [(s, v.hex()) for s, v in res.state_values.items()],
+                            presc.hex(),
+                        )
+                        h.update(repr(record).encode())
+                        n += 1
     return n, h.hexdigest()
 
 
 class TestGolden:
     def test_solver_outputs_frozen(self):
-        # computed with the memoised recursive induction that the compiled
-        # graphs replaced: values, policies, tie order and the states'
-        # discovery order are bit-identical.  The same sweep over ell 2-7
-        # (480 instances) gives 7645f5ed54cc1b1a4b504bb306f8a05f397ab46f03b4025dbcf620625fca5afe
+        # the prefix-publishing instances of the earlier sweep over both
+        # publish modes, computed by the code before the publish-all mode
+        # was removed (which also reproduced that sweep's pin, 280
+        # instances, 594f50be...).  The earlier pin traces back to the
+        # memoised recursive induction that the compiled graphs replaced:
+        # values, policies, tie order and the states' discovery order are
+        # bit-identical.  The same sweep over ell 2-7 (240 instances) gives
+        # 5b5ac218e2fc62937cb148e3fecab9679f1d3677f7d24f4ca46123613d1b09c4
         assert _solver_digest(range(2, 6)) == (
-            280,
-            "594f50bef253a6a537cffdf6fe39ef3dc35ec89806681634a7213523ec26e791",
+            140,
+            "a5ef6d63caddcf2a2a62019fec99a69d36fe0d4e6e5567596c3e47188a7c6469",
         )
 
 
@@ -527,6 +520,11 @@ class TestStateBudget:
             solve(inst)
 
 
+def _policy_actions(g, policy) -> dict[int, int]:
+    """``mdp._fixed_arrays`` as a map from state index to action index."""
+    return dict(zip(*(a.tolist() for a in mdp._fixed_arrays(g, policy))))
+
+
 class TestArrayPasses:
     """The level-by-level evaluation and the batched-draw rollouts against
     the scalar loops in ``oracles``: bit for bit."""
@@ -552,7 +550,7 @@ class TestArrayPasses:
         assert res._choices[inner].tolist() == choices
 
         for policy in (res, partial(prescribed_action, inst)):
-            fixed = mdp._policy_actions(g, policy)
+            fixed = _policy_actions(g, policy)
             rows, acts = mdp._fixed_arrays(g, policy)
             got, got_choices = mdp._evaluate(g, phi, mdp._plan(g, rows, acts, np.ones_like(acts)))
             values, choices = oracles.evaluate(g, phi, fixed)
@@ -562,8 +560,8 @@ class TestArrayPasses:
 
         # every inner state sits above each of its successors
         act_lo, succ_lo = (np.frombuffer(a, np.intc) for a in (g.act_lo, g.succ_lo))
-        source = np.repeat(np.arange(len(g.states)), np.diff(act_lo))[
-            np.repeat(np.arange(len(g.actions)), np.diff(succ_lo))
+        source = np.repeat(np.arange(len(g.leaf_of)), np.diff(act_lo))[
+            np.repeat(np.arange(len(g.act)), np.diff(succ_lo))
         ]
         assert (g.level[source] > g.level[np.frombuffer(g.succ, np.intc)]).all()
         assert (g.level[np.frombuffer(g.leaf_of, np.intc) >= 0] == 0).all()
@@ -576,7 +574,7 @@ class TestArrayPasses:
         for policy in (res, partial(prescribed_action, inst)):
             got = rollout_rewards(inst, policy, 5000, seed=7, graphs=graphs)
             want, draws = oracles.rollout(
-                g, mdp._policy_actions(g, policy), inst.phi, 5000, np.random.default_rng(7)
+                g, _policy_actions(g, policy), inst.phi, 5000, np.random.default_rng(7)
             )
             assert draws > 5 * mdp._DRAWS  # the draw buffer refills mid-game
             assert self._hex(got) == self._hex(want)
@@ -590,9 +588,7 @@ def _golden_graphs(ell):
             for rho in (0.0, 0.5):
                 allocs = [None] if rho == 0.0 else range(math.floor(ell * share / rho + 1e-9) + 1)
                 for alloc in allocs:
-                    for mode in ("prefix", "all"):
-                        yield MdpInstance(ell=ell, share=share, phi=phi, rho=rho,
-                                          alloc=alloc, publish_mode=mode)
+                    yield MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=alloc)
 
 
 class TestIntegerCompile:
@@ -638,7 +634,7 @@ class TestIntegerCompile:
     @pytest.mark.parametrize(
         "inst",
         [
-            MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=alloc, publish_mode=mode)
+            MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=alloc)
             for ell in (1, 3, 5)
             for share, phi, rho, alloc in (
                 (0.35, 20.0, 0.0, None),
@@ -646,9 +642,8 @@ class TestIntegerCompile:
                 (0.6, 20.0, 0.5, 1),
                 (0.6, 1.0, 0.5, 0),
             )
-            for mode in ("prefix", "all")
         ],
-        ids=lambda inst: f"ell{inst.ell}-phi{inst.phi:g}-rho{inst.rho:g}-{inst.publish_mode}",
+        ids=lambda inst: f"ell{inst.ell}-phi{inst.phi:g}-rho{inst.rho:g}-prefix",
     )
     def test_compiled_graph_follows_the_one_step_model(self, inst):
         g = mdp._compile(inst)
@@ -695,13 +690,12 @@ class TestIntegerCompile:
             MdpInstance(ell=7, share=0.2, phi=20.0, rho=0.5, alloc=1),
             MdpInstance(ell=7, share=0.2, phi=1.0, rho=0.5, alloc=2),
             MdpInstance(ell=6, share=0.35, phi=5.0, rho=0.0),
-            MdpInstance(ell=5, share=0.3, phi=20.0, rho=0.5, alloc=1, publish_mode="all"),
         ],
     )
     def test_prescribed_by_index_matches_prescribed_action(self, inst):
         g = mdp._compile(inst)
-        want = mdp._policy_actions(g, partial(prescribed_action, inst))
-        assert mdp._policy_actions(g, mdp.PRESCRIBED) == want
+        want = _policy_actions(g, partial(prescribed_action, inst))
+        assert _policy_actions(g, mdp.PRESCRIBED) == want
         presc = partial(prescribed_action, inst)
         assert policy_value(inst, mdp.PRESCRIBED) == policy_value(inst, presc)
 

@@ -11,7 +11,6 @@ from hebsim.metrics import (
     attack_costs,
     binom_pmf,
     binomial_tail,
-    build_report,
     conditional_weight,
     epsilon,
     expected_weight,
@@ -73,6 +72,17 @@ class TestConditionalWeight:
             expected_weight(0.3, 10, 0.5)
         with pytest.raises(ValueError, match="factor must be >= 1"):
             epsilon([0.3, 0.7], 10, -3.0)
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan])
+    def test_non_finite_factor_rejected(self, factor):
+        # an infinite factor makes a weight inf * 0 = nan, and nan compares
+        # false with everything, so ``factor < 1`` alone lets both through
+        with pytest.raises(ValueError, match="factor must be >= 1 and finite"):
+            conditional_weight(2, 0.3, 10, factor)
+        with pytest.raises(ValueError, match="factor must be >= 1 and finite"):
+            epsilon([0.3, 0.7], 10, factor)
+        with pytest.raises(ValueError, match="factor must be >= 1 and finite"):
+            permissiveness(0.3, factor)
 
     def test_integrality_guard(self):
         with pytest.raises(ValueError, match="not integral"):
@@ -258,17 +268,6 @@ class TestBinomialTail:
             binomial_tail(100, 0.3, 0.0)
 
 
-class TestReport:
-    def test_build_report(self):
-        rep = build_report([0.2, 0.8], 1000, 20.0, 0.5, user_balance=1e7)
-        assert rep.epsilon == pytest.approx(0.0029, abs=2e-4)
-        assert rep.pow_only_bound == pytest.approx(1 / 3)
-        assert rep.attack_cost_sabotage == pytest.approx(0.5)
-        assert rep.external_expense == pytest.approx(0.5)
-        assert rep.redistribution_bound == pytest.approx(500**2 / (500 + 1e7))
-        assert len(rep.expected_weights) == 2
-
-
 class TestConvergenceGrid:
     def test_norm_weight_gap_shrinks_with_epoch_len_on_grid(self):
         for share in (0.05, 0.1, 0.2, 0.4):
@@ -276,12 +275,3 @@ class TestConvergenceGrid:
                 v3 = normalized_weight(share, 1000, factor)
                 v4 = normalized_weight(share, 10000, factor)
                 assert abs(v4 - 1.0) < abs(v3 - 1.0), (share, factor)
-
-
-class TestReportValidation:
-    def test_report_values_in_range(self):
-        rep = build_report([0.1, 0.2, 0.7], 1000, 20.0, 0.5)
-        assert 0.0 <= rep.epsilon <= 1.0
-        assert all(0.0 < v <= 1.0 for v in rep.permissiveness)
-        assert all(math.isfinite(v) for v in rep.expected_weights)
-        assert all(math.isfinite(v) for v in rep.normalized_weights)
