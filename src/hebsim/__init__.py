@@ -20,6 +20,7 @@ from hebsim.chain import (
 )
 from hebsim.engine import (
     EpochResult,
+    Game,
     MinerConfig,
     StalledSystemError,
     StrategyFault,
@@ -39,6 +40,7 @@ __all__ = [
     "EpochParams",
     "EpochResult",
     "FACTORED",
+    "Game",
     "MinerConfig",
     "ProtocolSpec",
     "REGULAR",

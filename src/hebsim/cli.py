@@ -224,6 +224,8 @@ def cmd_epsilon(args) -> int:
     for d in dists:
         try:
             eps = metrics.epsilon(d, epoch_len, factor)
+        except metrics.WeightOverflowError as e:
+            raise ConfigError("factor", str(e)) from None
         except ValueError as e:
             raise ConfigError("shares", str(e)) from None
         cells = [f"{s:.4g}" for s in d] + ["-"] * (width - len(d))

@@ -1,9 +1,14 @@
 """Epoch scheduler: allocation, proportional miner selection, block
 generation, and the publication fixpoint loop.
 
-A single epoch run is strictly sequential and deterministic given its seed.
-``run_games`` executes independent runs (optionally in parallel) and merges
-their statistics keyed on run index, so parallelism never changes output.
+A :class:`Game` holds what every run of a batch shares: the checked and
+sorted miners, their allocations and quota limits, the miner selector and
+the token totals.  It is built once per batch; ``run_epoch(game, seed,
+store)`` then does only per-run work (the store, the streams and views,
+the block loop and the settlement).  A single epoch run is strictly
+sequential and deterministic given its seed.  ``run_games`` executes
+independent runs (optionally in parallel) and merges their statistics
+keyed on run index, so parallelism never changes output.
 
 Each run derives a scheduler stream and one stream per miner from its seed
 (:func:`derive_streams`).  The scheduler draws its uniforms in batches
@@ -21,7 +26,6 @@ import hashlib
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -325,9 +329,9 @@ def normalized_balances(
 def miner_selector(
     external_balances: dict[str, Union[Fraction, float]],
 ) -> Callable[[np.random.Generator, int], list[str]]:
-    """A function ``draw(rng, n)`` returning ``n`` miner ids, each drawn with
-    probability proportional to external balance from one uniform of
-    ``rng.random(n)``: the first miner whose cumulative share exceeds it,
+    """A picklable function ``draw(rng, n)`` returning ``n`` miner ids, each
+    drawn with probability proportional to external balance from one uniform
+    of ``rng.random(n)``: the first miner whose cumulative share exceeds it,
     else the last.
 
     The draw consumes relative weights, so uniformly scaling all balances
@@ -345,14 +349,14 @@ def miner_selector(
         dtype=float,
         count=len(ids),
     )
-    names = np.array(ids, dtype=object)
-    last = len(ids) - 1
+    return partial(_draw, cumulative, np.array(ids, dtype=object))
 
-    def draw(rng: np.random.Generator, n: int) -> list[str]:
-        picks = np.searchsorted(cumulative, rng.random(n), side="right")
-        return names[np.minimum(picks, last)].tolist()
 
-    return draw
+def _draw(
+    cumulative: np.ndarray, names: np.ndarray, rng: np.random.Generator, n: int
+) -> list[str]:
+    picks = np.searchsorted(cumulative, rng.random(n), side="right")
+    return names[np.minimum(picks, len(names) - 1)].tolist()
 
 
 def select_miner(
@@ -383,43 +387,65 @@ def allocate(miner: MinerConfig, params: EpochParams, protocol) -> Allocation:
     return alloc
 
 
-def run_epoch(
-    params: EpochParams,
-    miners: Sequence[MinerConfig],
-    protocol,
-    seed: SeedLike,
-    store: Optional[BlockStore] = None,
-) -> EpochResult:
-    """Run one epoch of the block-creation game.
+class Game:
+    """The part of an epoch run that every run of a batch shares, computed
+    once: the checks on the miners, the guard-ratio warning, each miner's
+    allocation and quota limit, the miner selector, and the internal,
+    external and minted totals.
 
-    Allocates each miner's balance, then repeats {select miner proportionally
-    to external expenditure, generate one block, run the publication fixpoint}
-    until the main chain reaches the end of epoch ``k``.  End balances follow
-    the protocol's reward distribution.
+    Raises ValueError for no miners or duplicate ids, StalledSystemError for
+    zero total (or zero external) balance, and StrategyFault for an
+    allocation :func:`allocate` rejects.  A ``Game`` pickles, so a process
+    pool can ship it to its workers.
+    """
+
+    def __init__(self, params: EpochParams, miners: Sequence[MinerConfig], protocol):
+        if not miners:
+            raise ValueError("need at least one miner")
+        self.params = params
+        self.protocol = protocol
+        self.miners = sorted(miners, key=lambda m: m.id)
+        self.ids = [m.id for m in self.miners]
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError("duplicate miner ids")
+
+        total_balance = sum((m.balance for m in self.miners), Fraction(0))
+        if total_balance == 0:
+            raise StalledSystemError("all miner balances are zero")
+        if total_balance > params.user_balance * GUARD_RATIO:
+            warnings.warn(
+                "total miner balance is not negligible next to the user balance "
+                f"(ratio {float(total_balance / params.user_balance):.3g}); "
+                "redistribution terms may be visible",
+                stacklevel=2,
+            )
+
+        allocs = self.allocations = {
+            m.id: allocate(m, params, protocol) for m in self.miners
+        }
+        self.quota_limits = {m: params.quota_limit(a.internal) for m, a in allocs.items()}
+        self.select = miner_selector({m: a.external for m, a in allocs.items()})
+        self.internal_total = sum((a.internal for a in allocs.values()), Fraction(0))
+        self.external_total = sum((a.external for a in allocs.values()), Fraction(0))
+        self.minted_total = params.epoch_len * protocol.mint_per_block(params)
+
+
+def run_epoch(
+    game: Game, seed: SeedLike, store: Optional[BlockStore] = None
+) -> EpochResult:
+    """Run one epoch of ``game``.
+
+    Repeats {select a miner proportionally to external expenditure, generate
+    one block, run the publication fixpoint} until the main chain reaches
+    the end of epoch ``k``.  End balances follow the protocol's reward
+    distribution.
 
     On a given ``store``, ``k`` is the main chain's length floor-divided by
     ``params.epoch_len``, and the epoch starts at main-chain position
     ``k * epoch_len``: blocks a previous epoch published past its end
     already belong to epoch ``k``.
     """
-    if not miners:
-        raise ValueError("need at least one miner")
-    miners = sorted(miners, key=lambda m: m.id)
-    ids = [m.id for m in miners]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate miner ids")
-
-    total_balance = sum((m.balance for m in miners), Fraction(0))
-    if total_balance == 0:
-        raise StalledSystemError("all miner balances are zero")
-    if total_balance > params.user_balance * GUARD_RATIO:
-        warnings.warn(
-            "total miner balance is not negligible next to the user balance "
-            f"(ratio {float(total_balance / params.user_balance):.3g}); "
-            "redistribution terms may be visible",
-            stacklevel=2,
-        )
-
+    params, protocol, miners = game.params, game.protocol, game.miners
     if store is None:
         store = BlockStore()
         store.append(genesis_block(0))
@@ -433,19 +459,18 @@ def run_epoch(
     ss = as_seedseq(seed)
     sched_rng = _stream(ss, (0,))
 
-    allocations = {m.id: allocate(m, params, protocol) for m in miners}
-    views = {}
-    for m in miners:
-        alloc = allocations[m.id]
-        views[m.id] = MinerView(
-            m.id, store, {}, params, alloc, params.quota_limit(alloc.internal),
+    views = {
+        m.id: MinerView(
+            m.id, store, {}, params, game.allocations[m.id], game.quota_limits[m.id],
             start_len, start_tip.id, partial(miner_stream, ss, m.id),
         )
+        for m in miners
+    }
     # bound once per run, so a strategy class patched before the run is seen
     generate = {m.id: m.strategy.generate_block for m in miners}
     publish = {m.id: m.strategy.publish for m in miners}
 
-    select = miner_selector({m.id: allocations[m.id].external for m in miners})
+    select = game.select
     quota_mode = protocol.quota_mode
 
     def can_create(view: MinerView) -> bool:
@@ -550,22 +575,20 @@ def run_epoch(
         main.length >= start_len and main.blocks[start_len].id == start_tip.id
     )
     stats = epoch_stats(main, epoch_index, params)
-    for m in miners:
-        stats.setdefault(m.id, (0, Fraction(0)))
+    ids = game.ids
+    for m in ids:
+        stats.setdefault(m, (0, Fraction(0)))
 
-    outcome = protocol.balance_fn(main, epoch_index, params, allocations, ids)
+    outcome = protocol.balance_fn(main, epoch_index, params, game.allocations, ids)
     balances = {
         m: outcome.minted.get(m, Fraction(0)) + outcome.redistributed.get(m, Fraction(0))
         for m in ids
     }
-    internal_total = sum((allocations[m].internal for m in ids), Fraction(0))
-    external_total = sum((allocations[m].external for m in ids), Fraction(0))
-    minted_total = params.epoch_len * protocol.mint_per_block(params)
     conserved = sum(balances.values(), Fraction(0)) + outcome.user_payout
-    if conserved != internal_total + minted_total:
+    if conserved != game.internal_total + game.minted_total:
         raise AssertionError(
             "token conservation violated: "
-            f"{conserved} != {internal_total} + {minted_total}"
+            f"{conserved} != {game.internal_total} + {game.minted_total}"
         )
 
     return EpochResult(
@@ -577,8 +600,8 @@ def run_epoch(
         redistributed=outcome.redistributed,
         balances=balances,
         user_payout=outcome.user_payout,
-        external_total=external_total,
-        internal_total=internal_total,
+        external_total=game.external_total,
+        internal_total=game.internal_total,
         prefix_ok=prefix_ok,
         blocks_created=created,
         steps=steps,
@@ -634,21 +657,26 @@ def iter_game_results(
 ):
     """Yield ``count`` independent EpochResults in run-index order.
 
-    Each run gets its own seed derived from the master; with ``jobs > 1``
-    runs execute in a process pool but results are merged in index order,
-    so parallelism never changes output.
+    The :class:`Game` is built once for the batch.  Each run gets its own
+    seed derived from the master; with ``jobs > 1`` runs execute in a
+    process pool but results are merged in index order, so parallelism
+    never changes output.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    game = Game(params, miners, protocol)
     children = as_seedseq(seed).spawn(count)
     if jobs <= 1:
         for child in children:
-            yield run_epoch(params, miners, protocol, child)
+            yield run_epoch(game, child)
     else:
+        # imported here: only a pooled batch pays for the import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(
                 _run_one_pickled,
-                [(params, list(miners), protocol, child) for child in children],
+                [(game, child) for child in children],
                 chunksize=max(1, count // (jobs * 4)),
             )
 
@@ -672,5 +700,5 @@ def run_games(
 
 
 def _run_one_pickled(args) -> EpochResult:
-    params, miners, protocol, child = args
-    return run_epoch(params, miners, protocol, child)
+    # run_epoch is looked up at call time, so a wrapper set on it is seen
+    return run_epoch(*args)

@@ -55,6 +55,37 @@ def binom_pmf(n: int, trials: int, p: float) -> float:
     return 0.0 if lp == -math.inf else math.exp(lp)
 
 
+class WeightOverflowError(ValueError):
+    """A factor so large that an epoch's block weight overflows a float."""
+
+
+def _quota(share: float, epoch_len: int, factor: float, allow_fractional: bool) -> int:
+    """The factored-block quota ``epoch_len * share``, after checking that
+    ``factor`` is finite, at least 1 and small enough for the heaviest
+    epoch, ``epoch_len`` factored blocks, to weigh a finite float."""
+    if not 1 <= factor < math.inf:
+        raise ValueError("factor must be >= 1 and finite")
+    if math.isinf(epoch_len * factor):
+        raise WeightOverflowError(
+            f"factor {factor} overflows the weight of a {epoch_len}-block epoch"
+        )
+    quota = epoch_len * share
+    if not allow_fractional:
+        if abs(quota - round(quota)) > 1e-9:
+            raise ValueError(
+                f"epoch_len * share = {quota} is not integral; "
+                "pass allow_fractional=True to floor it"
+            )
+        return round(quota)
+    return math.floor(quota + 1e-9)
+
+
+def _weight(n: int, quota: int, factor: float) -> float:
+    if n <= quota:
+        return n * factor
+    return quota * factor + n - quota
+
+
 def conditional_weight(
     n: int, share: float, epoch_len: int, factor: float, allow_fractional: bool = False
 ) -> float:
@@ -66,32 +97,41 @@ def conditional_weight(
     """
     if not 0 <= n <= epoch_len:
         raise ValueError(f"block count {n} outside [0, {epoch_len}]")
-    if not 1 <= factor < math.inf:
-        raise ValueError("factor must be >= 1 and finite")
-    quota = epoch_len * share
-    if not allow_fractional:
-        if abs(quota - round(quota)) > 1e-9:
-            raise ValueError(
-                f"epoch_len * share = {quota} is not integral; "
-                "pass allow_fractional=True to floor it"
-            )
-        quota = round(quota)
-    else:
-        quota = math.floor(quota + 1e-9)
-    if n <= quota:
-        return n * factor
-    return quota * factor + n - quota
+    return _weight(n, _quota(share, epoch_len, factor, allow_fractional), factor)
 
 
 def expected_weight(
     share: float, epoch_len: int, factor: float, allow_fractional: bool = False
 ) -> float:
-    """E[accumulated weight] when the miner's block count is Bin(epoch_len, share)."""
-    terms = [
-        binom_pmf(n, epoch_len, share)
-        * conditional_weight(n, share, epoch_len, factor, allow_fractional)
-        for n in range(epoch_len + 1)
-    ]
+    """E[accumulated weight] when the miner's block count is Bin(epoch_len, share).
+
+    The terms ``pmf(n) * weight(n)`` are summed outward from the mode, and
+    each side stops at its first term that is exactly 0.0: the pmf falls
+    away from the mode, so every term past it is 0.0 too, and ``fsum`` is
+    exactly rounded, so the dropped zeros cannot change the result.
+    """
+    if epoch_len < 0:
+        raise ValueError(f"epoch_len must be non-negative, got {epoch_len}")
+    quota = _quota(share, epoch_len, factor, allow_fractional)
+    if not 0.0 < share < 1.0:  # all the mass, a pmf of 1.0, on one count
+        return 1.0 * _weight(0 if share <= 0.0 else epoch_len, quota, factor)
+    head, log_p, log_q = math.lgamma(epoch_len + 1), math.log(share), math.log1p(-share)
+    mode = min(int((epoch_len + 1) * share), epoch_len)
+    terms = []
+    for side in (range(mode, -1, -1), range(mode + 1, epoch_len + 1)):
+        for n in side:
+            # binom_pmf(n, epoch_len, share), its float operations in its order
+            lp = (
+                head
+                - math.lgamma(n + 1)
+                - math.lgamma(epoch_len - n + 1)
+                + n * log_p
+                + (epoch_len - n) * log_q
+            )
+            t = math.exp(lp) * _weight(n, quota, factor)
+            if t == 0.0:
+                break
+            terms.append(t)
     return math.fsum(terms)
 
 

@@ -4,12 +4,13 @@ These deliberately avoid the library's compressed state representations:
 the game oracle runs exhaustive expectimax over explicit block trees, and
 the race oracle is a plain dynamic program over step outcomes.  The
 scheduler oracle selects an epoch's miners with one draw per step, as the
-engine did before it drew its uniforms in batches.  The scalar
-references at the end walk a compiled MDP graph state by state, one float
-operation at a time, for the array-native passes to match bit for bit, and
-the reference compile builds a game's graph by a recursive depth-first
-search over the readable one-step model, for the integer-coded compile to
-match array for array.
+engine did before it drew its uniforms in batches, and the expected-weight
+oracle sums every binomial term, as ``metrics`` did before it skipped the
+terms that underflow to 0.0.  The scalar references at the end walk a
+compiled MDP graph state by state, one float operation at a time, for the
+array-native passes to match bit for bit, and the reference compile builds
+a game's graph by a recursive depth-first search over the readable one-step
+model, for the integer-coded compile to match array for array.
 """
 
 import math
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from hebsim import mdp
+from hebsim import mdp, metrics
 
 
 def game_value(ell, share, phi, rho, alloc_j):
@@ -268,6 +269,18 @@ def scheduler(external_balances, sched_rng, steps):
         ids[min(bisect_right(cumulative, sched_rng.random()), last)]
         for _ in range(steps)
     ]
+
+
+def expected_weight(share, epoch_len, factor, allow_fractional=False):
+    """E[accumulated weight] as ``metrics.expected_weight`` summed it before
+    it skipped the terms that underflow: every term of the binomial, one
+    ``binom_pmf`` and one ``conditional_weight`` call each."""
+    terms = [
+        metrics.binom_pmf(n, epoch_len, share)
+        * metrics.conditional_weight(n, share, epoch_len, factor, allow_fractional)
+        for n in range(epoch_len + 1)
+    ]
+    return math.fsum(terms)
 
 
 # -- reference compile (the recursive exploration hebsim.mdp._compile replaced) --

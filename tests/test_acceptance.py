@@ -16,6 +16,7 @@ from hebsim import metrics
 from hebsim.chain import Block, BlockStore, EpochParams, FACTORED, REGULAR, genesis_block
 from hebsim.cli import main
 from hebsim.engine import (
+    Game,
     MinerConfig,
     iter_game_results,
     normalized_balances,
@@ -124,9 +125,11 @@ class TestCriterion4:
         ]
         minted_equal = True
         bound_ok = True
+        nak_game = Game(nak_params, nak_miners, nak)
+        heb_game = Game(heb_params, heb_miners, heb)
         for seed in range(20):
-            a = run_epoch(nak_params, nak_miners, nak, seed=seed)
-            b = run_epoch(heb_params, heb_miners, heb, seed=seed)
+            a = run_epoch(nak_game, seed=seed)
+            b = run_epoch(heb_game, seed=seed)
             minted_equal &= a.minted == b.minted
             internal = b.internal_total
             redis_total = sum(b.redistributed.values(), Fraction(0))
@@ -352,7 +355,7 @@ class TestCriterion9:
                 MinerConfig(f"m{j}", b, make_strategy("prescribed", proto))
                 for j, b in enumerate(balances)
             ]
-            res = run_epoch(params, miners, proto, seed=int(rng.integers(2**31)))
+            res = run_epoch(Game(params, miners, proto), seed=int(rng.integers(2**31)))
             conserved = sum(res.balances.values(), Fraction(0)) + res.user_payout
             ok &= conserved == res.internal_total + epoch_len * params.mint
         report(

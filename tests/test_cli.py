@@ -554,6 +554,30 @@ class TestMalformedInput:
         assert "must" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_epsilon_factor_overflowing_the_weight(self, tmp_path, capsys):
+        # a finite factor whose epoch weight overflows wrote an epsilon of nan
+        out = tmp_path / "eps.csv"
+        argv = ["epsilon", "--dist", "0.3,0.7", "--epoch-len", "10",
+                "--factor", "1e308", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: factor:" in err and "overflows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_fig2a_factor_overflowing_the_weight(self, tmp_path, capsys):
+        # ... and a normalized_weight of nan
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"which": "fig2a", "shares": [0.1], "epoch_lens": [10], "factor": 1e308}
+        ))
+        out = tmp_path / "res.csv"
+        assert main(["curves", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "factor 1e+308 overflows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "command, cfg",

@@ -1,15 +1,18 @@
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from hebsim.chain import EpochParams, FACTORED, REGULAR, epoch_slice
+from hebsim.chain import EpochParams, FACTORED, REGULAR, epoch_slice, within_quota
 from hebsim import engine
 from hebsim.engine import (
     Allocation,
+    Game,
     MinerConfig,
     MinerView,
     StalledSystemError,
@@ -91,7 +94,7 @@ class TestRunEpoch:
         params = EpochParams(epoch_len=20)
         proto = get_protocol("nakamoto")
         miners = [MinerConfig("solo", Fraction(20), make_strategy("prescribed", proto))]
-        res = run_epoch(params, miners, proto, seed=11)
+        res = run_epoch(Game(params, miners, proto), seed=11)
         assert res.stats["solo"] == (20, Fraction(20))
         assert res.balances["solo"] == Fraction(20)
         assert res.prefix_ok
@@ -99,17 +102,18 @@ class TestRunEpoch:
     def test_deterministic_given_seed(self):
         params = EpochParams(epoch_len=50)
         proto, miners = nakamoto_miners([0.5, 0.5], params)
-        a = run_epoch(params, miners, proto, seed=99)
-        b = run_epoch(params, miners, proto, seed=99)
+        game = Game(params, miners, proto)
+        a = run_epoch(game, seed=99)
+        b = run_epoch(game, seed=99)
         assert a.to_json() == b.to_json()
         assert a.store.to_jsonl() == b.store.to_jsonl()
-        c = run_epoch(params, miners, proto, seed=100)
+        c = run_epoch(game, seed=100)
         assert c.to_json() != a.to_json()
 
     def test_minted_total_exact(self):
         params = EpochParams(epoch_len=30)
         proto, miners = nakamoto_miners([0.4, 0.6], params)
-        res = run_epoch(params, miners, proto, seed=5)
+        res = run_epoch(Game(params, miners, proto), seed=5)
         assert sum(res.minted.values()) == Fraction(30)
 
     def test_conservation_heb(self):
@@ -122,22 +126,24 @@ class TestRunEpoch:
             MinerConfig("a", Fraction(8), make_strategy("prescribed", proto)),
             MinerConfig("b", Fraction(12), make_strategy("prescribed", proto)),
         ]
-        res = run_epoch(params, miners, proto, seed=5)
+        res = run_epoch(Game(params, miners, proto), seed=5)
         total = sum(res.balances.values()) + res.user_payout
         assert total == res.internal_total + Fraction(20)
 
     def test_honest_runs_keep_prefix(self):
         params = EpochParams(epoch_len=20)
         proto, miners = nakamoto_miners([0.3, 0.3, 0.4], params)
+        game = Game(params, miners, proto)
         for seed in range(10):
-            assert run_epoch(params, miners, proto, seed=seed).prefix_ok
+            assert run_epoch(game, seed=seed).prefix_ok
 
     def test_epoch_chaining(self):
         params = EpochParams(epoch_len=10)
         proto, miners = nakamoto_miners([0.5, 0.5], params)
-        first = run_epoch(params, miners, proto, seed=1)
+        game = Game(params, miners, proto)
+        first = run_epoch(game, seed=1)
         assert first.epoch_index == 0
-        second = run_epoch(params, miners, proto, seed=2, store=first.store)
+        second = run_epoch(game, seed=2, store=first.store)
         assert second.epoch_index == 1
         assert second.main.length >= 20
 
@@ -145,10 +151,10 @@ class TestRunEpoch:
         # a 10-block main chain in 7-block epochs: epoch 1 starts at position 7
         params = EpochParams(epoch_len=10)
         proto, miners = nakamoto_miners([0.5, 0.5], params)
-        res = run_epoch(params, miners, proto, seed=1)
+        res = run_epoch(Game(params, miners, proto), seed=1)
         assert res.main.length == 10
         short = EpochParams(epoch_len=7)
-        nxt = run_epoch(short, miners, proto, seed=2, store=res.store)
+        nxt = run_epoch(Game(short, miners, proto), seed=2, store=res.store)
         assert nxt.epoch_index == 1
         assert nxt.main.length == 14
         assert nxt.prefix_ok
@@ -161,12 +167,13 @@ class TestRunEpoch:
         params = EpochParams(epoch_len=5)
         proto = get_protocol("nakamoto")
         first = run_epoch(
-            params, [MinerConfig("a", Fraction(5), BatchPublisher(6))], proto, seed=1
+            Game(params, [MinerConfig("a", Fraction(5), BatchPublisher(6))], proto),
+            seed=1,
         )
         assert first.main.length == 6
         strat = BatchPublisher(1)
         second = run_epoch(
-            params, [MinerConfig("a", Fraction(5), strat)], proto, seed=2,
+            Game(params, [MinerConfig("a", Fraction(5), strat)], proto), seed=2,
             store=first.store,
         )
         assert second.epoch_index == 1
@@ -182,13 +189,13 @@ class TestRunEpoch:
         proto = get_protocol("nakamoto")
         miners = [MinerConfig("a", Fraction(0), make_strategy("prescribed", proto))]
         with pytest.raises(StalledSystemError):
-            run_epoch(params, miners, proto, seed=0)
+            run_epoch(Game(params, miners, proto), seed=0)
 
     def test_guard_ratio_warns(self):
         params = EpochParams(epoch_len=10, user_balance=Fraction(100))
         proto, miners = nakamoto_miners([1.0], params)
         with pytest.warns(UserWarning, match="negligible"):
-            run_epoch(params, miners, proto, seed=0)
+            run_epoch(Game(params, miners, proto), seed=0)
 
     def test_guard_ratio_boundary_is_strict(self):
         # total miner balance 10: no warning at exactly the ratio, one just above
@@ -199,7 +206,7 @@ class TestRunEpoch:
             assert sum(m.balance for m in miners) == 10
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                run_epoch(params, miners, proto, seed=0)
+                run_epoch(Game(params, miners, proto), seed=0)
             assert any("negligible" in str(w.message) for w in caught) == warns
 
 
@@ -264,7 +271,7 @@ class TestStrategyFaults:
         params = EpochParams(epoch_len=5)
         proto = get_protocol("nakamoto")
         miners = [MinerConfig("x", Fraction(5), strategy)]
-        return run_epoch(params, miners, proto, seed=0)
+        return run_epoch(Game(params, miners, proto), seed=0)
 
     def test_bad_allocation(self):
         with pytest.raises(StrategyFault, match="allocated"):
@@ -287,7 +294,7 @@ class TestStrategyFaults:
         petty = make_strategy("petty_compliant", proto)
         miners = [MinerConfig("x", Fraction(5), petty)]
         with pytest.raises(StrategyFault, match="internal"):
-            run_epoch(params, miners, proto, seed=0)
+            run_epoch(Game(params, miners, proto), seed=0)
 
 
 class PrivateFactored:
@@ -339,7 +346,7 @@ class TestQuota:
         strat = PrivateFactored()
         miners = [MinerConfig("x", Fraction(10), strat)]
         with pytest.raises(StrategyFault, match=r"factored-block quota \(10\)"):
-            run_epoch(self.HEB, miners, proto, seed=0)
+            run_epoch(Game(self.HEB, miners, proto), seed=0)
         assert strat.held == list(range(11))
 
     def test_mandatory_faults_on_block_after_quota(self):
@@ -348,7 +355,7 @@ class TestQuota:
         strat = QuotaIgnorer()
         miners = [MinerConfig("x", Fraction(10), strat)]
         with pytest.raises(StrategyFault, match=r"block quota \(2\)"):
-            run_epoch(self.HEB, miners, proto, seed=0)
+            run_epoch(Game(self.HEB, miners, proto), seed=0)
         assert strat.calls == 3
 
     def test_fork_below_epoch_start_gets_no_extra_quota(self):
@@ -356,12 +363,12 @@ class TestQuota:
         # from genesis still holds only her 10 blocks of quota
         proto = get_protocol("heb")
         prescribed = [MinerConfig("x", Fraction(10), make_strategy("prescribed", proto))]
-        first = run_epoch(self.HEB, prescribed, proto, seed=0)
+        first = run_epoch(Game(self.HEB, prescribed, proto), seed=0)
         assert first.stats["x"] == (10, Fraction(50))
         strat = PrivateFactored(root=first.store.genesis_id)
         miners = [MinerConfig("x", Fraction(10), strat)]
         with pytest.raises(StrategyFault, match="factored-block quota"):
-            run_epoch(self.HEB, miners, proto, seed=1, store=first.store)
+            run_epoch(Game(self.HEB, miners, proto), seed=1, store=first.store)
         assert strat.held == list(range(11))
 
     @staticmethod
@@ -375,8 +382,9 @@ class TestQuota:
             MinerConfig(m, Fraction(20), make_strategy("prescribed", proto))
             for m in "ab"
         ]
-        first = run_epoch(params, miners, proto, seed=1)
-        second = run_epoch(params, miners, proto, seed=2, store=first.store)
+        game = Game(params, miners, proto)
+        first = run_epoch(game, seed=1)
+        second = run_epoch(game, seed=2, store=first.store)
         quota = params.quota_limit(params.rho * 20)
         return params, second, quota
 
@@ -474,7 +482,7 @@ class TestPublicationFixpoint:
         }
         balances = {"a": 3, "b": 3, "w": 2}
         miners = [MinerConfig(m, Fraction(balances[m]), r) for m, r in recorders.items()]
-        run_epoch(params, miners, proto, seed=0)
+        run_epoch(Game(params, miners, proto), seed=0)
         for r in recorders.values():
             assert r.seen and min(r.seen) > 0
 
@@ -487,7 +495,7 @@ class TestPublicationFixpoint:
             MinerConfig("hon", Fraction(2), ImmediatePublisher()),
             MinerConfig("wit", Fraction(1), Withholder()),
         ]
-        res = run_epoch(params, miners, proto, seed=3)
+        res = run_epoch(Game(params, miners, proto), seed=3)
         # only honest blocks ever enter the global store
         assert all(b.creator in (None, "hon") for b in res.store.blocks())
 
@@ -503,8 +511,9 @@ class TestPublicationFixpoint:
             MinerConfig("b", Fraction(1), ImmediatePublisher()),
         ]
         # find a seed where "a" is selected first
+        game = Game(params, miners, proto)
         for seed in range(30):
-            res = run_epoch(params, miners, proto, seed=seed)
+            res = run_epoch(game, seed=seed)
             creators = [b.creator for b in res.store.blocks() if b.creator]
             if creators and creators[0] == "b" and "a" in creators:
                 # a's withheld block was released in the round after b's
@@ -547,7 +556,7 @@ def recorded_run(params, proto, plays, seed, draws=None):
         MinerConfig(m, Fraction(b), StepRecorder(make_strategy(name, proto), log, draws))
         for m, b, name in plays
     ]
-    res = run_epoch(params, miners, proto, seed)
+    res = run_epoch(Game(params, miners, proto), seed)
     external = {m.id: m.strategy.allocate(m.balance, params).external for m in miners}
     sched, _ = derive_streams(seed, sorted(external))
     return res, log, oracles.scheduler(external, sched, res.steps)
@@ -638,7 +647,7 @@ class TestMinerStreams:
             MinerConfig("b", Fraction(3), drawing),
             MinerConfig("w", Fraction(1), make_strategy("pow_only", proto)),
         ]
-        res = run_epoch(params, miners, proto, seed=4)
+        res = run_epoch(Game(params, miners, proto), seed=4)
         assert res.stats["a"][0] + res.stats["b"][0] == 10
         assert built == ["b"]
 
@@ -669,7 +678,7 @@ class TestRunGames:
         proto, miners = nakamoto_miners([0.5, 0.5], params)
         stats = run_games(params, miners, proto, 1, seed=7)
         children = np.random.SeedSequence(7).spawn(1)
-        res = run_epoch(params, miners, proto, children[0])
+        res = run_epoch(Game(params, miners, proto), children[0])
         assert stats.mean_utility["m0"] == float(res.balances["m0"])
         assert stats.stderr_utility["m0"] == 0.0
 
@@ -719,6 +728,178 @@ class TestRunGames:
         seq = run_games(params, miners, proto, 12, seed=6, jobs=1)
         par = run_games(params, miners, proto, 12, seed=6, jobs=2)
         assert seq.to_csv() == par.to_csv()
+
+
+class AllocationCounter:
+    """Plays ``inner`` and counts its ``allocate`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.allocations = 0
+
+    def allocate(self, balance, params):
+        self.allocations += 1
+        return self.inner.allocate(balance, params)
+
+    def generate_block(self, view):
+        return self.inner.generate_block(view)
+
+    def publish(self, view):
+        return self.inner.publish(view)
+
+
+class TestGame:
+    HEB = EpochParams(
+        epoch_len=20, factor=Fraction(20), rho=Fraction(1, 2),
+        user_balance=Fraction(10**6),
+    )
+
+    def _miners(self):
+        proto = get_protocol("heb")
+        plays = (("a", 6, "prescribed"), ("b", 6, "prescribed"), ("w", 8, "pow_only"))
+        return proto, [
+            MinerConfig(m, Fraction(b), AllocationCounter(make_strategy(name, proto)))
+            for m, b, name in plays
+        ]
+
+    def test_allocate_runs_once_per_miner_per_batch(self):
+        proto, miners = self._miners()
+        results = list(engine.iter_game_results(self.HEB, miners, proto, 5, seed=3))
+        assert len(results) == 5
+        assert [m.strategy.allocations for m in miners] == [1, 1, 1]
+
+    def test_batch_equals_runs_of_one_game(self):
+        proto, miners = self._miners()
+        batch = engine.iter_game_results(self.HEB, miners, proto, 6, seed=8)
+        game = Game(self.HEB, miners, proto)
+        children = np.random.SeedSequence(8).spawn(6)
+        assert [r.to_json() for r in batch] == [
+            run_epoch(game, child).to_json() for child in children
+        ]
+
+    def test_chained_epochs_share_one_game(self):
+        proto, miners = self._miners()
+        game = Game(self.HEB, miners, proto)
+        store = None
+        for k in range(4):
+            res = run_epoch(game, seed=k, store=store)
+            store = res.store
+            assert res.epoch_index == k
+            assert res.prefix_ok
+            assert sum(n for n, _w in res.stats.values()) == self.HEB.epoch_len
+        assert res.main.length >= 4 * self.HEB.epoch_len
+        assert [m.strategy.allocations for m in miners] == [1, 1, 1]
+
+    def test_bad_allocation_faults_when_the_game_is_built(self):
+        params = EpochParams(epoch_len=5)
+        miners = [MinerConfig("x", Fraction(5), BadAllocator())]
+        with pytest.raises(StrategyFault, match="allocated"):
+            Game(params, miners, get_protocol("nakamoto"))
+
+    def test_strategy_methods_bound_per_run(self, monkeypatch):
+        # a strategy class patched after the game is built is seen by the run
+        params = EpochParams(epoch_len=5)
+        proto = get_protocol("nakamoto")
+        game = Game(params, [MinerConfig("x", Fraction(5), ImmediatePublisher())], proto)
+        calls = []
+        orig = ImmediatePublisher.generate_block
+
+        def counted(self, view):
+            calls.append(view.miner_id)
+            return orig(self, view)
+
+        monkeypatch.setattr(ImmediatePublisher, "generate_block", counted)
+        run_epoch(game, seed=0)
+        assert calls == ["x"] * 5
+
+
+class RandomPlayer:
+    """Allocates rho of her balance internally.  Each block extends her
+    highest private block, a uniformly chosen public tip or the epoch's
+    start tip, and is factored while her quota lasts (regular at random).
+    Once she holds ``batch`` private blocks she publishes every one up to a
+    random height, a prefix of what she holds.  All draws come from her
+    ``view.rng``."""
+
+    def __init__(self, withhold, batch):
+        self.withhold = withhold
+        self.batch = batch
+
+    def allocate(self, balance, params):
+        return Allocation(params.rho * balance, (1 - params.rho) * balance)
+
+    def generate_block(self, view):
+        rng = view.rng
+        if view.local and rng.random() < self.withhold:
+            parent = max(view.local.values(), key=lambda b: b.height).id
+        elif rng.random() < 0.2:
+            parent = view.epoch_start_tip
+        else:
+            tips = view.public_tips()
+            parent = tips[int(rng.integers(len(tips)))]
+        if within_quota(view.factored_used(parent), view.quota_limit) and rng.random() < 0.8:
+            return parent, FACTORED
+        return parent, REGULAR
+
+    def publish(self, view):
+        if len(view.local) < self.batch:
+            return []
+        heights = sorted({b.height for b in view.local.values()})
+        cut = heights[int(view.rng.integers(len(heights)))]
+        return sorted(bid for bid, b in view.local.items() if b.height <= cut)
+
+
+class TestChainedEpochProperties:
+    """Chained epochs under random withholding and prefix publication keep
+    token conservation, the prefix invariant and the per-epoch quota."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_chained_epochs_keep_invariants(self, data):
+        epoch_len = data.draw(st.integers(2, 12), "epoch_len")
+        params = EpochParams(
+            epoch_len=epoch_len, factor=Fraction(20), rho=Fraction(1, 2),
+            user_balance=Fraction(10**6),
+        )
+        proto = get_protocol("heb")
+        count = data.draw(st.integers(1, 4), "miners")
+        # a batch of at most epoch_len // 2 + 2 blocks can overshoot an
+        # epoch's end, and keeps the publication rounds under the engine's cap
+        miners = [
+            MinerConfig(
+                f"m{i}",
+                # her quota equals her balance: up to a whole epoch of blocks
+                Fraction(data.draw(st.integers(1, epoch_len), f"balance {i}")),
+                RandomPlayer(
+                    data.draw(st.sampled_from([0.0, 0.5, 0.9]), f"withhold {i}"),
+                    data.draw(st.integers(1, epoch_len // 2 + 2), f"batch {i}"),
+                ),
+            )
+            for i in range(count)
+        ]
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4), "seeds")
+        game = Game(params, miners, proto)
+        quota = {m.id: params.quota_limit(params.rho * m.balance) for m in miners}
+        store, fixed = None, []
+        for k, seed in enumerate(seeds):
+            res = run_epoch(game, seed, store=store)
+            store = res.store
+            assert res.epoch_index == k
+            # token conservation, exactly
+            minted = epoch_len * proto.mint_per_block(params)
+            assert sum(res.balances.values()) + res.user_payout == res.internal_total + minted
+            # the prefix invariant: the chain up to this epoch's start, and
+            # every earlier epoch, stay as they were
+            assert res.prefix_ok
+            main = [b.id for b in res.main.blocks]
+            assert all(main[: len(f)] == f for f in fixed)
+            fixed.append(main[: (k + 1) * epoch_len + 1])
+            # the per-epoch quota on every epoch so far
+            for j in range(k + 1):
+                factored = Counter(
+                    b.creator for b in epoch_slice(res.main, j, epoch_len) if b.kind == FACTORED
+                )
+                assert all(n <= quota[m] for m, n in factored.items())
 
 
 class TestSeedStreams:
@@ -903,7 +1084,7 @@ class TestGoldenRun:
             MinerConfig("a", Fraction(2), make_strategy("prescribed", proto)),
             MinerConfig("b", Fraction(3), make_strategy("prescribed", proto)),
         ]
-        res = run_epoch(params, miners, proto, seed=123)
+        res = run_epoch(Game(params, miners, proto), seed=123)
         assert res.store.to_jsonl() == GOLDEN_STORE
         assert res.to_json() == GOLDEN_RESULT
         # quota accounting visible in the golden data: miner a holds
@@ -922,7 +1103,7 @@ class TestGoldenRun:
             MinerConfig("b", Fraction(3), make_strategy("prescribed", proto)),
             MinerConfig("w", Fraction(2), make_strategy("pow_only", proto)),
         ]
-        res = run_epoch(params, miners, proto, seed=0)
+        res = run_epoch(Game(params, miners, proto), seed=0)
         assert res.store.to_jsonl() == GOLDEN_WITHHOLDING_STORE
         assert res.to_json() == GOLDEN_WITHHOLDING_RESULT
 
@@ -936,7 +1117,7 @@ class TestGoldenRun:
             MinerConfig("a", Fraction(2), make_strategy("prescribed", proto)),
             MinerConfig("b", Fraction(4), make_strategy("prescribed", proto)),
         ]
-        res = run_epoch(params, miners, proto, seed=5)
+        res = run_epoch(Game(params, miners, proto), seed=5)
         assert res.store.to_jsonl() == GOLDEN_MANDATORY_STORE
         assert res.to_json() == GOLDEN_MANDATORY_RESULT
         assert res.steps - res.blocks_created == 3
@@ -948,6 +1129,6 @@ class TestGoldenRun:
             MinerConfig(m, Fraction(b), make_strategy("prescribed", proto))
             for m, b in (("a", 2), ("b", 3), ("c", 3))
         ]
-        res = run_epoch(params, miners, proto, seed=11)
+        res = run_epoch(Game(params, miners, proto), seed=11)
         assert res.store.to_jsonl() == GOLDEN_NAKAMOTO3_STORE
         assert res.to_json() == GOLDEN_NAKAMOTO3_RESULT

@@ -22,6 +22,8 @@ from hebsim.metrics import (
     redistribution_bound,
 )
 
+import oracles
+
 TABLE2 = [
     ((0.20, 0.80), 0.0029),
     ((0.10, 0.15, 0.20, 0.20, 0.35), 0.0025),
@@ -117,6 +119,54 @@ class TestExpectedWeight:
         mc_mean = w.mean()
         mc_se = w.std(ddof=1) / math.sqrt(len(w))
         assert abs(expected_weight(share, ell, phi) - mc_mean) < 3 * mc_se
+
+
+class TestExpectedWeightOracle:
+    """Summing outward from the mode and skipping the terms that underflow
+    to 0.0 gives the full-range sum, bit for bit."""
+
+    @pytest.mark.parametrize("epoch_len", [1, 2, 10, 200, 1000, 10**4])
+    @pytest.mark.parametrize("share", [1e-4, 0.05, 0.2, 0.4, 0.5, 0.99, 1.0])
+    def test_equals_full_range_sum(self, share, epoch_len):
+        for factor in (1, 20, 50):
+            for fractional in (False, True):
+                try:
+                    want = oracles.expected_weight(share, epoch_len, factor, fractional)
+                except ValueError:  # an integral quota needs an integral ell * share
+                    with pytest.raises(ValueError, match="not integral"):
+                        expected_weight(share, epoch_len, factor, fractional)
+                    continue
+                got = expected_weight(share, epoch_len, factor, fractional)
+                assert got == want, (share, epoch_len, factor, fractional)
+
+    def test_skips_the_terms_that_underflow(self, monkeypatch):
+        # at share 0.5 and ell 10^4 about 3,800 of the 10,001 terms are
+        # nonzero; the full range makes three lgamma calls per term
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+        expected_weight(0.5, 10**4, 20.0)
+        assert 0 < len(calls) < 10**4
+
+
+class TestWeightOverflow:
+    """A finite factor so large that an epoch's weight overflows is an
+    error, not a nan."""
+
+    def test_library_raises(self):
+        for call in (
+            lambda: conditional_weight(2, 0.3, 10, 1e308),
+            lambda: expected_weight(0.3, 10, 1e308),
+            lambda: normalized_weight(0.1, 10, 1e308, allow_fractional=True),
+            lambda: epsilon([0.3, 0.7], 10, 1e308),
+        ):
+            with pytest.raises(ValueError, match="factor 1e\\+308 overflows"):
+                call()
+
+    def test_largest_finite_epoch_weight_passes(self):
+        factor = 1.7976931348623157e308 / 10
+        assert math.isfinite(epsilon([0.3, 0.7], 10, factor))
+        assert math.isfinite(normalized_weight(0.3, 10, factor))
 
 
 class TestBinomialBasics:

@@ -15,6 +15,7 @@ from hebsim.chain import (
 )
 from hebsim.engine import (
     Allocation,
+    Game,
     MinerConfig,
     MinerView,
     StalledSystemError,
@@ -305,7 +306,7 @@ class TestPowOnlyRace:
                 MinerConfig("att", balances[0], make_strategy("pow_only", proto)),
                 MinerConfig("coh", balances[1], make_strategy("prescribed", proto)),
             ]
-            res = run_epoch(params, miners, proto, seed=seed)
+            res = run_epoch(Game(params, miners, proto), seed=seed)
             if res.stats["att"][0] == params.epoch_len:
                 takeovers += 1
         # alpha = 0.4/(0.4+0.3) = 4/7; the race strongly favors the attacker
@@ -321,7 +322,7 @@ class TestPowOnlyRace:
                 MinerConfig("att", balances[0], make_strategy("pow_only", proto)),
                 MinerConfig("coh", balances[1], make_strategy("prescribed", proto)),
             ]
-            res = run_epoch(params, miners, proto, seed=seed)
+            res = run_epoch(Game(params, miners, proto), seed=seed)
             takeovers += res.stats["att"][0] == params.epoch_len
         assert takeovers <= 2
 
@@ -338,7 +339,7 @@ class TestNoIc:
                 MinerConfig("i", balances[0], make_strategy(strategy_name, proto)),
                 MinerConfig("o", balances[1], make_strategy("prescribed", proto)),
             ]
-            return run_epoch(params, miners, proto, seed=77)
+            return run_epoch(Game(params, miners, proto), seed=77)
 
         assert run("no_ic").balances["i"] == run("prescribed").balances["i"]
 
@@ -394,8 +395,9 @@ class TestPrescribedSelfConsistency:
             MinerConfig("a", balances[0], make_strategy("prescribed", proto)),
             MinerConfig("b", balances[1], make_strategy("prescribed", proto)),
         ]
+        game = Game(params, miners, proto)
         for seed in range(8):
-            res = run_epoch(params, miners, proto, seed=seed)
+            res = run_epoch(game, seed=seed)
             fac_a = sum(
                 1 for b in res.main if b.creator == "a" and b.kind == FACTORED
             )
@@ -417,7 +419,7 @@ class TestMandatoryProtocol:
             MinerConfig("a", Fraction(10), proto.prescribed()),
             MinerConfig("b", Fraction(10), proto.prescribed()),
         ]
-        res = run_epoch(params, miners, proto, seed=6)
+        res = run_epoch(Game(params, miners, proto), seed=6)
         total = sum(res.balances.values()) + res.user_payout
         assert total == res.internal_total + Fraction(10)
 
@@ -432,7 +434,7 @@ class TestMandatoryProtocol:
             MinerConfig("b", Fraction(2), proto.prescribed()),
         ]
         with pytest.raises(StalledSystemError, match="quota"):
-            run_epoch(params, miners, proto, seed=6)
+            run_epoch(Game(params, miners, proto), seed=6)
 
 
 class TestHebNakamotoReductions:
