@@ -69,10 +69,6 @@ class StalledSystemError(Exception):
     block-creation quotas exhausted under a mandatory-expenditure protocol)."""
 
 
-class PublicationLoopError(Exception):
-    """The publication fixpoint exceeded its round cap."""
-
-
 class MinerView:
     """Read access a strategy gets when invoked: the public storage, the
     miner's own private blocks, and her per-run context.
@@ -481,10 +477,11 @@ def run_epoch(
 
     # miners whose ``local`` is non-empty: the only ones ``publish`` is asked
     holders: set[str] = set()
-    cap = max(params.epoch_len * len(miners), 16)
 
     def publication_fixpoint() -> None:
-        rounds = 0
+        # no block is created here, and each round that publishes moves at
+        # least one block out of a ``local`` (a block published twice is a
+        # StrategyFault), so the rounds are bounded by the blocks held
         while holders:
             batch: list[Block] = []
             for mid in sorted(holders) if len(holders) > 1 else holders:
@@ -498,11 +495,6 @@ def run_epoch(
                     batch.append(local[bid])
             if not batch:
                 return
-            rounds += 1
-            if rounds > cap:
-                raise PublicationLoopError(
-                    f"publication loop exceeded {cap} rounds"
-                )
             if len(batch) > 1:
                 batch.sort(key=lambda b: (b.height, b.id))
             for b in batch:
@@ -579,7 +571,7 @@ def run_epoch(
     for m in ids:
         stats.setdefault(m, (0, Fraction(0)))
 
-    outcome = protocol.balance_fn(main, epoch_index, params, game.allocations, ids)
+    outcome = protocol.balance_fn(stats, params, game.allocations, ids)
     balances = {
         m: outcome.minted.get(m, Fraction(0)) + outcome.redistributed.get(m, Fraction(0))
         for m in ids

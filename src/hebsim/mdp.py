@@ -34,27 +34,28 @@ codes, each terminal state's integer block counts, and each state's level (0
 when terminal, else one more than its highest successor).  The compile runs
 in numpy one frontier of states at a time, a frontier being the states whose
 chains hold a given number of blocks, and it checks the state budget before
-it expands each frontier.  States are numbered by level, the initial state
-last.  Each phi then costs one backward pass over those arrays in numpy, one
-level at a time.  A level's action values are summed one successor column at
-a time and its best actions found by scanning one action slot at a time, the
-float operations of a scalar loop, so values and tie-breaking are
-bit-identical to it.  That one pass serves both :func:`solve` (maximising
-over the legal actions, with a level plan built once per graph) and
-:func:`policy_value` (one fixed action per state).  :func:`solve` keeps its
-results by state index; the state-keyed ``policy`` and ``state_values``
-dicts are built only when read, in the order of a depth-first search from
-the initial state.  A caller that evaluates several factors passes a
-``graphs`` dict to reuse the compiled graphs; :func:`min_factor` keeps one
-for the length of its search and there is no process-wide cache.  A fixed
-policy (a function of the state, a solved result, or :data:`PRESCRIBED`) is
-first mapped, by one walk over the states reachable under it, to an action
-index per state; that map serves the exact evaluation, the seeded rollouts
-and the check that an optimal policy has the prescribed shape.  A rollout
-step is one lookup of the state's cumulative successor probabilities and at
-most two comparisons with the next uniform, drawn from the generator in
-batches.  The one-step kernel :func:`successors`, :func:`legal_actions` and
-:func:`terminal_value` spell out the same model state by state.
+it expands each frontier.  States are numbered frontier by frontier as the
+compile finds them, the initial state first.  Each phi then costs one
+backward pass over those arrays in numpy, one level at a time.  A level's
+action values are summed one successor column at a time and its best actions
+found by scanning one action slot at a time, the float operations of a
+scalar loop, so values and tie-breaking are bit-identical to it.  That one
+pass serves both :func:`solve` (maximising over the legal actions, with a
+level plan built once per graph) and :func:`policy_value` (one fixed action
+per state).  :func:`solve` keeps its results by state index; the state-keyed
+``policy`` and ``state_values`` dicts are built only when read, in the order
+of a depth-first search from the initial state.  A caller that evaluates
+several factors passes a ``graphs`` dict to reuse the compiled graphs;
+:func:`min_factor` keeps one for the length of its search and there is no
+process-wide cache.  A fixed policy (a function of the state, a solved
+result, or :data:`PRESCRIBED`) is first mapped, by one walk over the states
+reachable under it, to an action index per state; that map serves the exact
+evaluation, the seeded rollouts and the check that an optimal policy has the
+prescribed shape.  A rollout step is one lookup of the state's cumulative
+successor probabilities and at most two comparisons with the next uniform,
+drawn from the generator in batches.  The one-step kernel
+:func:`successors`, :func:`legal_actions` and :func:`terminal_value` spell
+out the same model state by state.
 
 The state count grows about 2.3-fold per unit of epoch length.  One
 resource guard bounds it: compiling a graph past :data:`MAX_STATES` states
@@ -88,7 +89,7 @@ State = tuple[int, int, int, int, tuple[bool, ...], tuple[bool, ...], bool]
 # The most states one compiled graph may hold; _compile raises
 # StateBudgetError once the states it has found pass it, before it expands
 # another frontier.  The largest graph at ell 12 (share 0.2, phi 20, rho 0)
-# has 1,082,448 states; it compiles in about 4 s and peaks at about 420-480
+# has 1,082,448 states; it compiles in about 3.3 s and peaks at about 400
 # MB RSS on a 2-vCPU Xeon.  Each step of ell multiplies the count by about
 # 2.3, so ell 13 trips the budget after about 5 s.  Read at call time.
 MAX_STATES = 1_200_000
@@ -434,17 +435,22 @@ _LOW = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
 _CHUNK = 1 << 13
 _MERGE = 1 << 20
 
+# the initial state's index in a compiled graph: the compile numbers states
+# as it finds them, and it starts from the initial state
+_ROOT = 0
+
 
 @dataclass
 class _Graph:
     """One game's state graph with everything but the factor resolved.
 
-    States are numbered by level, lowest first: ``level[i]`` is 0 for a
-    terminal state, else 1 + the largest level among its successors, so
-    every state comes after all its successors and the initial state is
-    last.  State ``i`` is the integer row ``rows[i]`` (the columns ``_AR``
-    to ``_FORK``) with its secret extension's types in ``sec[i]``: a set
-    bit for a factored block, its last block in bit 0, 64 blocks per word.
+    States are numbered frontier by frontier (see :func:`_compile`), the
+    initial state :data:`_ROOT` first.  ``level[i]`` is 0 for a terminal
+    state, else 1 + the largest level among its successors; the backward
+    pass visits states by level (see :func:`_plan`).  State ``i`` is the
+    integer row ``rows[i]`` (the columns ``_AR`` to ``_FORK``) with its
+    secret extension's types in ``sec[i]``: a set bit for a factored block,
+    its last block in bit 0, 64 blocks per word.
     The public extension needs no mask: the cohort adds factored blocks
     while its quota lasts and regular ones after, so it is ``_PF`` factored
     blocks followed by regular ones.
@@ -781,8 +787,9 @@ def _compile(inst: MdpInstance) -> _Graph:
     numbered, checked against :data:`MAX_STATES` and expanded by
     :func:`_expand`, a chunk at a time.  Edges into earlier frontiers are
     matched to their states by sorting, a run of frontiers at a time, at the
-    end; an edge without a state is a RuntimeError.  The graph is then
-    renumbered by level (see :func:`_levels`)."""
+    end; an edge without a state is a RuntimeError.  States keep the
+    numbers the frontiers gave them, and each one's level comes from
+    :func:`_levels`."""
     ell = inst.ell
     dtype = np.int16 if ell < 1 << 14 else np.int32
     width = ell.bit_length()
@@ -886,42 +893,18 @@ def _compile(inst: MdpInstance) -> _Graph:
     np.cumsum(nsucc, dtype=np.intc, out=succ_lo[1:])
 
     level = _levels(ell, rows, act_lo, succ_lo, succ)
-
-    # renumber by level, the initial state alone at the highest, a chunk of
-    # states at a time
-    order = np.argsort(level, kind="stable")
-    rank = np.empty(n, np.intc)
-    rank[order] = np.arange(n, dtype=np.intc)
-    rows, sec, level = rows[order], sec[order], level[order]
     leaf_of = np.full(n, -1, np.intc)
-    term = np.flatnonzero(nact[order] == 0)
+    term = np.flatnonzero(nact == 0)
     leaves = _leaf_rows(inst, rows[term], sec[term])  # one row per distinct leaf
     no_sec = np.empty((len(leaves), 0), np.uint64)
     by, new = _dedup(_keys(leaves, no_sec, _key_layout([max(width, 2)] * 9, [])))
     leaf_of[term[by]] = np.cumsum(new) - 1
     leaves = leaves[by[new]]
     table = np.array([inst.alpha, 1.0 - inst.alpha, (1.0 - inst.alpha) * 0.5])
-    used = np.flatnonzero(np.bincount(prob, minlength=3))
+    used = np.flatnonzero([(prob == c).any() for c in range(3)])  # no int64 copy of prob
     probs = np.unique(table[used])
     code_of = np.zeros(3, np.min_scalar_type(len(probs) + 1))  # two more codes in _plan
     code_of[used] = np.searchsorted(probs, table[used])
-    g_act_lo = np.zeros(n + 1, np.intc)
-    np.cumsum(nact[order], dtype=np.intc, out=g_act_lo[1:])
-    g_act = np.empty(len(codes), np.int32)
-    g_succ_lo = np.zeros(len(codes) + 1, np.intc)
-    g_succ = np.empty(len(succ), np.intc)
-    g_prob_of = np.empty(len(succ), code_of.dtype)
-    for lo in range(0, n, _CHUNK):
-        part = order[lo : lo + _CHUNK]
-        acts = _ranges(act_lo[part], nact[part])
-        a0, e0 = g_act_lo[lo], g_succ_lo[g_act_lo[lo]]
-        g_act[a0 : a0 + len(acts)] = codes[acts]
-        count = nsucc[acts]
-        np.cumsum(count, dtype=np.intc, out=g_succ_lo[a0 + 1 : a0 + 1 + len(acts)])
-        g_succ_lo[a0 + 1 : a0 + 1 + len(acts)] += e0
-        edges = _ranges(succ_lo[acts], count)
-        g_succ[e0 : e0 + len(edges)] = rank[succ[edges]]
-        g_prob_of[e0 : e0 + len(edges)] = code_of[prob[edges]]
     return _Graph(
         ell=ell,
         rows=rows,
@@ -930,11 +913,11 @@ def _compile(inst: MdpInstance) -> _Graph:
         leaf_of=leaf_of,
         level=level,
         inner=np.flatnonzero(leaf_of < 0).astype(np.intc),
-        act_lo=g_act_lo,
-        act=g_act,
-        succ_lo=g_succ_lo,
-        succ=g_succ,
-        prob_of=g_prob_of,
+        act_lo=act_lo,
+        act=codes,
+        succ_lo=succ_lo,
+        succ=succ,
+        prob_of=code_of[prob],
         probs=probs,
     )
 
@@ -947,10 +930,9 @@ def _post_order(g: _Graph) -> np.ndarray:
     if g.post is None:
         first = g.succ_lo[g.act_lo].tolist()
         succ = g.succ.tolist()
-        root = len(first) - 2
-        seen = bytearray(root + 1)
-        seen[root] = 1
-        stack, at, post = [root], [first[root]], []
+        seen = bytearray(len(first) - 1)
+        seen[_ROOT] = 1
+        stack, at, post = [_ROOT], [first[_ROOT]], []
         while stack:
             i, e = stack[-1], at[-1]
             end = first[i + 1]
@@ -1058,7 +1040,7 @@ def solve(inst: MdpInstance, graphs: Optional[dict] = None) -> SolveResult:
         inner, act_lo = g.inner, g.act_lo
         g.plan = _plan(g, inner, act_lo[inner], act_lo[inner + 1] - act_lo[inner])
     values, choices = _evaluate(g, inst.phi, g.plan)
-    return SolveResult(float(values[-1]), len(values), inst, g, values, choices)
+    return SolveResult(float(values[_ROOT]), len(values), inst, g, values, choices)
 
 
 def _walk(g: _Graph, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1068,7 +1050,7 @@ def _walk(g: _Graph, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     act_lo, succ_lo = g.act_lo, g.succ_lo
     seen = np.zeros(len(g.leaf_of), bool)
     found = []
-    front = np.array([len(g.leaf_of) - 1])
+    front = np.array([_ROOT])
     while len(front):
         seen[front] = True
         front = front[act_lo[front] < act_lo[front + 1]]
@@ -1094,7 +1076,7 @@ def _fixed_arrays(g: _Graph, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
         return policy._fixed
     policy_fn = policy.policy.__getitem__ if isinstance(policy, SolveResult) else policy
     fixed: dict[int, int] = {}
-    stack = [len(g.leaf_of) - 1]
+    stack = [_ROOT]
     while stack:
         i = stack.pop()
         lo, hi = g.act_lo[i : i + 2].tolist()
@@ -1124,7 +1106,7 @@ def policy_value(
     g = _graph(inst, graphs)
     rows, acts = _fixed_arrays(g, policy)
     values, _choices = _evaluate(g, inst.phi, _plan(g, rows, acts, np.ones_like(acts)))
-    return float(values[-1])
+    return float(values[_ROOT])
 
 
 def prescribed_action(inst: MdpInstance, state: State) -> Action:
@@ -1168,10 +1150,9 @@ def rollout_rewards(
     rng = np.random.default_rng(as_seedseq(seed))
     draw = chain.from_iterable(iter(lambda: rng.random(_DRAWS).tolist(), None)).__next__
     get = step.get
-    root = len(g.leaf_of) - 1
     ends = []
     for _ in range(games):
-        i = root
+        i = _ROOT
         while (t := get(i)) is not None:
             c0, s0, c1, s1, s2 = t
             r = draw()

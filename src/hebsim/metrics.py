@@ -143,6 +143,8 @@ def epsilon(
 ) -> float:
     """Maximal gap between a miner's relative balance and her relative
     expected reward when everyone follows the prescribed strategy."""
+    if epoch_len < 1:
+        raise ValueError(f"epoch_len must be at least 1, got {epoch_len}")
     if not isinstance(dist, BalanceDistribution):
         dist = BalanceDistribution(dist)
     ews = [

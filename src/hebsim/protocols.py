@@ -21,11 +21,10 @@ from typing import Callable
 
 from hebsim.chain import (
     Allocation,
-    Chain,
     EpochParams,
     FACTORED,
     REGULAR,
-    epoch_stats,
+    epoch_stats,  # unused here; perfbench's tracer patches protocols.epoch_stats by name
     within_quota,
 )
 from hebsim.engine import MinerView
@@ -155,19 +154,18 @@ class ProtocolSpec:
 
     def balance_fn(
         self,
-        chain: Chain,
-        k: int,
+        stats: dict[str, tuple[int, Fraction]],
         params: EpochParams,
         allocations: dict[str, Allocation],
         miner_ids: list[str],
     ) -> BalanceOutcome:
-        """Rewards of epoch ``k`` of ``chain``.
+        """Rewards of an epoch whose :func:`~hebsim.chain.epoch_stats` are
+        ``stats`` (miner -> (block count, accumulated weight)).
 
         The epoch's mint (less the ``"mint"`` pool) is split by accumulated
         weight under factored quotas and by block count otherwise.
         ``allocations`` is read only when there is a pool.
         """
-        stats = epoch_stats(chain, k, params)  # miner -> (count, weight)
         by = 1 if self.quota_mode == "factored" else 0
         contributed = sum((s[by] for s in stats.values()), Fraction(0))
         if contributed == 0:

@@ -199,11 +199,12 @@ def leaf_reward(leaf, phi, ell):
 
 
 def evaluate(g, phi, fixed=None):
-    """Backward induction over a compiled graph in one pass over its
-    post-order.  Returns every state's value and, per state in ``g.inner``,
-    the index of its best action (the first whose value beats the best so
-    far by more than 1e-15).  With ``fixed`` (state index -> action index)
-    only those states are evaluated, each under its given action, and the
+    """Backward induction over a compiled graph, one state at a time,
+    lowest level first, so that each state's successors are valued before
+    it.  Returns every state's value and, per state in ``g.inner``, the
+    index of its best action (the first whose value beats the best so far
+    by more than 1e-15).  With ``fixed`` (state index -> action index) only
+    those states are evaluated, each under its given action, and the
     choices follow the sorted state indices."""
     rewards = [leaf_reward(leaf, phi, g.ell) for leaf in g.leaves.tolist()]
     rewards.append(math.nan)  # leaf_of[i] == -1: not terminal, not yet evaluated
@@ -211,11 +212,12 @@ def evaluate(g, phi, fixed=None):
     act_lo, succ_lo, succ = g.act_lo, g.succ_lo, g.succ
     prob = g.probs[g.prob_of].tolist()
     if fixed is None:
-        spans = ((i, act_lo[i], act_lo[i + 1]) for i in g.inner)
+        spans = {i: (act_lo[i], act_lo[i + 1]) for i in g.inner}
     else:
-        spans = ((i, a, a + 1) for i, a in sorted(fixed.items()))
-    choice = []
-    for i, lo, hi in spans:
+        spans = {i: (a, a + 1) for i, a in fixed.items()}
+    choice = {}
+    for i in sorted(spans, key=g.level.__getitem__):
+        lo, hi = spans[i]
         best, best_a = -math.inf, lo
         for a in range(lo, hi):
             v = 0.0
@@ -224,8 +226,8 @@ def evaluate(g, phi, fixed=None):
             if v > best + 1e-15:
                 best, best_a = v, a
         val[i] = best
-        choice.append(best_a)
-    return val, choice
+        choice[i] = best_a
+    return val, [choice[i] for i in sorted(choice)]
 
 
 def rollout(g, fixed, phi, games, rng):
@@ -238,7 +240,7 @@ def rollout(g, fixed, phi, games, rng):
     rewards = np.empty(games, dtype=float)
     draws = 0
     for n in range(games):
-        i = len(leaf_of) - 1
+        i = mdp._ROOT
         while leaf_of[i] < 0:
             r = rng.random()
             draws += 1

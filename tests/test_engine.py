@@ -450,6 +450,29 @@ class ImmediatePublisher:
         return sorted(view.local)
 
 
+class Hoarder:
+    """Withholds until she holds ``hoard`` blocks, then publishes her
+    lowest one at each poll: one publication round per block."""
+
+    def __init__(self, hoard):
+        self.hoard = hoard
+        self.releasing = False
+
+    def allocate(self, balance, params):
+        return Allocation(Fraction(0), balance)
+
+    def generate_block(self, view):
+        if view.local:
+            return max(view.local.values(), key=lambda b: b.height).id, REGULAR
+        return view.public_tips()[0], REGULAR
+
+    def publish(self, view):
+        self.releasing = self.releasing or len(view.local) >= self.hoard
+        if not self.releasing:
+            return []
+        return [min(view.local.values(), key=lambda b: b.height).id]
+
+
 class PollRecorder:
     """Plays ``inner`` and records the size of ``view.local`` at every
     ``publish`` poll."""
@@ -498,6 +521,16 @@ class TestPublicationFixpoint:
         res = run_epoch(Game(params, miners, proto), seed=3)
         # only honest blocks ever enter the global store
         assert all(b.creator in (None, "hon") for b in res.store.blocks())
+
+    def test_rounds_bounded_by_blocks_held(self):
+        # one fixpoint runs a round per hoarded block, 20 rounds in a
+        # one-miner epoch of 5 blocks: a valid strategy, not a loop
+        params = EpochParams(epoch_len=5)
+        miners = [MinerConfig("h", Fraction(1), Hoarder(20))]
+        res = run_epoch(Game(params, miners, get_protocol("nakamoto")), seed=0)
+        assert res.main.length == 20
+        assert [b.creator for b in res.main.blocks[1:]] == ["h"] * 20
+        assert res.balances["h"] == 5 * params.mint
 
     def test_conditional_publish_needs_second_round(self):
         # miner "a" (TriggeredPublisher) creates a block first but holds it;
@@ -864,7 +897,7 @@ class TestChainedEpochProperties:
         proto = get_protocol("heb")
         count = data.draw(st.integers(1, 4), "miners")
         # a batch of at most epoch_len // 2 + 2 blocks can overshoot an
-        # epoch's end, and keeps the publication rounds under the engine's cap
+        # epoch's end
         miners = [
             MinerConfig(
                 f"m{i}",

@@ -556,7 +556,7 @@ class TestArrayPasses:
             values, choices = oracles.evaluate(g, phi, fixed)
             assert self._hex(got) == self._hex(values)
             assert got_choices[sorted(fixed)].tolist() == choices
-            assert policy_value(inst, policy, graphs).hex() == values[-1].hex()
+            assert policy_value(inst, policy, graphs).hex() == values[mdp._ROOT].hex()
 
         # every inner state sits above each of its successors
         act_lo, succ_lo = (np.frombuffer(a, np.intc) for a in (g.act_lo, g.succ_lo))
@@ -628,8 +628,20 @@ class TestIntegerCompile:
             assert (leaf_of < 0).tolist() == (want_leaf_of < 0).tolist()
             leaves = g.leaves[leaf_of[leaf_of >= 0]]
             assert leaves.tolist() == want.leaves[want_leaf_of[want_leaf_of >= 0]].tolist()
-            # numbered by level, the initial state last
-            assert (np.diff(g.level) >= 0).all() and post[-1] == len(post) - 1
+            # the depth-first post-order ends at the initial state
+            assert post[-1] == mdp._ROOT
+
+    @pytest.mark.parametrize(
+        "inst",
+        list(_golden_graphs(5))[::6] + [WIDE],
+        ids=["ell5-rho0", "ell5-rho0.5-alloc1", "ell5-rho0.5-alloc3", "ell17-wide"],
+    )
+    def test_states_numbered_frontier_by_frontier(self, inst):
+        g = mdp._compile(inst)
+        assert mdp._decode_states(g, [mdp._ROOT]) == [mdp.initial_state()]
+        # the blocks a state holds: established and both extensions
+        blocks = g.rows[:, : mdp._PF].sum(axis=1, dtype=np.intp)
+        assert (np.diff(blocks) >= 0).all() and blocks[-1] > 0
 
     @pytest.mark.parametrize(
         "inst",

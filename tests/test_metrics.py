@@ -195,6 +195,9 @@ class TestEpsilon:
             BalanceDistribution([0.5, 0.6])
         with pytest.raises(ValueError, match="positive"):
             BalanceDistribution([1.5, -0.5])
+        # every expected weight is 0.0 at epoch_len 0, and so is their total
+        with pytest.raises(ValueError, match="epoch_len"):
+            epsilon([0.5, 0.5], 0, 20.0)
 
     def test_equal_normalized_weights_iff_zero_gap(self):
         ell, phi = 1000, 20.0

@@ -10,6 +10,7 @@ from hebsim.chain import (
     EpochParams,
     FACTORED,
     REGULAR,
+    epoch_stats,
     genesis_block,
     within_quota,
 )
@@ -73,7 +74,7 @@ class TestNakamotoBalance:
     def test_per_block_payout(self):
         chain = linear_chain([("i", REGULAR)] * 7 + [("j", REGULAR)] * 3)
         params = EpochParams(epoch_len=10)
-        out = nakamoto_balance(chain, 0, params, {}, ["i", "j", "k"])
+        out = nakamoto_balance(epoch_stats(chain, 0, params), params, {}, ["i", "j", "k"])
         assert out.minted["i"] == 7
         assert out.minted["k"] == 0
         assert sum(out.minted.values()) == 10
@@ -89,7 +90,7 @@ class TestHebBalance:
             user_balance=Fraction(10**6),
         )
         allocations = alloc_map(A=(0, 1), B=(0, 4))
-        out = heb_balance(chain, 0, params, allocations, ["A", "B"])
+        out = heb_balance(epoch_stats(chain, 0, params), params, allocations, ["A", "B"])
         assert out.minted["A"] == Fraction(20, 24) * 5
         assert out.minted["B"] == Fraction(4, 24) * 5
 
@@ -100,7 +101,7 @@ class TestHebBalance:
             user_balance=Fraction(1000),
         )
         allocations = alloc_map(A=(3, 3), B=(1, 0))
-        out = heb_balance(chain, 0, params, allocations, ["A", "B"])
+        out = heb_balance(epoch_stats(chain, 0, params), params, allocations, ["A", "B"])
         internal_total = Fraction(4)
         assert out.redistributed["A"] == internal_total * 3 / (4 + 1000)
         assert out.redistributed["B"] == internal_total * 1 / (4 + 1000)
@@ -114,8 +115,8 @@ class TestHebBalance:
         )
         params = EpochParams(epoch_len=4, factor=1)
         allocations = alloc_map(A=(0, 2), B=(0, 2))
-        heb = heb_balance(chain, 0, params, allocations, ["A", "B"])
-        nak = nakamoto_balance(chain, 0, params, allocations, ["A", "B"])
+        heb = heb_balance(epoch_stats(chain, 0, params), params, allocations, ["A", "B"])
+        nak = nakamoto_balance(epoch_stats(chain, 0, params), params, allocations, ["A", "B"])
         assert heb.minted == nak.minted
 
     def test_sole_miner_near_full_reward(self):
@@ -124,7 +125,7 @@ class TestHebBalance:
             epoch_len=5, factor=Fraction(20), rho=Fraction(1, 2),
             user_balance=Fraction(10**9),
         )
-        out = heb_balance(chain, 0, params, alloc_map(A=(2, 3)), ["A"])
+        out = heb_balance(epoch_stats(chain, 0, params), params, alloc_map(A=(2, 3)), ["A"])
         assert out.minted["A"] == 5
         assert out.redistributed["A"] < Fraction(1, 10**7)
 
@@ -133,7 +134,7 @@ class TestNaiveProtocols:
     def test_half_mint(self):
         chain = linear_chain([("i", REGULAR)] * 7 + [("j", REGULAR)] * 3)
         params = EpochParams(epoch_len=10)
-        out = nakamoto_half_balance(chain, 0, params, {}, ["i", "j"])
+        out = nakamoto_half_balance(epoch_stats(chain, 0, params), params, {}, ["i", "j"])
         assert out.minted["i"] == Fraction(7, 2)
         assert sum(out.minted.values()) == 5
 
@@ -142,8 +143,8 @@ class TestNaiveProtocols:
         proto_full = get_protocol("nakamoto")
         chain = linear_chain([("i", REGULAR)] * 10)
         params = EpochParams(epoch_len=10)
-        half = nakamoto_half_balance(chain, 0, params, {}, ["i"])
-        full = nakamoto_balance(chain, 0, params, {}, ["i"])
+        half = nakamoto_half_balance(epoch_stats(chain, 0, params), params, {}, ["i"])
+        full = nakamoto_balance(epoch_stats(chain, 0, params), params, {}, ["i"])
         scale = real_value_scale(proto_half)
         assert half.minted["i"] * scale == full.minted["i"] * real_value_scale(proto_full)
 
@@ -151,8 +152,8 @@ class TestNaiveProtocols:
         chain = linear_chain([("i", REGULAR)] * 6 + [("j", REGULAR)] * 4)
         params = EpochParams(epoch_len=10, rho=0)
         allocations = alloc_map(i=(0, 6), j=(0, 4))
-        prd = prd_balance(chain, 0, params, allocations, ["i", "j"])
-        nak = nakamoto_balance(chain, 0, params, allocations, ["i", "j"])
+        prd = prd_balance(epoch_stats(chain, 0, params), params, allocations, ["i", "j"])
+        nak = nakamoto_balance(epoch_stats(chain, 0, params), params, allocations, ["i", "j"])
         assert prd.minted == nak.minted
         assert prd.user_payout == 0
 
@@ -161,7 +162,7 @@ class TestNaiveProtocols:
         params = EpochParams(
             epoch_len=10, rho=Fraction(1, 2), user_balance=Fraction(10**6)
         )
-        out = prd_balance(chain, 0, params, alloc_map(A=(0, 10)), ["A"])
+        out = prd_balance(epoch_stats(chain, 0, params), params, alloc_map(A=(0, 10)), ["A"])
         assert out.minted["A"] == 5
         pool = sum(out.redistributed.values()) + out.user_payout
         assert pool == Fraction(1, 2) * 10  # rho * ell * mint, exactly
@@ -444,7 +445,7 @@ class TestHebNakamotoReductions:
         chain = linear_chain([("A", FACTORED)] * 3 + [("B", FACTORED)] * 7)
         params = EpochParams(epoch_len=10, factor=Fraction(20), rho=0)
         allocations = alloc_map(A=(0, 3), B=(0, 7))
-        heb = heb_balance(chain, 0, params, allocations, ["A", "B"])
-        nak = nakamoto_balance(chain, 0, params, allocations, ["A", "B"])
+        heb = heb_balance(epoch_stats(chain, 0, params), params, allocations, ["A", "B"])
+        nak = nakamoto_balance(epoch_stats(chain, 0, params), params, allocations, ["A", "B"])
         assert heb.minted == nak.minted
         assert heb.user_payout == 0
