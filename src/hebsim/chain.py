@@ -186,13 +186,16 @@ class BlockStore:
     * per-block, per-creator factored and total block counts on that path.
 
     Each creator gets a slot number the first time the store sees them; slot
-    0 stands for an unknown creator and always reads 0.  Per block the store
-    keeps two ``array('I')`` rows indexed by slot: the counts of every
-    creator's blocks on the path, and of their factored blocks.  An append
-    copies the parent's count row and bumps one slot; a regular block shares
-    its parent's factored row.  So a block costs 4 bytes per creator (8 when
-    factored) plus an array header of about 80 bytes per row.  A row reaches
-    only the highest slot counted on its path; slots past its end read 0.
+    0 stands for an unknown creator and always reads 0.  A per-creator count
+    reads an ``array('I')`` row indexed by slot: the counts of every
+    creator's blocks on the path, or of their factored blocks.  Rows are
+    built on read: the first read at a block walks up to the nearest
+    ancestor with a row and keeps a row for that block alone, shared with
+    the ancestor when the walk passes no counted block.  An append builds
+    no row, so an unread block costs about 100 bytes at any creator count;
+    a stored row costs 4 bytes per creator plus a header of about 80 bytes.
+    A row reaches only the highest slot counted on its path; slots past its
+    end read 0.  Rows never change once stored.
 
     Blocks are never removed or mutated.
     """
@@ -255,15 +258,8 @@ class BlockStore:
                 raise ChainError(f"unknown block kind {kind!r}")
             if creator is None:
                 raise ChainError("non-genesis block must carry a creator")
-            slot = self._slot.setdefault(creator, len(self._slot) + 1)
-            fac = self._fac_total[parent_id]
-            fac_by = self._fac_by[parent_id]
-            if kind == FACTORED:
-                fac += 1
-                fac_by = _bumped(fac_by, slot)
-            self._fac_total[bid] = fac
-            self._fac_by[bid] = fac_by
-            self._cnt_by[bid] = _bumped(self._cnt_by[parent_id], slot)
+            self._slot.setdefault(creator, len(self._slot) + 1)
+            self._fac_total[bid] = self._fac_total[parent_id] + (kind == FACTORED)
         blocks[bid] = block
         if height > self.max_height:
             self.max_height = height
@@ -278,16 +274,44 @@ class BlockStore:
         return self._fac_total[block_id]
 
     def factored_by_on_path(self, block_id: int, creator: str) -> int:
+        row = self._fac_by.get(block_id)
+        if row is None:
+            row = self._path_row(self._fac_by, block_id, FACTORED)
         try:
-            return self._fac_by[block_id][self._slot.get(creator, 0)]
+            return row[self._slot.get(creator, 0)]
         except IndexError:  # slot past the row's end: none of theirs on the path
             return 0
 
     def count_by_on_path(self, block_id: int, creator: str) -> int:
+        row = self._cnt_by.get(block_id)
+        if row is None:
+            row = self._path_row(self._cnt_by, block_id, None)
         try:
-            return self._cnt_by[block_id][self._slot.get(creator, 0)]
+            return row[self._slot.get(creator, 0)]
         except IndexError:  # slot past the row's end: none of theirs on the path
             return 0
+
+    def _path_row(self, rows: dict, block_id: int, kind: Optional[str]) -> array:
+        """Build and keep ``rows[block_id]`` from its nearest ancestor with a
+        row, counting the blocks between of ``kind`` (None: every block)."""
+        blocks, slot_of = self._blocks, self._slot
+        slots = []
+        cur = block_id
+        while cur not in rows:
+            _, parent, creator, bkind, _ = blocks[cur]
+            if kind is None or bkind == kind:
+                slots.append(slot_of[creator])
+            cur = parent
+        row = rows[cur]
+        if slots:
+            row = row[:]
+            top = max(slots) + 1
+            if top > len(row):  # zero-pad to reach the highest slot counted
+                row.frombytes(bytes((top - len(row)) * row.itemsize))
+            for slot in slots:
+                row[slot] += 1
+        rows[block_id] = row
+        return row
 
     def path_weight(self, block_id: int, factor: Fraction) -> Fraction:
         """Accumulated weight of the path genesis..block_id (genesis excluded)."""
@@ -346,15 +370,6 @@ class BlockStore:
             if line.strip():
                 store.append(Block.from_json(line))
         return store
-
-
-def _bumped(row: array, slot: int) -> array:
-    """A copy of ``row`` with ``slot`` incremented, zero-padded to reach it."""
-    row = row[:]
-    if slot >= len(row):
-        row.frombytes(bytes((slot + 1 - len(row)) * row.itemsize))
-    row[slot] += 1
-    return row
 
 
 # -- module-level operations ---------------------------------------------------------

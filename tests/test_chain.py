@@ -341,6 +341,7 @@ class TestTreeProperty:
             if store.get(i).height > store.get(tip).height:
                 tip = i
         assert store.max_height >= 500
+        store.count_by_on_path(tip, "e0")  # rows are built on the first read
         assert len(store._cnt_by[tip]) <= min(store._slot[m] for m in late)
         back = BlockStore.from_jsonl(store.to_jsonl())
         creators = early + late + ["nobody"]
@@ -354,17 +355,60 @@ class TestTreeProperty:
                     assert s.count_by_on_path(bid, m) == cnt[m]
                     assert s.factored_by_on_path(bid, m) == fac[m]
 
+    def test_read_order_does_not_change_counts(self):
+        # every block's two counts, read in shuffled order, deepest first,
+        # and between the appends, each equal a walk of its chain
+        rng = random.Random(29)
+        creators = [f"m{i}" for i in range(5)]
+        edges = []
+        for i in range(1, 401):
+            parent = rng.randrange(max(0, i - 40), i)
+            kind = FACTORED if rng.random() < 0.4 else REGULAR
+            edges.append((i, parent, rng.choice(creators), kind))
+        full = build_store(edges)
+        expect = {}
+        for bid in range(401):
+            path = full.chain_to(bid).blocks[1:]
+            expect[bid] = {
+                m: (sum(1 for b in path if b.creator == m),
+                    sum(1 for b in path if b.creator == m and b.kind == FACTORED))
+                for m in creators + ["nobody"]
+            }
+
+        def check(store, bid):
+            for m, (cnt, fac) in expect[bid].items():
+                assert store.count_by_on_path(bid, m) == cnt
+                assert store.factored_by_on_path(bid, m) == fac
+
+        shuffled = list(range(401))
+        rng.shuffle(shuffled)
+        deepest = sorted(range(401), key=lambda b: -full.get(b).height)
+        for order in (shuffled, deepest):
+            store = build_store(edges)
+            for s in (store, BlockStore.from_jsonl(store.to_jsonl())):
+                for bid in order:
+                    check(s, bid)
+        # read a block, then append its descendants
+        store = build_store([])
+        for bid, parent, creator, kind in edges:
+            check(store, parent)
+            store.append(Block(bid, parent, creator, kind, store.get(parent).height + 1))
+        for s in (store, BlockStore.from_jsonl(store.to_jsonl())):
+            for bid in shuffled:
+                check(s, bid)
+
 
 class TestFootprint:
-    def test_append_footprint_per_block(self):
+    N = 2000
+
+    def _store_bytes_per_block(self, read_factored=False):
         # 200 creators, about half the blocks factored; the Blocks are made
         # before tracing starts, so only the store's own allocations count
         rng = random.Random(3)
-        n = 2000
         blocks = [
             Block(i, i - 1, f"m{rng.randrange(200)}",
                   FACTORED if rng.random() < 0.5 else REGULAR, i)
-            for i in range(1, n + 1)
+            for i in range(1, self.N + 1)
         ]
         genesis = genesis_block(0)
         tracemalloc.start()
@@ -373,10 +417,21 @@ class TestFootprint:
             store.append(genesis)
             for b in blocks:
                 store.append(b)
+                if read_factored:
+                    store.factored_by_on_path(b.id, b.creator)
             used, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert used / n <= 2000
+        return used / self.N
+
+    def test_append_footprint_per_block(self):
+        assert self._store_bytes_per_block() <= 2000
+
+    def test_unread_rows_are_not_built(self):
+        assert self._store_bytes_per_block() <= 300
+
+    def test_factored_rows_read_at_every_block(self):
+        assert self._store_bytes_per_block(read_factored=True) <= 800
 
 
 class TestSerialization:
