@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run epoch game batches")
     common(sim)
     sim.add_argument("--runs", type=int, help="number of independent runs")
-    sim.add_argument("--jobs", type=int, help="parallel worker processes")
+    sim.add_argument("--jobs", type=int, help="upper bound on parallel worker processes")
     sim.set_defaults(fn=cmd_simulate)
 
     eps = sub.add_parser("epsilon", help="size-indifference per distribution")

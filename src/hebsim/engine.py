@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -267,10 +268,13 @@ def as_seedseq(seed: SeedLike) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def child_seed(ss: np.random.SeedSequence, key: tuple[int, ...]) -> np.random.SeedSequence:
+    """The seed below ``ss`` at ``key``: its spawn key extended by ``key``."""
+    return np.random.SeedSequence(entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + key)
+
+
 def _stream(ss: np.random.SeedSequence, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + key)
-    )
+    return np.random.default_rng(child_seed(ss, key))
 
 
 def miner_stream(seed: SeedLike, miner_id: str) -> np.random.Generator:
@@ -652,12 +656,14 @@ def iter_game_results(
     The :class:`Game` is built once for the batch.  Each run gets its own
     seed derived from the master; with ``jobs > 1`` runs execute in a
     process pool but results are merged in index order, so parallelism
-    never changes output.
+    never changes output.  ``jobs`` is an upper bound: the pool starts at
+    most one worker per run and per CPU.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     game = Game(params, miners, protocol)
     children = as_seedseq(seed).spawn(count)
+    jobs = min(jobs, count, os.cpu_count() or 1)
     if jobs <= 1:
         for child in children:
             yield run_epoch(game, child)

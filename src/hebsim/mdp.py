@@ -65,17 +65,17 @@ evaluation, rollouts, the best-response search) stops before it costs more.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from hebsim.chain import within_quota
-from hebsim.engine import SeedLike, as_seedseq
+from hebsim.engine import SeedLike, as_seedseq, child_seed
 
 WAIT = "wait"
 ADOPT = "adopt"
@@ -89,8 +89,8 @@ State = tuple[int, int, int, int, tuple[bool, ...], tuple[bool, ...], bool]
 # The most states one compiled graph may hold; _compile raises
 # StateBudgetError once the states it has found pass it, before it expands
 # another frontier.  The largest graph at ell 12 (share 0.2, phi 20, rho 0)
-# has 1,082,448 states; it compiles in about 3.3 s and peaks at about 400
-# MB RSS on a 2-vCPU Xeon.  Each step of ell multiplies the count by about
+# has 1,082,448 states; it compiles in about 3 s and peaks at about 390 MB
+# RSS on a 2-vCPU Xeon.  Each step of ell multiplies the count by about
 # 2.3, so ell 13 trips the budget after about 5 s.  Read at call time.
 MAX_STATES = 1_200_000
 
@@ -429,11 +429,9 @@ _MOVES = (PUBLISH, ADOPT, WAIT)
 # bits set per byte value, and the masks of the lowest 0..64 bits
 _POP8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 _LOW = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
-# a frontier expands at most this many states at once, and edges into
-# earlier frontiers are matched about this many at a time, which bounds the
-# scratch arrays of both
+# a frontier expands at most this many states at once, which bounds the
+# scratch arrays of one expansion
 _CHUNK = 1 << 13
-_MERGE = 1 << 20
 
 # the initial state's index in a compiled graph: the compile numbers states
 # as it finds them, and it starts from the initial state
@@ -611,6 +609,18 @@ def _dedup(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
+def _table(keys: list[np.ndarray]) -> np.ndarray:
+    """The words of :func:`_keys` as one array that sorts and searches in
+    :func:`_dedup`'s order: the word itself, or a record of the words, the
+    most significant (last) first."""
+    if len(keys) == 1:
+        return keys[0]
+    out = np.empty(len(keys[0]), [(f"w{w}", np.uint64) for w in reversed(range(len(keys)))])
+    for w, k in enumerate(keys):
+        out[f"w{w}"] = k
+    return out
+
+
 def _expand(inst: MdpInstance, rows: np.ndarray, sec: np.ndarray):
     """The legal actions and successors of the non-terminal states
     ``rows``/``sec``, in :func:`legal_actions` and :func:`successors` order.
@@ -784,23 +794,25 @@ def _compile(inst: MdpInstance) -> _Graph:
     block types depend only on the counts a state keeps), so each frontier
     is complete once the one before it is expanded.  Its candidate states
     are deduplicated by sorting their integer keys (see :func:`_keys`),
-    numbered, checked against :data:`MAX_STATES` and expanded by
-    :func:`_expand`, a chunk at a time.  Edges into earlier frontiers are
-    matched to their states by sorting, a run of frontiers at a time, at the
-    end; an edge without a state is a RuntimeError.  States keep the
-    numbers the frontiers gave them, and each one's level comes from
-    :func:`_levels`."""
+    numbered in key order, checked against :data:`MAX_STATES` and expanded
+    by :func:`_expand`, a chunk at a time.  An edge into the next frontier
+    keeps its successor's place among that frontier's candidates until the
+    frontier is numbered; an edge into a numbered frontier finds its state
+    at once, by binary search in that frontier's sorted keys, and one
+    without a state is a RuntimeError.  States keep the numbers the
+    frontiers gave them, and each one's level comes from :func:`_levels`."""
     ell = inst.ell
     dtype = np.int16 if ell < 1 << 14 else np.int32
     width = ell.bit_length()
     words = -(-ell // 64)  # the secret extension's type words per state
     layout = _key_layout([width] * _FORK + [1], [min(64, ell - 64 * k) for k in range(words)])
     front = [(np.zeros((1, 8), dtype), np.zeros((1, words), np.uint64))]
-    n = n_back = 0
-    state_keys, back_keys, back_at = [], [], []
+    n = 0
+    tables, starts = [], []  # each frontier's sorted keys and first state
     rows_out, sec_out, nact_out, codes_out, nsucc_out, prob_out = [], [], [], [], [], []
     succ_out: list[np.ndarray] = []
-    refs: list[np.ndarray] = []  # the last frontier's edges: >= 0 into ``front``
+    # the last frontier's edges: each a state, or n + a place in ``front``
+    refs: list[np.ndarray] = []
     while front:
         rows = np.concatenate([f[0] for f in front])
         sec = np.concatenate([f[1] for f in front])
@@ -809,12 +821,13 @@ def _compile(inst: MdpInstance) -> _Graph:
         ids = np.empty(len(order), np.intc)
         ids[order] = n + np.cumsum(new) - 1
         for r in refs:
-            ahead = r >= 0
-            r[ahead] = ids[r[ahead]]
+            ahead = r >= n
+            r[ahead] = ids[r[ahead] - n]
             succ_out.append(r.astype(np.intc))
         first = order[new]
         rows, sec = rows[first], sec[first]
-        state_keys.append([k[first] for k in keys])
+        tables.append(_table([k[first] for k in keys]))
+        starts.append(n)
         n += len(rows)
         if n > MAX_STATES:
             raise StateBudgetError(
@@ -822,7 +835,7 @@ def _compile(inst: MdpInstance) -> _Graph:
             )
         rows_out.append(rows)
         sec_out.append(sec)
-        depth = len(state_keys) - 1
+        depth = len(tables) - 1
         est = _rowsum(rows[:, _AR:_LS])
         inner = np.flatnonzero((est + rows[:, _LS] < ell) & (est + rows[:, _LP] < ell))
         nact = np.zeros(len(rows), np.intc)
@@ -835,56 +848,25 @@ def _compile(inst: MdpInstance) -> _Graph:
             prob_out.append(prob)
             at = _rowsum(cr[:, :_PF])  # each successor's frontier
             ahead = at > depth
-            # an edge refers to its successor's place in the next frontier,
-            # or (as -1 - place) among the distinct successors in earlier ones
-            place = np.empty(len(cr), np.int64)
-            place[ahead] = n_front + np.arange(np.count_nonzero(ahead))
+            place = np.empty(len(cr), np.int64)  # each successor's, as in ``refs``
+            place[ahead] = n + n_front + np.arange(np.count_nonzero(ahead))
             behind = np.flatnonzero(~ahead)
-            keys = _keys(cr[behind], cs[behind], layout)
-            order, new = _dedup(keys)
-            place[behind[order]] = -1 - n_back - (np.cumsum(new) - 1)
+            behind = behind[np.argsort(at[behind], kind="stable")]
+            probe = _table(_keys(cr[behind], cs[behind], layout))
+            bounds = np.searchsorted(at[behind], np.arange(depth + 2)).tolist()
+            for d, table in enumerate(tables):
+                part = slice(bounds[d], bounds[d + 1])
+                pos = np.searchsorted(table, probe[part])
+                if (table[np.minimum(pos, len(table) - 1)] != probe[part]).any():
+                    raise RuntimeError(f"ell={ell}: a step reached a state no frontier holds")
+                place[behind[part]] = starts[d] + pos
             refs.append(place[ref])
             front.append((cr[ahead], cs[ahead]))
             n_front += len(front[-1][0])
-            first = order[new]
-            back_keys.append([k[first] for k in keys])
-            back_at.append(at[behind[first]])
-            n_back += len(first)
         nact_out.append(nact)
 
-    # match each successor in an earlier frontier to its state, a run of
-    # frontiers at a time: the smallest entry in a run of equal keys is the
-    # state
-    back_state = np.empty(n_back, np.intc)
-    at = np.concatenate(back_at)
-    back_keys = [np.concatenate(k) for k in zip(*back_keys)]
-    sizes = np.cumsum([0] + [len(k[0]) for k in state_keys])
-    counts = np.bincount(at, minlength=len(state_keys))
-    d0 = 0
-    for d in range(len(state_keys)):
-        if d + 1 < len(state_keys) and sizes[d + 1] - sizes[d0] + counts[d0 : d + 1].sum() < _MERGE:
-            continue
-        sel = np.flatnonzero((at >= d0) & (at <= d))
-        keys = [
-            np.concatenate([k[w] for k in state_keys[d0 : d + 1]] + [back[sel]])
-            for w, back in enumerate(back_keys)
-        ]
-        order, new = _dedup(keys)
-        del keys
-        starts = np.flatnonzero(new)
-        head = np.repeat(np.minimum.reduceat(order, starts), np.diff(starts, append=len(order)))
-        ns = sizes[d + 1] - sizes[d0]
-        copy = order >= ns
-        if (head[copy] >= ns).any():
-            raise RuntimeError(f"ell={ell}: a step reached a state no frontier holds")
-        back_state[sel[order[copy] - ns]] = sizes[d0] + head[copy]
-        d0 = d + 1
-    del state_keys, back_keys, back_at, at
-    for part in succ_out:
-        behind = part < 0
-        part[behind] = back_state[-1 - part[behind]]
+    del tables
     succ = _join(succ_out)
-    del back_state
     rows, sec, nact = _join(rows_out), _join(sec_out), _join(nact_out)
     codes, nsucc, prob = _join(codes_out), _join(nsucc_out), _join(prob_out)
     act_lo = np.zeros(n + 1, np.intc)
@@ -1148,7 +1130,7 @@ def rollout_rewards(
         cum0.tolist(), succ[lo].tolist(), cum1.tolist(), succ[mid].tolist(), succ[last].tolist()
     )))
     rng = np.random.default_rng(as_seedseq(seed))
-    draw = chain.from_iterable(iter(lambda: rng.random(_DRAWS).tolist(), None)).__next__
+    draw = itertools.chain.from_iterable(iter(lambda: rng.random(_DRAWS).tolist(), None)).__next__
     get = step.get
     ends = []
     for _ in range(games):
@@ -1344,13 +1326,10 @@ def min_factor(
     graphs: dict = {}
     ss = as_seedseq(seed)
     probes: list[tuple[float, str]] = []
-    counter = [0]
+    probe_ids = itertools.count()
 
     def classify(phi: float) -> bool:
-        child = np.random.SeedSequence(
-            entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + (counter[0],)
-        )
-        counter[0] += 1
+        child = child_seed(ss, (next(probe_ids),))
         br = best_response(share, ell, phi, rho, games=games, seed=child, graphs=graphs)
         probes.append((phi, br.classified))
         return br.is_prescribed

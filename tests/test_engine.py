@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import warnings
 from collections import Counter
@@ -761,6 +762,35 @@ class TestRunGames:
         seq = run_games(params, miners, proto, 12, seed=6, jobs=1)
         par = run_games(params, miners, proto, 12, seed=6, jobs=2)
         assert seq.to_csv() == par.to_csv()
+
+    def test_pool_starts_at_most_one_worker_per_run_and_cpu(self, monkeypatch):
+        # a stand-in pool records its size and runs in this process
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        params = EpochParams(epoch_len=10)
+        proto, miners = nakamoto_miners([0.5, 0.5], params)
+        want = run_games(params, miners, proto, 6, seed=2).to_csv()
+        for cpus, count, jobs in ((4, 2, 5000), (4, 6, 5000), (4, 6, 3), (None, 6, 5000)):
+            monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+            got = run_games(params, miners, proto, count, seed=2, jobs=jobs)
+            if count == 6:
+                assert got.to_csv() == want
+        # an unknown CPU count runs the batch in this process
+        assert sizes == [2, 4, 3]
 
 
 class AllocationCounter:

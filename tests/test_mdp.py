@@ -601,11 +601,17 @@ class TestIntegerCompile:
     TWO_WORDS = MdpInstance(ell=30, share=1.0, phi=20.0, rho=0.5, alloc=1)
 
     @pytest.mark.parametrize(
-        "insts",
-        [list(_golden_graphs(ell)) for ell in range(2, 6)] + [[WIDE], [TWO_WORDS]],
-        ids=[f"ell{ell}" for ell in range(2, 6)] + ["ell17-wide", "ell30-two-words"],
+        "insts, chunk",
+        [(list(_golden_graphs(ell)), mdp._CHUNK) for ell in range(2, 6)]
+        + [([WIDE], mdp._CHUNK), ([TWO_WORDS], mdp._CHUNK)]
+        # frontiers of many chunks: edges into the next frontier and into
+        # numbered ones cross chunk boundaries
+        + [(list(_golden_graphs(5))[1::4], 7), ([TWO_WORDS], 7)],
+        ids=[f"ell{ell}" for ell in range(2, 6)]
+        + ["ell17-wide", "ell30-two-words", "ell5-chunk7", "ell30-two-words-chunk7"],
     )
-    def test_matches_reference_compile(self, insts):
+    def test_matches_reference_compile(self, insts, chunk, monkeypatch):
+        monkeypatch.setattr(mdp, "_CHUNK", chunk)
         for inst in insts:
             want = oracles.compile_graph(inst)
             g = mdp._compile(inst)
@@ -710,6 +716,28 @@ class TestIntegerCompile:
         assert _policy_actions(g, mdp.PRESCRIBED) == want
         presc = partial(prescribed_action, inst)
         assert policy_value(inst, mdp.PRESCRIBED) == policy_value(inst, presc)
+
+    def test_step_to_a_state_no_frontier_holds_is_an_error(self, monkeypatch):
+        # one successor in a numbered frontier (no more blocks than the
+        # states expanded) gets more factored public blocks than public
+        # blocks, a row no state has
+        corrupted = []
+        expand = mdp._expand
+
+        def corrupt(inst, rows, sec):
+            out = expand(inst, rows, sec)
+            cand = out[3]
+            blocks = cand[:, : mdp._PF].sum(axis=1)
+            behind = np.flatnonzero(blocks <= rows[:, : mdp._PF].sum(axis=1).max())
+            if len(behind) and not corrupted:
+                corrupted.append(behind[0])
+                cand[behind[0], mdp._PF] = cand[behind[0], mdp._LP] + 1
+            return out
+
+        monkeypatch.setattr(mdp, "_expand", corrupt)
+        with pytest.raises(RuntimeError, match="ell=5: a step reached a state no frontier holds"):
+            mdp._compile(MdpInstance(ell=5, share=0.35, phi=20.0, rho=0.5, alloc=1))
+        assert corrupted
 
     def test_state_budget_checked_before_each_frontier(self, monkeypatch):
         # the budget stops the compile before the frontier that crosses it
