@@ -83,6 +83,10 @@ def build_experiment(cfg: dict):
         shares.append(_field(mc, "share", _fraction, name=f"miners[{i}].share"))
         strategies.append(_field(mc, "strategy", partial(make_strategy, protocol=protocol),
                                  "prescribed", name=f"miners[{i}].strategy"))
+        # only the prescribed strategy checks a block-count quota before every block
+        if protocol.quota_mode == "count" and mc.get("strategy", "prescribed") != "prescribed":
+            raise ConfigError(f"miners[{i}].strategy",
+                              f"protocol {protocol.name!r} admits only 'prescribed'")
     if len(set(ids)) != len(ids):
         raise ConfigError("miners", f"duplicate miner ids in {ids}")
     fractional = _field(cfg, "allow_fractional", _typed(bool, "true or false"), False)
@@ -91,11 +95,17 @@ def build_experiment(cfg: dict):
     except ValueError as e:
         raise ConfigError("shares", str(e)) from None
     miners = [MinerConfig(*m) for m in zip(ids, balances, strategies)]
+    limits = []
     for i, miner in enumerate(miners):
         try:
-            allocate(miner, params, protocol)
+            limits.append(params.quota_limit(allocate(miner, params, protocol).internal))
         except StrategyFault as e:
             raise ConfigError(f"miners[{i}].strategy", str(e)) from None
+    # each block of an epoch's main chain spends one unit of its creator's
+    # block-count quota, so quotas that sum below epoch_len stall every epoch
+    if protocol.quota_mode == "count" and None not in limits and sum(limits) < params.epoch_len:
+        raise ConfigError("shares", f"the block quotas {limits} sum below epoch_len "
+                          f"{params.epoch_len}, so every epoch would stall")
     return params, miners, protocol
 
 

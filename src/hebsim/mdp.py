@@ -89,7 +89,7 @@ State = tuple[int, int, int, int, tuple[bool, ...], tuple[bool, ...], bool]
 # The most states one compiled graph may hold; _compile raises
 # StateBudgetError once the states it has found pass it, before it expands
 # another frontier.  The largest graph at ell 12 (share 0.2, phi 20, rho 0)
-# has 1,082,448 states; it compiles in about 3 s and peaks at about 390 MB
+# has 1,082,448 states; it compiles in about 2.3 s and peaks at about 335 MB
 # RSS on a 2-vCPU Xeon.  Each step of ell multiplies the count by about
 # 2.3, so ell 13 trips the budget after about 5 s.  Read at call time.
 MAX_STATES = 1_200_000
@@ -581,44 +581,34 @@ def _key_layout(row_bits: list[int], sec_bits: list[int]) -> list:
     ]
 
 
-def _keys(rows: np.ndarray, sec: np.ndarray, layout: list) -> list[np.ndarray]:
-    """uint64 words that tell apart rows of small integers, each with its
-    uint64 type words (see :func:`_key_layout`), as sort keys for
-    :func:`_dedup`.  A state's counts take ``ell.bit_length()`` bits, its
-    fork flag one and its secret extension ``ell``, so ``ell <= 28`` needs
-    one word."""
-    keys = []
+def _keys(rows: np.ndarray, sec: Optional[np.ndarray], layout: list) -> np.ndarray:
+    """Sort keys that tell apart rows of small integers, each with its
+    uint64 type words (see :func:`_key_layout`): one uint64 word, or a
+    record of the words, the most significant (last) first.  A state's
+    counts take ``ell.bit_length()`` bits, its fork flag one and its secret
+    extension ``ell``, so ``ell <= 28`` needs one word."""
+    words = []
     for cols, weights, secs in layout:
         key = (rows[:, cols] @ weights).view(np.uint64)
         for k, at in secs:
             key |= sec[:, k] << at
-        keys.append(key)
-    return keys
+        words.append(key)
+    if len(words) == 1:
+        return words[0]
+    fields = [(f"w{w}", np.uint64) for w in reversed(range(len(words)))]
+    return np.stack(words[::-1], axis=1).view(fields)[:, 0]
 
 
-def _dedup(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """An order that sorts rows by ``keys`` (the last the most significant)
-    and, in that order, whether each row starts a run of equal keys; the
-    order within a run is arbitrary."""
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
-    new = np.zeros(len(order), bool)
-    new[:1] = True
-    for k in keys:
-        k = k[order]
-        new[1:] |= k[1:] != k[:-1]
+def _dedup(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An order that sorts ``keys`` (see :func:`_keys`) and, in that order,
+    whether each starts a run of equal keys; the order within a run is
+    arbitrary.  A record sorts faster by ``np.lexsort`` over its words."""
+    names = keys.dtype.names
+    order = np.lexsort([keys[w] for w in names[::-1]]) if names else np.argsort(keys)
+    k = keys[order]
+    new = np.ones(len(k), bool)
+    new[1:] = k[1:] != k[:-1]
     return order, new
-
-
-def _table(keys: list[np.ndarray]) -> np.ndarray:
-    """The words of :func:`_keys` as one array that sorts and searches in
-    :func:`_dedup`'s order: the word itself, or a record of the words, the
-    most significant (last) first."""
-    if len(keys) == 1:
-        return keys[0]
-    out = np.empty(len(keys[0]), [(f"w{w}", np.uint64) for w in reversed(range(len(keys)))])
-    for w, k in enumerate(keys):
-        out[f"w{w}"] = k
-    return out
 
 
 def _expand(inst: MdpInstance, rows: np.ndarray, sec: np.ndarray):
@@ -764,18 +754,14 @@ def _levels(ell: int, rows: np.ndarray, act_lo: np.ndarray, succ_lo: np.ndarray,
     pair = rows[:, _AR:_LS].sum(axis=1, dtype=np.intp) * (2 * ell + 1) + rows[:, _LS] + rows[:, _LP]
     by = np.argsort(pair, kind="stable")
     by = by[act_lo[by] < act_lo[by + 1]]
-    first = succ_lo[act_lo[by]]
-    count = succ_lo[act_lo[by + 1]] - first
-    lo = np.cumsum(count) - count  # each state's first edge in ``targets``
-    targets = np.empty(int(count.sum()), np.intc)  # the successors, state by state
-    for i in range(0, len(by), _CHUNK):
-        part = slice(i, i + _CHUNK)
-        targets[lo[i] : lo[i] + count[part].sum()] = succ[_ranges(first[part], count[part])]
     cuts = [0, *(np.flatnonzero(np.diff(pair[by])) + 1).tolist(), len(by)]
     level = np.zeros(len(rows), np.intc)
     for i, j in zip(cuts[-2::-1], cuts[:0:-1]):
-        end = lo[j] if j < len(by) else len(targets)
-        level[by[i:j]] = np.maximum.reduceat(level[targets[lo[i] : end]], lo[i:j] - lo[i]) + 1
+        group = by[i:j]
+        first = succ_lo[act_lo[group]]
+        count = succ_lo[act_lo[group + 1]] - first
+        reached = level[succ[_ranges(first, count)]]  # the levels of the group's successors
+        level[group] = np.maximum.reduceat(reached, np.cumsum(count) - count) + 1
     return level
 
 
@@ -826,7 +812,7 @@ def _compile(inst: MdpInstance) -> _Graph:
             succ_out.append(r.astype(np.intc))
         first = order[new]
         rows, sec = rows[first], sec[first]
-        tables.append(_table([k[first] for k in keys]))
+        tables.append(keys[first])
         starts.append(n)
         n += len(rows)
         if n > MAX_STATES:
@@ -852,7 +838,7 @@ def _compile(inst: MdpInstance) -> _Graph:
             place[ahead] = n + n_front + np.arange(np.count_nonzero(ahead))
             behind = np.flatnonzero(~ahead)
             behind = behind[np.argsort(at[behind], kind="stable")]
-            probe = _table(_keys(cr[behind], cs[behind], layout))
+            probe = _keys(cr[behind], cs[behind], layout)
             bounds = np.searchsorted(at[behind], np.arange(depth + 2)).tolist()
             for d, table in enumerate(tables):
                 part = slice(bounds[d], bounds[d + 1])
@@ -866,22 +852,25 @@ def _compile(inst: MdpInstance) -> _Graph:
         nact_out.append(nact)
 
     del tables
-    succ = _join(succ_out)
     rows, sec, nact = _join(rows_out), _join(sec_out), _join(nact_out)
+    leaf_of = np.full(n, -1, np.intc)
+    term = np.flatnonzero(nact == 0)
+    # a leaf depends on a terminal state's counts and its secret extension's
+    # factored count alone, so states that agree on those share one
+    counts = np.column_stack((rows[term, :_FORK], _popcount(sec[term])))
+    by, new = _dedup(_keys(counts, None, _key_layout([width] * 8, [])))
+    leaf_of[term[by]] = np.cumsum(new) - 1
+    first = term[by[new]]
+    leaves = _leaf_rows(inst, rows[first], sec[first])  # one row per distinct leaf
+    del counts, by, new, term, first  # freed before the edge arrays are joined
+
+    succ = _join(succ_out)
     codes, nsucc, prob = _join(codes_out), _join(nsucc_out), _join(prob_out)
     act_lo = np.zeros(n + 1, np.intc)
     np.cumsum(nact, dtype=np.intc, out=act_lo[1:])
     succ_lo = np.zeros(len(codes) + 1, np.intc)
     np.cumsum(nsucc, dtype=np.intc, out=succ_lo[1:])
-
     level = _levels(ell, rows, act_lo, succ_lo, succ)
-    leaf_of = np.full(n, -1, np.intc)
-    term = np.flatnonzero(nact == 0)
-    leaves = _leaf_rows(inst, rows[term], sec[term])  # one row per distinct leaf
-    no_sec = np.empty((len(leaves), 0), np.uint64)
-    by, new = _dedup(_keys(leaves, no_sec, _key_layout([max(width, 2)] * 9, [])))
-    leaf_of[term[by]] = np.cumsum(new) - 1
-    leaves = leaves[by[new]]
     table = np.array([inst.alpha, 1.0 - inst.alpha, (1.0 - inst.alpha) * 0.5])
     used = np.flatnonzero([(prob == c).any() for c in range(3)])  # no int64 copy of prob
     probs = np.unique(table[used])

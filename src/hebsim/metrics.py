@@ -225,15 +225,11 @@ def attack_costs(rho: float) -> tuple[float, float]:
     return 1.0, 1.0 - rho
 
 
-def external_expense(rho: float, protocol: str = "heb") -> float:
-    """External (physical) expenditure per block under prescribed play."""
+def external_expense(rho: float) -> float:
+    """External (physical) expenditure per block under prescribed HEB play."""
     if not 0 <= rho < 1:
         raise ValueError("rho must lie in [0, 1)")
-    if protocol in ("nakamoto", "nakamoto_half"):
-        return 1.0
-    if protocol in ("heb", "heb_mandatory", "prd"):
-        return 1.0 - rho
-    raise ValueError(f"unknown protocol {protocol!r}")
+    return 1.0 - rho
 
 
 def binomial_tail(

@@ -463,6 +463,42 @@ class TestMandatoryViaConfig:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "strategy" in capsys.readouterr().err
 
+    # under a block-count quota a strategy that does not check it faults
+    # mid-epoch, and quotas summing below epoch_len stall the epoch: both
+    # are config errors raised before any epoch runs
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            *(
+                ({"protocol": "heb_mandatory", "epoch_len": 100, "factor": 20, "rho": 0.5,
+                  "user_balance": 1000000, "runs": 20, "seed": 1,
+                  "miners": [{"id": "a", "share": 0.5, "strategy": strategy},
+                             {"id": "b", "share": 0.5, "strategy": "prescribed"}]},
+                 "miners[0].strategy")
+                for strategy in ("petty_compliant", "no_ic", "pow_only")
+            ),
+            # quotas floor(2.5) + floor(7.5) = 9, below epoch_len 10
+            ({"protocol": "heb_mandatory", "epoch_len": 10, "rho": 0.5,
+              "allow_fractional": True,
+              "miners": [{"id": "a", "share": 0.25}, {"id": "b", "share": 0.75}]},
+             "shares"),
+        ],
+        ids=["petty_compliant", "no_ic", "pow_only", "quotas-below-epoch-len"],
+    )
+    def test_config_that_cannot_finish_an_epoch_rejected(
+        self, cfg, field, tmp_path, capsys, monkeypatch
+    ):
+        def no_epochs(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(cli, "iter_game_results", no_epochs)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}:" in err
+        assert "Traceback" not in err
+
 
 _ONE_MINER = {"protocol": "nakamoto", "epoch_len": 10,
               "miners": [{"id": "a", "share": 1.0}]}

@@ -634,6 +634,8 @@ class TestIntegerCompile:
             assert (leaf_of < 0).tolist() == (want_leaf_of < 0).tolist()
             leaves = g.leaves[leaf_of[leaf_of >= 0]]
             assert leaves.tolist() == want.leaves[want_leaf_of[want_leaf_of >= 0]].tolist()
+            # one row per distinct leaf, as the reference numbers them
+            assert len(g.leaves) == len(want.leaves)
             # the depth-first post-order ends at the initial state
             assert post[-1] == mdp._ROOT
 

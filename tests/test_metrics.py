@@ -284,11 +284,10 @@ class TestSimpleFormulas:
             assert sabotage + rho == pytest.approx(refunded)
 
     def test_external_expense(self):
-        assert external_expense(0.5, "nakamoto") == 1.0
-        assert external_expense(0.5, "heb") == 0.5
-        assert external_expense(0.0, "heb") == 1.0
+        assert external_expense(0.5) == 0.5
+        assert external_expense(0.0) == 1.0
         with pytest.raises(ValueError):
-            external_expense(0.5, "nope")
+            external_expense(1.0)
 
     def test_redistribution_bound(self):
         assert redistribution_bound(500, 10**6) == pytest.approx(
