@@ -311,8 +311,12 @@ def normalized_balances(
     fshares = [as_fraction(s) for s in shares]
     if any(s <= 0 for s in fshares):
         raise ValueError("shares must be positive")
-    if sum(fshares) != 1:
-        raise ValueError(f"shares must sum to 1, got {float(sum(fshares))}")
+    total_share = sum(fshares)
+    if total_share != 1:  # exact, so name the fraction: its float may read 1.0
+        raise ValueError(
+            f"shares must sum to 1, got {total_share}, "
+            f"off by {float(total_share - 1):+.3g}"
+        )
     total = params.epoch_len * params.mint
     balances = [s * total for s in fshares]
     if not allow_fractional:

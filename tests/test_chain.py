@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -341,8 +342,11 @@ class TestTreeProperty:
             if store.get(i).height > store.get(tip).height:
                 tip = i
         assert store.max_height >= 500
-        store.count_by_on_path(tip, "e0")  # rows are built on the first read
-        assert len(store._cnt_by[tip]) <= min(store._slot[m] for m in late)
+        store.count_by_on_path(tip, "e0")  # the cursor now holds the tip's row
+        assert store._cnt.at == tip
+        top = max(store._slot[b.creator] for b in store.chain_to(tip).blocks[1:])
+        assert len(store._cnt.row) == top + 1
+        assert len(store._cnt.row) <= min(store._slot[m] for m in late)
         back = BlockStore.from_jsonl(store.to_jsonl())
         creators = early + late + ["nobody"]
         for bid in ids:
@@ -357,7 +361,8 @@ class TestTreeProperty:
 
     def test_read_order_does_not_change_counts(self):
         # every block's two counts, read in shuffled order, deepest first,
-        # and between the appends, each equal a walk of its chain
+        # alternating between two branches, with the two kinds at different
+        # blocks, and between the appends, each equal a walk of its chain
         rng = random.Random(29)
         creators = [f"m{i}" for i in range(5)]
         edges = []
@@ -365,9 +370,20 @@ class TestTreeProperty:
             parent = rng.randrange(max(0, i - 40), i)
             kind = FACTORED if rng.random() < 0.4 else REGULAR
             edges.append((i, parent, rng.choice(creators), kind))
+        # two branches of 150 blocks off block 400, so each ends well over
+        # two checkpoints past the fork
+        branches = ([], [])
+        for i in range(401, 701):
+            branch = branches[i % 2]
+            parent = branch[-1] if branch else 400
+            kind = FACTORED if rng.random() < 0.4 else REGULAR
+            edges.append((i, parent, rng.choice(creators), kind))
+            branch.append(i)
+        n = len(edges) + 1
         full = build_store(edges)
+        assert full.max_height - full.get(400).height == 150
         expect = {}
-        for bid in range(401):
+        for bid in range(n):
             path = full.chain_to(bid).blocks[1:]
             expect[bid] = {
                 m: (sum(1 for b in path if b.creator == m),
@@ -375,19 +391,28 @@ class TestTreeProperty:
                 for m in creators + ["nobody"]
             }
 
-        def check(store, bid):
-            for m, (cnt, fac) in expect[bid].items():
-                assert store.count_by_on_path(bid, m) == cnt
-                assert store.factored_by_on_path(bid, m) == fac
+        def check(store, bid, kinds=(0, 1)):
+            for m, want in expect[bid].items():
+                read = (store.count_by_on_path, store.factored_by_on_path)
+                for k in kinds:
+                    assert read[k](bid, m) == want[k]
 
-        shuffled = list(range(401))
+        shuffled = list(range(n))
         rng.shuffle(shuffled)
-        deepest = sorted(range(401), key=lambda b: -full.get(b).height)
-        for order in (shuffled, deepest):
+        deepest = sorted(range(n), key=lambda b: -full.get(b).height)
+        alternating = [b for pair in zip(*branches) for b in pair]
+        for order in (shuffled, deepest, alternating):
             store = build_store(edges)
             for s in (store, BlockStore.from_jsonl(store.to_jsonl())):
                 for bid in order:
                     check(s, bid)
+        # all-block counts in one order, factored counts in another
+        for s in (build_store(edges), BlockStore.from_jsonl(full.to_jsonl())):
+            for a, b in zip(shuffled, deepest):
+                check(s, a, kinds=(0,))
+                check(s, b, kinds=(1,))
+                if a != b:
+                    assert s._cnt.at != s._fac.at
         # read a block, then append its descendants
         store = build_store([])
         for bid, parent, creator, kind in edges:
@@ -396,6 +421,68 @@ class TestTreeProperty:
         for s in (store, BlockStore.from_jsonl(store.to_jsonl())):
             for bid in shuffled:
                 check(s, bid)
+
+    def test_deepest_first_reads_keep_checkpoint_rows_only(self):
+        # each read walks at most one checkpoint interval, and only the
+        # checkpoints of the one chain stay behind
+        rng = random.Random(41)
+        n = 4000
+        edges = [(i, i - 1, f"m{rng.randrange(7)}",
+                  FACTORED if rng.random() < 0.4 else REGULAR)
+                 for i in range(1, n + 1)]
+        store = build_store(edges)
+        chain = store.chain_to(n).blocks
+        cnt, fac = Counter(), Counter()
+        expect = [(cnt.copy(), fac.copy())]
+        for b in chain[1:]:
+            cnt[b.creator] += 1
+            fac[b.creator] += b.kind == FACTORED
+            expect.append((cnt.copy(), fac.copy()))
+        for bid in range(n, -1, -1):
+            want_cnt, want_fac = expect[store.get(bid).height]
+            for m in [f"m{i}" for i in range(7)] + ["nobody"]:
+                assert store.count_by_on_path(bid, m) == want_cnt[m]
+                assert store.factored_by_on_path(bid, m) == want_fac[m]
+        for counts in (store._cnt, store._fac):
+            assert len(counts.rows) <= store.max_height // 64 + 2
+            assert set(counts.rows) == {b.id for b in chain[::64]}
+
+    def test_pickled_store_keeps_counting(self):
+        # a store whose cursors sit off a checkpoint, each holding a row no
+        # checkpoint shares, as the process pool ships it back
+        rng = random.Random(7)
+        creators = [f"m{i}" for i in range(4)]
+        edges = [(i, i - 1, rng.choice(creators), REGULAR if i % 3 else FACTORED)
+                 for i in range(1, 201)]
+        edges += [(i, i - 130, rng.choice(creators), FACTORED) for i in range(201, 231)]
+        store = build_store(edges)
+        for read in (store.count_by_on_path, store.factored_by_on_path):
+            read(60, "m0")
+            read(75, "m0")
+        for counts in (store._cnt, store._fac):
+            assert counts.at == 75 and counts.own
+
+        def walk_counts(s, bid):
+            path = s.chain_to(bid).blocks[1:]
+            return {m: (sum(1 for b in path if b.creator == m),
+                        sum(1 for b in path if b.creator == m and b.kind == FACTORED))
+                    for m in creators + ["nobody"]}
+
+        def read_counts(s, bid):
+            return {m: (s.count_by_on_path(bid, m), s.factored_by_on_path(bid, m))
+                    for m in creators + ["nobody"]}
+
+        copy = pickle.loads(pickle.dumps(store))
+        row = copy._cnt.row
+        copy.count_by_on_path(76, "m0")  # one block past the cursor: in place
+        assert copy._cnt.row is row
+        for bid in [76, 77, 140, 75, 230, 70, 200, 128, 129]:
+            assert read_counts(copy, bid) == walk_counts(copy, bid)
+        # the original's cursors have not moved, and their rows still read 75's
+        for counts in (store._cnt, store._fac):
+            assert counts.at == 75 and counts.own
+        for bid in (75, 76, 140, 230):
+            assert read_counts(store, bid) == walk_counts(store, bid)
 
 
 class TestFootprint:
@@ -432,6 +519,9 @@ class TestFootprint:
 
     def test_factored_rows_read_at_every_block(self):
         assert self._store_bytes_per_block(read_factored=True) <= 800
+
+    def test_factored_reads_hold_checkpoint_rows_only(self):
+        assert self._store_bytes_per_block(read_factored=True) <= 150
 
 
 class TestSerialization:

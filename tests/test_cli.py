@@ -179,6 +179,17 @@ class TestSimulateCmd:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "shares" in capsys.readouterr().err
 
+    def test_share_sum_error_says_why(self, tmp_path, capsys):
+        # the shares sum to 1 + 2.8e-17, whose float reads 1.0
+        cfg = {"protocol": "nakamoto", "epoch_len": 10, "allow_fractional": True,
+               "miners": [{"id": "a", "share": 1e-9}, {"id": "b", "share": 0.999999999}]}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: shares: shares must sum to 1, got " in err
+        assert "642000018157000018157/642000018157000000000, off by +2.83e-17" in err
+
     @pytest.mark.parametrize(
         "key, field",
         [
