@@ -342,7 +342,7 @@ class TestTreeProperty:
             if store.get(i).height > store.get(tip).height:
                 tip = i
         assert store.max_height >= 500
-        store.count_by_on_path(tip, "e0")  # the cursor now holds the tip's row
+        store.count_by_on_path(tip, "e0")  # moves the cursor to the tip's row
         assert store._cnt.at == tip
         top = max(store._slot[b.creator] for b in store.chain_to(tip).blocks[1:])
         assert len(store._cnt.row) == top + 1
@@ -423,8 +423,9 @@ class TestTreeProperty:
                 check(s, bid)
 
     def test_deepest_first_reads_keep_checkpoint_rows_only(self):
-        # each read walks at most one checkpoint interval, and only the
-        # checkpoints of the one chain stay behind
+        # reads down one chain, deepest first, equal its walk; only the
+        # chain's checkpoint rows stay behind, so after the first read each
+        # read walks at most one checkpoint interval
         rng = random.Random(41)
         n = 4000
         edges = [(i, i - 1, f"m{rng.randrange(7)}",
