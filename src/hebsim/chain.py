@@ -186,7 +186,11 @@ class _PathCounts:
     ``at`` is the cursor, the block read last, and ``row`` its row; ``own``
     says that no checkpoint shares ``row``, so the next move may add to it
     in place.  ``rows`` maps each block read through at a height that is a
-    multiple of :data:`_CHECKPOINT` to its row, which never changes.
+    multiple of :data:`_CHECKPOINT` to its row, which never changes.  The
+    store's reads step the cursor one block down themselves when ``own`` is
+    set and the block is off a checkpoint, adding it to ``row`` exactly as
+    :meth:`move` would; every other read away from the cursor calls
+    :meth:`move`.
     """
 
     __slots__ = ("kind", "blocks", "slot_of", "at", "row", "own", "rows")
@@ -247,12 +251,14 @@ class BlockStore:
     read 0.  Each count kind keeps one cursor, the block read last and its
     row, plus checkpoint rows that never change, at the blocks of heights
     that are multiples of :data:`_CHECKPOINT` (64) on the paths read (see
-    :class:`_PathCounts`).  A read away from the cursor walks up to the
-    cursor or to the nearest checkpoint, so the honest read one block past
-    the cursor adds to its row in place, and a read on a path where a deeper
-    block was read walks at most 64 blocks.  An append builds no row; at 200
-    creators the store costs about 100 bytes per block unread and about 116
-    with the factored count read at every block.
+    :class:`_PathCounts`).  The honest read, one block past a cursor whose
+    row no checkpoint shares and off a checkpoint height, adds that block to
+    the row in place, with no walk and no call.  Any other read away from
+    the cursor walks up to the cursor or to the nearest checkpoint, so a
+    read on a path where a deeper block was read walks at most 64 blocks.
+    An append builds no row; at 200 creators the store costs about 100
+    bytes per block unread and about 116 with the factored count read at
+    every block.
 
     Blocks are never removed or mutated.
     """
@@ -334,7 +340,18 @@ class BlockStore:
 
     def factored_by_on_path(self, block_id: int, creator: str) -> int:
         counts = self._fac
-        row = counts.row if block_id == counts.at else counts.move(block_id)
+        row = counts.row
+        if block_id != counts.at:
+            _, parent, by, kind, height = self._blocks[block_id]
+            if parent == counts.at and counts.own and height % _CHECKPOINT:
+                try:  # one block past an own row, off a checkpoint: add in place
+                    if kind == FACTORED:
+                        row[self._slot[by]] += 1
+                    counts.at = block_id
+                except IndexError:  # the row ends before their slot
+                    row = counts.move(block_id)
+            else:
+                row = counts.move(block_id)
         try:
             return row[self._slot.get(creator, 0)]
         except IndexError:  # slot past the row's end: none of theirs on the path
@@ -342,7 +359,17 @@ class BlockStore:
 
     def count_by_on_path(self, block_id: int, creator: str) -> int:
         counts = self._cnt
-        row = counts.row if block_id == counts.at else counts.move(block_id)
+        row = counts.row
+        if block_id != counts.at:
+            _, parent, by, _, height = self._blocks[block_id]
+            if parent == counts.at and counts.own and height % _CHECKPOINT:
+                try:  # one block past an own row, off a checkpoint: add in place
+                    row[self._slot[by]] += 1
+                    counts.at = block_id
+                except IndexError:  # the row ends before their slot
+                    row = counts.move(block_id)
+            else:
+                row = counts.move(block_id)
         try:
             return row[self._slot.get(creator, 0)]
         except IndexError:  # slot past the row's end: none of theirs on the path

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
@@ -81,7 +82,13 @@ class MinerView:
     :meth:`factored_used` and :meth:`blocks_used` count the miner's private
     blocks plus her public ones above ``epoch_start_tip`` (none when the
     public part ends at or below ``epoch_start_height``).  Her counts at
-    ``epoch_start_tip`` are read once, when the view is built.
+    ``epoch_start_tip`` are read once, when the view is built.  Each count
+    keeps its last answer at a public block, so the engine's check of a
+    block her strategy has just counted the quota for is a lookup.  That is
+    exact because a public block's path never changes.  Answers at private
+    blocks are not kept: publishing a private chain can change them (a fork
+    of hers from at or below ``epoch_start_height`` counts while private,
+    and not once public).
 
     ``rng`` is the miner's stream.  It may be given as a zero-argument
     function returning the generator, which then runs the first time
@@ -99,6 +106,8 @@ class MinerView:
         "_rng",
         "_factored_at_start",
         "_blocks_at_start",
+        "_factored_memo",
+        "_blocks_memo",
     )
 
     def __init__(
@@ -124,6 +133,8 @@ class MinerView:
         self._rng = rng
         self._factored_at_start = store.factored_by_on_path(epoch_start_tip, miner_id)
         self._blocks_at_start = store.count_by_on_path(epoch_start_tip, miner_id)
+        # (public block id, count there) of the last public read per count
+        self._factored_memo = self._blocks_memo = (None, 0)
 
     @property
     def rng(self) -> np.random.Generator:
@@ -136,23 +147,33 @@ class MinerView:
 
     def factored_used(self, parent_id: int) -> int:
         """Own factored blocks on the path to ``parent_id`` this epoch."""
-        return self._used(
-            parent_id, self.store.factored_by_on_path, self._factored_at_start, FACTORED
-        )
+        memo_id, used = self._factored_memo
+        if parent_id != memo_id:
+            used = self._used(
+                parent_id, self.store.factored_by_on_path, self._factored_at_start, FACTORED
+            )
+            if parent_id not in self.local:
+                self._factored_memo = parent_id, used
+        return used
 
     def blocks_used(self, parent_id: int) -> int:
         """Own blocks on the path to ``parent_id`` this epoch."""
-        return self._used(
-            parent_id, self.store.count_by_on_path, self._blocks_at_start, None
-        )
+        memo_id, used = self._blocks_memo
+        if parent_id != memo_id:
+            used = self._used(
+                parent_id, self.store.count_by_on_path, self._blocks_at_start, None
+            )
+            if parent_id not in self.local:
+                self._blocks_memo = parent_id, used
+        return used
 
     def _used(self, block_id: int, on_path, at_start: int, kind: Optional[str]) -> int:
         used = 0
-        while block_id in self.local:  # her private blocks are all her own
-            b = self.local[block_id]
-            used += kind is None or b.kind == kind
-            block_id = b.parent
-        if self.store.get(block_id).height <= self.epoch_start_height:
+        local = self.local
+        while block_id in local:  # her private blocks are all her own
+            _, block_id, _, block_kind, _ = local[block_id]
+            used += kind is None or block_kind == kind
+        if self.store.get(block_id)[-1] <= self.epoch_start_height:  # its height
             return used
         return used + on_path(block_id, self.miner_id) - at_start
 
@@ -434,6 +455,9 @@ class Game:
         self.minted_total = params.epoch_len * protocol.mint_per_block(params)
 
 
+_height_then_id = itemgetter(4, 0)  # a publication round's append order
+
+
 def run_epoch(
     game: Game, seed: SeedLike, store: Optional[BlockStore] = None
 ) -> EpochResult:
@@ -485,38 +509,7 @@ def run_epoch(
 
     # miners whose ``local`` is non-empty: the only ones ``publish`` is asked
     holders: set[str] = set()
-
-    def publication_fixpoint() -> None:
-        # no block is created here, and each round that publishes moves at
-        # least one block out of a ``local`` (a block published twice is a
-        # StrategyFault), so the rounds are bounded by the blocks held
-        while holders:
-            batch: list[Block] = []
-            for mid in sorted(holders) if len(holders) > 1 else holders:
-                view = views[mid]
-                local = view.local
-                for bid in publish[mid](view):
-                    if bid not in local:
-                        raise StrategyFault(
-                            f"miner {mid} published block {bid} it does not hold"
-                        )
-                    batch.append(local[bid])
-            if not batch:
-                return
-            if len(batch) > 1:
-                batch.sort(key=lambda b: (b.height, b.id))
-            for b in batch:
-                try:
-                    store.append(b)
-                except ChainError as e:
-                    raise StrategyFault(
-                        f"miner {b.creator} published an unappendable block: {e}"
-                    ) from e
-                local = views[b.creator].local
-                del local[b.id]
-                if not local:
-                    holders.discard(b.creator)
-
+    get = store.get
     steps = 0
     created = 0
     max_steps = 1000 + 100 * params.epoch_len
@@ -544,14 +537,16 @@ def run_epoch(
                 )
             continue
         parent_id, kind = result
-        if parent_id in store:
-            parent = store.get(parent_id)
-        elif parent_id in view.local:
-            parent = view.local[parent_id]
-        else:
-            raise StrategyFault(
-                f"miner {mid} extended unknown parent {parent_id}"
-            )
+        local = view.local
+        # block ids are unique, so a parent is in her ``local`` or public
+        parent = local.get(parent_id)
+        if parent is None:
+            try:
+                parent = get(parent_id)
+            except KeyError:
+                raise StrategyFault(
+                    f"miner {mid} extended unknown parent {parent_id}"
+                ) from None
         if kind not in (REGULAR, FACTORED):
             raise StrategyFault(f"miner {mid} returned block kind {kind!r}")
         limit = view.quota_limit
@@ -563,12 +558,42 @@ def run_epoch(
         elif quota_mode == "count":
             if not within_quota(view.blocks_used(parent_id), limit):
                 raise StrategyFault(f"miner {mid} exceeded her block quota ({limit})")
-        block = Block(next_id, parent_id, mid, kind, parent.height + 1)
+        local[next_id] = Block(next_id, parent_id, mid, kind, parent[-1] + 1)
         next_id += 1
         created += 1
-        view.local[block.id] = block
         holders.add(mid)
-        publication_fixpoint()
+
+        # publication rounds, until one publishes nothing.  No block is
+        # created here, and each round that publishes moves at least one
+        # block out of a ``local`` (a block published twice is a
+        # StrategyFault), so the rounds are bounded by the blocks held.
+        while holders:
+            batch: list[Block] = []
+            for hid in sorted(holders) if len(holders) > 1 else holders:
+                held = views[hid]
+                local = held.local
+                for bid in publish[hid](held):
+                    if bid not in local:
+                        raise StrategyFault(
+                            f"miner {hid} published block {bid} it does not hold"
+                        )
+                    batch.append(local[bid])
+            if not batch:
+                break
+            if len(batch) > 1:
+                batch.sort(key=_height_then_id)
+            for b in batch:
+                try:
+                    store.append(b)
+                except ChainError as e:
+                    raise StrategyFault(
+                        f"miner {b.creator} published an unappendable block: {e}"
+                    ) from e
+                bid, _, creator, _, _ = b
+                local = views[creator].local
+                del local[bid]
+                if not local:
+                    holders.discard(creator)
 
     main = store.main_chain()
     prefix_ok = (
