@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -453,14 +454,12 @@ def epoch_stats(
     chain: Chain, k: int, params: EpochParams
 ) -> dict[str, tuple[int, Fraction]]:
     """Per-miner (block count, accumulated weight) over epoch ``k`` of ``chain``."""
-    counts: dict[str, int] = {}
-    fac_counts: dict[str, int] = {}
-    for b in epoch_slice(chain, k, params.epoch_len):
-        counts[b.creator] = counts.get(b.creator, 0) + 1
-        if b.kind == FACTORED:
-            fac_counts[b.creator] = fac_counts.get(b.creator, 0) + 1
-    out: dict[str, tuple[int, Fraction]] = {}
-    for miner, n in counts.items():
-        nf = fac_counts.get(miner, 0)
-        out[miner] = (n, (n - nf) + params.factor * nf)
-    return out
+    blocks = epoch_slice(chain, k, params.epoch_len)
+    # fields by index: (id, parent, creator, kind, height)
+    counts = Counter([b[2] for b in blocks])
+    factored = Counter([b[2] for b in blocks if b[3] == FACTORED])
+    factor = params.factor
+    return {
+        m: (n, (n - factored[m]) + factor * factored[m] if m in factored else Fraction(n))
+        for m, n in counts.items()
+    }

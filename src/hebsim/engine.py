@@ -18,6 +18,18 @@ step would; draws left over when the epoch ends are discarded, since the
 scheduler stream feeds nothing else.  A miner's generator is built the
 first time her strategy reads ``MinerView.rng``: prescribed miners draw
 only to break ties between longest chains, and most epochs have none.
+
+Prescribed play on one tip runs without strategy calls.  When the store
+has exactly one tip at the start, the protocol's quota mode is ``"none"``
+or ``"factored"``, and every miner's ``generate_block``, ``publish`` and
+``_pick_tip``, as bound for the run, are those ``PrescribedNakamoto`` and
+``PrescribedHeb`` define (``prescribed`` under every protocol but
+``heb_mandatory``, and ``no_ic``), each step's block extends the tip and is
+published at once.  The run then takes all its selections in one draw and
+appends each block with its kind set by the quota rule, counting each
+miner's factored blocks from her view's count at the tip.  Its output is
+the generic loop's byte for byte.  A strategy class patched before the run
+is not one of these, so its methods are called at every step.
 """
 
 from __future__ import annotations
@@ -458,6 +470,32 @@ class Game:
 _height_then_id = itemgetter(4, 0)  # a publication round's append order
 
 
+def _prescribed_makers(
+    miners: Sequence[MinerConfig], generate: dict, publish: dict
+) -> Optional[dict[str, bool]]:
+    """Whether each miner makes factored blocks while her quota lasts
+    (``PrescribedHeb``) or regular blocks only (``PrescribedNakamoto``),
+    when every miner's ``generate_block``, ``publish`` and ``_pick_tip`` as
+    bound for the run are the ones :mod:`hebsim.protocols` defines; else
+    None."""
+    # imported here: protocols imports this module
+    from hebsim.protocols import PRESCRIBED_PLAY
+
+    nakamoto, heb, pick_tip, publishes = PRESCRIBED_PLAY
+    makers = {}
+    for m in miners:
+        fn = getattr(generate[m.id], "__func__", None)
+        if (
+            fn is not nakamoto and fn is not heb
+            or getattr(publish[m.id], "__func__", None) is not publishes
+            or getattr(getattr(m.strategy, "_pick_tip", None), "__func__", None)
+            is not pick_tip
+        ):
+            return None
+        makers[m.id] = fn is heb
+    return makers
+
+
 def run_epoch(
     game: Game, seed: SeedLike, store: Optional[BlockStore] = None
 ) -> EpochResult:
@@ -472,6 +510,10 @@ def run_epoch(
     ``params.epoch_len``, and the epoch starts at main-chain position
     ``k * epoch_len``: blocks a previous epoch published past its end
     already belong to epoch ``k``.
+
+    Prescribed play on a one-tip store (see the module docstring) runs as
+    a counter per miner instead of the step loop, with the same output:
+    the same selections, blocks, ``steps`` and ``blocks_created``.
     """
     params, protocol, miners = game.params, game.protocol, game.miners
     if store is None:
@@ -507,11 +549,34 @@ def run_epoch(
             for t in store.tip_ids()
         )
 
+    steps = created = 0
+    makers = quota_mode in ("none", "factored") and _prescribed_makers(
+        miners, generate, publish
+    )
+    if makers and len(store.tip_ids()) == 1:
+        # prescribed play on one tip: each step's miner extends the tip and
+        # publishes the block at once, so no strategy is called.  A maker
+        # of factored blocks counts hers from her view's count at the tip.
+        parent_id, height = start_main.tip.id, start_main.length
+        used = {m: views[m].factored_used(parent_id) for m, f in makers.items() if f}
+        limits = game.quota_limits
+        append = store.append
+        steps = created = target_len - height
+        for mid in select(sched_rng, steps):
+            kind = REGULAR
+            if mid in used and within_quota(used[mid], limits[mid]):
+                kind = FACTORED
+                used[mid] += 1
+            height += 1
+            append(Block(next_id, parent_id, mid, kind, height))
+            parent_id = next_id
+            next_id += 1
+
+    # the generic loop, for every other game (the path above completes the
+    # epoch, so after it the loop does not start).
     # miners whose ``local`` is non-empty: the only ones ``publish`` is asked
     holders: set[str] = set()
     get = store.get
-    steps = 0
-    created = 0
     max_steps = 1000 + 100 * params.epoch_len
     draws = iter(())
     while store.main_chain_length() < target_len:

@@ -129,6 +129,17 @@ class PrescribedMandatory(PrescribedHeb):
         return tip, REGULAR
 
 
+# The methods of prescribed play as defined above, taken before anything can
+# patch the classes.  run_epoch plays an epoch of them without calling them
+# when every miner's methods, as bound for the run, are these.
+PRESCRIBED_PLAY = (
+    PrescribedNakamoto.generate_block,
+    PrescribedHeb.generate_block,
+    PrescribedNakamoto._pick_tip,
+    PrescribedNakamoto.publish,
+)
+
+
 # -- registry -------------------------------------------------------------------------
 
 
@@ -167,28 +178,22 @@ class ProtocolSpec:
         ``allocations`` is read only when there is a pool.
         """
         by = 1 if self.quota_mode == "factored" else 0
-        contributed = sum((s[by] for s in stats.values()), Fraction(0))
+        zero = Fraction(0)
+        contributed = sum((s[by] for s in stats.values()), zero)
         if contributed == 0:
             raise ArithmeticError("epoch carries zero total weight")
         mint_total = self.mint_per_block(params) * params.epoch_len
         kept = mint_total * (1 - params.rho) if self.pool == "mint" else mint_total
-        minted = {
-            m: stats.get(m, (0, Fraction(0)))[by] * kept / contributed
-            for m in miner_ids
-        }
+        per_unit = kept / contributed
+        absent = (0, zero)
+        minted = {m: stats.get(m, absent)[by] * per_unit for m in miner_ids}
         if self.pool == "none":
-            return BalanceOutcome(
-                minted, {m: Fraction(0) for m in miner_ids}, Fraction(0)
-            )
-        internal_total = sum((allocations[m].internal for m in miner_ids), Fraction(0))
+            return BalanceOutcome(minted, dict.fromkeys(miner_ids, zero), zero)
+        internal_total = sum((allocations[m].internal for m in miner_ids), zero)
         pool = mint_total - kept if self.pool == "mint" else internal_total
-        holders = params.user_balance + internal_total
-        redistributed = {
-            m: pool * allocations[m].internal / holders for m in miner_ids
-        }
-        return BalanceOutcome(
-            minted, redistributed, pool * params.user_balance / holders
-        )
+        per_holding = pool / (params.user_balance + internal_total)
+        redistributed = {m: allocations[m].internal * per_holding for m in miner_ids}
+        return BalanceOutcome(minted, redistributed, params.user_balance * per_holding)
 
 
 _PROTOCOLS: dict[str, ProtocolSpec] = {

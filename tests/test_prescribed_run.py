@@ -1,0 +1,237 @@
+"""Prescribed play on one tip: run_epoch's counter path gives byte for byte
+what its generic loop gives, runs only when every miner's strategy is an
+unpatched prescribed one on a one-tip store, and calls no strategy."""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hebsim.chain import Block, BlockStore, EpochParams, FACTORED
+from hebsim.engine import Game, MinerConfig, MinerView, normalized_balances, run_epoch
+from hebsim.protocols import PrescribedHeb, get_protocol, make_strategy
+
+# (protocol, rho): prd's rho sets the share of the mint it redistributes
+PROTOCOLS = [
+    ("nakamoto", Fraction(0)),
+    ("nakamoto_half", Fraction(0)),
+    ("prd", Fraction(1, 2)),
+    ("heb", Fraction(0)),
+    ("heb", Fraction(1, 5)),
+    ("heb", Fraction(1, 2)),
+]
+SHARES = {"a": Fraction(1, 2), "b": Fraction(3, 10), "c": Fraction(1, 5)}
+PLAYERS = {
+    "prescribed": {"a": "prescribed", "b": "prescribed", "c": "prescribed"},
+    "mixed": {"a": "prescribed", "b": "no_ic", "c": "prescribed"},
+}
+
+
+def looping(strategy):
+    """``strategy`` in a subclass whose ``generate_block`` only calls
+    ``super()``: the same play, which the engine runs in its generic loop."""
+
+    class Looping(type(strategy)):
+        def generate_block(self, view):
+            return super().generate_block(view)
+
+    return Looping()
+
+
+def make_game(protocol, rho, plays, epoch_len, generic=False, shares=SHARES):
+    params = EpochParams(
+        epoch_len=epoch_len, factor=Fraction(20), rho=rho, user_balance=Fraction(10**7)
+    )
+    proto = get_protocol(protocol)
+    ids = sorted(plays)
+    balances = normalized_balances(
+        [shares[m] for m in ids], params, allow_fractional=True
+    )
+    miners = []
+    for m, balance in zip(ids, balances):
+        strategy = make_strategy(plays[m], proto)
+        miners.append(MinerConfig(m, balance, looping(strategy) if generic else strategy))
+    return Game(params, miners, proto)
+
+
+@pytest.fixture
+def tip_reads(monkeypatch):
+    """Calls of ``MinerView.public_tips``: every prescribed strategy call
+    makes one, and the counter path makes none."""
+    calls = []
+    orig = MinerView.public_tips
+
+    def counted(view):
+        calls.append(view.miner_id)
+        return orig(view)
+
+    monkeypatch.setattr(MinerView, "public_tips", counted)
+    return calls
+
+
+def chained(game, seeds, store=None):
+    """``to_json()`` of the epochs run on one store, one per seed, then the
+    store's ``to_jsonl()``: it holds every epoch's blocks in append order."""
+    out = []
+    for seed in seeds:
+        res = run_epoch(game, seed, store)
+        store = res.store
+        out.append(res.to_json())
+    return out + [store.to_jsonl()]
+
+
+def two_tip_store(seed):
+    """A store after one 20-block heb epoch, plus two blocks on its tip."""
+    game = make_game("heb", Fraction(1, 2), PLAYERS["prescribed"], 20)
+    store = run_epoch(game, seed).store
+    tip = store.get(store.tip_ids()[0])
+    for i, creator in enumerate(("a", "b")):
+        store.append(Block(1000 + i, tip.id, creator, FACTORED, tip.height + 1))
+    assert len(store.tip_ids()) == 2
+    return store
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("epoch_len", [1, 63, 64, 65, 4097])
+    @pytest.mark.parametrize("players", sorted(PLAYERS))
+    @pytest.mark.parametrize("protocol, rho", PROTOCOLS)
+    def test_three_chained_epochs_match_the_generic_loop(
+        self, protocol, rho, players, epoch_len, seed, tip_reads
+    ):
+        seeds = [seed * 10 + i for i in range(3)]
+        plays = PLAYERS[players]
+        counted = chained(make_game(protocol, rho, plays, epoch_len), seeds)
+        assert tip_reads == []
+        looped = chained(make_game(protocol, rho, plays, epoch_len, generic=True), seeds)
+        assert len(tip_reads) == 3 * epoch_len
+        assert counted == looped
+
+
+class WithholdPast(PrescribedHeb):
+    """Extends one private chain of factored blocks from the epoch's start
+    and publishes all of it once she holds ``epoch_len + extra`` blocks."""
+
+    extra = 10
+
+    def generate_block(self, view):
+        parent = next(reversed(view.local)) if view.local else view.epoch_start_tip
+        return parent, FACTORED
+
+    def publish(self, view):
+        if len(view.local) < view.params.epoch_len + self.extra:
+            return []
+        return sorted(view.local)
+
+
+class TestStartingStores:
+    def test_factored_blocks_published_past_the_end_count_in_the_next_epoch(
+        self, tip_reads
+    ):
+        # epoch 0: "w" alone, at rho 0 (no quota), publishes 30 factored
+        # blocks; the last 10 already belong to epoch 1, where "w" plays
+        # prescribed with a quota of 10 factored blocks
+        params = EpochParams(
+            epoch_len=20, factor=Fraction(20), rho=Fraction(0),
+            user_balance=Fraction(10**7),
+        )
+        proto = get_protocol("heb")
+        withheld = run_epoch(
+            Game(params, [MinerConfig("w", Fraction(20), WithholdPast())], proto), seed=0
+        ).store
+        assert withheld.main_chain_length() == 30
+        plays = {"a": "prescribed", "b": "no_ic", "w": "prescribed"}
+        shares = {"a": Fraction(3, 10), "b": Fraction(1, 5), "w": Fraction(1, 2)}
+        counted_game, looped_game = (
+            make_game("heb", Fraction(1, 2), plays, 20, generic, shares)
+            for generic in (False, True)
+        )
+        assert counted_game.quota_limits["w"] == 10
+
+        main = withheld.main_chain()
+        view = MinerView(
+            "w", withheld, {}, counted_game.params, counted_game.allocations["w"],
+            10, 20, main.blocks[20].id, np.random.default_rng(0),
+        )
+        assert view.factored_used(main.tip.id) == 10
+
+        copy = BlockStore.from_jsonl(withheld.to_jsonl())
+        counted = chained(counted_game, [5, 6], withheld)
+        assert tip_reads == []
+        looped = chained(looped_game, [5, 6], copy)
+        assert counted == looped
+        # epoch 1 holds her 10 withheld factored blocks, then she mined only
+        # regular ones: her quota was spent
+        n, weight = json.loads(counted[0])["stats"]["w"]
+        assert n > 10 and weight == str(10 * 20 + n - 10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_tips_at_the_start_run_the_generic_loop(self, seed, tip_reads):
+        plays = PLAYERS["prescribed"]
+        counted_game, looped_game = (
+            make_game("heb", Fraction(1, 2), plays, 20, generic) for generic in (False, True)
+        )
+        counted_store, looped_store = two_tip_store(seed), two_tip_store(seed)
+        counted = chained(counted_game, [seed + 100, seed + 101], counted_store)
+        assert tip_reads  # the first step of a two-tip epoch calls the strategy
+        looped = chained(looped_game, [seed + 100, seed + 101], looped_store)
+        assert counted == looped
+
+
+def heb_practical_game():
+    """``heb-practical``'s game: five equal prescribed miners under heb."""
+    params = EpochParams(
+        epoch_len=1000, factor=Fraction(20), rho=Fraction(1, 2),
+        user_balance=Fraction(10**7),
+    )
+    proto = get_protocol("heb")
+    miners = [
+        MinerConfig(f"m{i}", b, make_strategy("prescribed", proto))
+        for i, b in enumerate(normalized_balances([Fraction(1, 5)] * 5, params))
+    ]
+    return Game(params, miners, proto)
+
+
+class TestPathTaken:
+    def test_heb_practical_reads_each_miners_factored_count_once(self, monkeypatch):
+        game = heb_practical_game()
+        reads = []
+        orig = MinerView.factored_used
+
+        def counted(view, parent_id):
+            reads.append(view.miner_id)
+            return orig(view, parent_id)
+
+        monkeypatch.setattr(MinerView, "factored_used", counted)
+        res = run_epoch(game, seed=2024)
+        assert res.steps == res.blocks_created == 1000
+        assert len(reads) <= len(game.miners)
+
+    def test_a_class_patched_before_the_run_is_called_every_step(self, monkeypatch):
+        game = heb_practical_game()
+        expected = run_epoch(game, seed=2024).to_json()
+        calls = []
+        orig = PrescribedHeb.generate_block
+
+        def counted(self, view):
+            calls.append(view.miner_id)
+            return orig(self, view)
+
+        monkeypatch.setattr(PrescribedHeb, "generate_block", counted)
+        res = run_epoch(game, seed=2024)
+        assert len(calls) == game.params.epoch_len
+        assert res.to_json() == expected
+
+    @pytest.mark.parametrize(
+        "protocol, strategy",
+        [
+            ("heb", "petty_compliant"),
+            ("heb", "pow_only"),
+            ("heb_mandatory", "prescribed"),
+        ],
+    )
+    def test_other_play_runs_the_generic_loop(self, protocol, strategy, tip_reads):
+        plays = {"a": strategy, "b": "prescribed", "c": "prescribed"}
+        run_epoch(make_game(protocol, Fraction(1, 2), plays, 50), seed=1)
+        assert tip_reads
