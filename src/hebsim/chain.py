@@ -14,6 +14,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 REGULAR = "regular"
@@ -261,6 +262,12 @@ class BlockStore:
     bytes per block unread and about 116 with the factored count read at
     every block.
 
+    ``max_height`` and ``max_id`` are the largest height and block id
+    stored (-1 while empty).  :meth:`extend` appends a list of blocks as
+    :meth:`append` would one at a time; a chain of fresh ids off a stored
+    block, the shape of a prescribed epoch, is checked and added in one
+    pass of whole-list operations.
+
     Blocks are never removed or mutated.
     """
 
@@ -268,6 +275,7 @@ class BlockStore:
         self._blocks: dict[int, Block] = {}
         self._genesis_id: Optional[int] = None
         self.max_height = -1
+        self.max_id = -1
         self._max_tips: list[int] = []
         # path-cumulative accounting, keyed by block id
         self._fac_total: dict[int, int] = {}
@@ -308,6 +316,7 @@ class BlockStore:
             if height != 0:
                 raise ChainError("genesis height must be 0")
             self._genesis_id = bid
+            self.max_id = bid  # the first block stored: every other needs it
             self._fac_total[bid] = 0
             for counts in (self._fac, self._cnt):
                 counts.at = bid
@@ -326,12 +335,65 @@ class BlockStore:
                 raise ChainError("non-genesis block must carry a creator")
             self._slot.setdefault(creator, len(self._slot) + 1)
             self._fac_total[bid] = self._fac_total[parent_id] + (kind == FACTORED)
+            if bid > self.max_id:
+                self.max_id = bid
         blocks[bid] = block
         if height > self.max_height:
             self.max_height = height
             self._max_tips = [bid]
         elif height == self.max_height:
             self._max_tips.append(bid)
+
+    def extend(self, blocks: Iterable[Block]) -> None:
+        """``for b in blocks: self.append(b)``: the same state, the same
+        ChainError and the same blocks appended before it (``blocks`` is
+        read whole first).
+
+        When ``blocks`` is a chain of fresh ids, each the parent of the
+        next, whose first block extends a stored one, the checks run over
+        whole columns and the chain is added in one pass: slots in order of
+        first appearance, as the appends would number them, and the factored
+        totals by ``accumulate``.  Any other input goes block by block."""
+        blocks = list(blocks)
+        stored = self._blocks
+        try:
+            ids, parents, creators, kinds, heights = zip(*blocks, strict=True)
+            n = len(ids)
+            parent = stored.get(parents[0])
+            chain = (
+                parent is not None
+                and parents[1:] == ids[:-1]
+                and heights == tuple(range(parent.height + 1, parent.height + n + 1))
+                and set(kinds).issubset(_KINDS)
+                and None not in creators
+                and len(set(ids)) == n
+                and stored.keys().isdisjoint(ids)
+            )
+            if chain:
+                max_id = max(self.max_id, max(ids))
+                first_seen = dict.fromkeys(creators)
+        except (TypeError, ValueError):  # no blocks, or not five hashable fields
+            chain = False
+        if not chain:
+            for block in blocks:
+                self.append(block)
+            return
+        slot = self._slot
+        for creator in first_seen:
+            slot.setdefault(creator, len(slot) + 1)
+        totals = accumulate(
+            map(FACTORED.__eq__, kinds), initial=self._fac_total[parents[0]]
+        )
+        next(totals)  # the parent's own total
+        self._fac_total.update(zip(ids, totals))
+        stored.update(zip(ids, blocks))
+        self.max_id = max_id
+        height = heights[-1]
+        if height > self.max_height:
+            self.max_height = height
+            self._max_tips = [ids[-1]]
+        elif height == self.max_height:
+            self._max_tips.append(ids[-1])
 
     # -- path accounting -------------------------------------------------------------
 

@@ -25,11 +25,13 @@ or ``"factored"``, and every miner's ``generate_block``, ``publish`` and
 ``_pick_tip``, as bound for the run, are those ``PrescribedNakamoto`` and
 ``PrescribedHeb`` define (``prescribed`` under every protocol but
 ``heb_mandatory``, and ``no_ic``), each step's block extends the tip and is
-published at once.  The run then takes all its selections in one draw and
-appends each block with its kind set by the quota rule, counting each
-miner's factored blocks from her view's count at the tip.  Its output is
-the generic loop's byte for byte.  A strategy class patched before the run
-is not one of these, so its methods are called at every step.
+published at once.  The run then takes all its selections in one draw,
+sets each block's kind by the quota rule, counting each miner's factored
+blocks from her view's count at the tip, and hands the epoch's chain to
+one :meth:`BlockStore.extend` call.  Its output is the generic loop's
+byte for byte.  A strategy class patched before the run is not one of
+these, so its methods are called at every step.  The generic loop's
+publication rounds append block by block.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
@@ -468,6 +470,7 @@ class Game:
 
 
 _height_then_id = itemgetter(4, 0)  # a publication round's append order
+_NO_BLOCKS = (0, Fraction(0))  # the epoch stats of a miner with no block
 
 
 def _prescribed_makers(
@@ -512,8 +515,9 @@ def run_epoch(
     already belong to epoch ``k``.
 
     Prescribed play on a one-tip store (see the module docstring) runs as
-    a counter per miner instead of the step loop, with the same output:
-    the same selections, blocks, ``steps`` and ``blocks_created``.
+    a counter per miner and one ``store.extend`` instead of the step loop,
+    with the same output: the same selections, blocks, ``steps`` and
+    ``blocks_created``.  New block ids continue from ``store.max_id``.
     """
     params, protocol, miners = game.params, game.protocol, game.miners
     if store is None:
@@ -524,7 +528,7 @@ def run_epoch(
     start_len = epoch_index * params.epoch_len
     target_len = start_len + params.epoch_len
     start_tip = start_main.blocks[start_len]
-    next_id = 1 + max(b.id for b in store.blocks())
+    next_id = 1 + store.max_id
 
     ss = as_seedseq(seed)
     sched_rng = _stream(ss, (0,))
@@ -555,22 +559,27 @@ def run_epoch(
     )
     if makers and len(store.tip_ids()) == 1:
         # prescribed play on one tip: each step's miner extends the tip and
-        # publishes the block at once, so no strategy is called.  A maker
+        # publishes the block at once, so no strategy is called, and the
+        # epoch's blocks are one chain the store takes in one call.  A maker
         # of factored blocks counts hers from her view's count at the tip.
         parent_id, height = start_main.tip.id, start_main.length
-        used = {m: views[m].factored_used(parent_id) for m, f in makers.items() if f}
-        limits = game.quota_limits
-        append = store.append
         steps = created = target_len - height
-        for mid in select(sched_rng, steps):
-            kind = REGULAR
-            if mid in used and within_quota(used[mid], limits[mid]):
-                kind = FACTORED
-                used[mid] += 1
-            height += 1
-            append(Block(next_id, parent_id, mid, kind, height))
-            parent_id = next_id
-            next_id += 1
+        selected = select(sched_rng, steps)
+        kinds = [REGULAR] * steps
+        used = {m: views[m].factored_used(parent_id) for m in makers if makers[m]}
+        if used:
+            limits = game.quota_limits
+            for i, mid in enumerate(selected):
+                if mid in used and within_quota(used[mid], limits[mid]):
+                    used[mid] += 1
+                    kinds[i] = FACTORED
+        ids = range(next_id, next_id + steps)
+        parents = [parent_id, *ids[:-1]]
+        heights = range(height + 1, target_len + 1)
+        # tuple.__new__ builds each Block in C; Block._make is a Python call
+        store.extend(
+            map(tuple.__new__, repeat(Block), zip(ids, parents, selected, kinds, heights))
+        )
 
     # the generic loop, for every other game (the path above completes the
     # epoch, so after it the loop does not start).
@@ -667,14 +676,15 @@ def run_epoch(
     stats = epoch_stats(main, epoch_index, params)
     ids = game.ids
     for m in ids:
-        stats.setdefault(m, (0, Fraction(0)))
+        stats.setdefault(m, _NO_BLOCKS)
 
+    # balance_fn fills both dicts for every id
     outcome = protocol.balance_fn(stats, params, game.allocations, ids)
+    minted, redistributed = outcome.minted, outcome.redistributed
     balances = {
-        m: outcome.minted.get(m, Fraction(0)) + outcome.redistributed.get(m, Fraction(0))
-        for m in ids
+        m: minted[m] + redistributed[m] if redistributed[m] else minted[m] for m in ids
     }
-    conserved = sum(balances.values(), Fraction(0)) + outcome.user_payout
+    conserved = sum(balances.values()) + outcome.user_payout
     if conserved != game.internal_total + game.minted_total:
         raise AssertionError(
             "token conservation violated: "
@@ -686,8 +696,8 @@ def run_epoch(
         store=store,
         main=main,
         stats=stats,
-        minted=outcome.minted,
-        redistributed=outcome.redistributed,
+        minted=minted,
+        redistributed=redistributed,
         balances=balances,
         user_payout=outcome.user_payout,
         external_total=game.external_total,

@@ -179,7 +179,7 @@ class ProtocolSpec:
         """
         by = 1 if self.quota_mode == "factored" else 0
         zero = Fraction(0)
-        contributed = sum((s[by] for s in stats.values()), zero)
+        contributed = sum(s[by] for s in stats.values())
         if contributed == 0:
             raise ArithmeticError("epoch carries zero total weight")
         mint_total = self.mint_per_block(params) * params.epoch_len

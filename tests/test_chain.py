@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hebsim.chain import (
     Block,
@@ -489,7 +490,7 @@ class TestTreeProperty:
 class TestFootprint:
     N = 2000
 
-    def _store_bytes_per_block(self, read_factored=False):
+    def _store_bytes_per_block(self, read_factored=False, extend=False):
         # 200 creators, about half the blocks factored; the Blocks are made
         # before tracing starts, so only the store's own allocations count
         rng = random.Random(3)
@@ -503,10 +504,13 @@ class TestFootprint:
         try:
             store = BlockStore()
             store.append(genesis)
-            for b in blocks:
-                store.append(b)
-                if read_factored:
-                    store.factored_by_on_path(b.id, b.creator)
+            if extend:
+                store.extend(blocks)
+            else:
+                for b in blocks:
+                    store.append(b)
+                    if read_factored:
+                        store.factored_by_on_path(b.id, b.creator)
             used, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -523,6 +527,150 @@ class TestFootprint:
 
     def test_factored_reads_hold_checkpoint_rows_only(self):
         assert self._store_bytes_per_block(read_factored=True) <= 150
+
+    def test_one_extend_keeps_the_append_bounds(self):
+        # the chain's columns and checks are freed when extend returns
+        assert self._store_bytes_per_block(extend=True) <= 300
+
+
+def appended(store, blocks):
+    """``blocks`` appended one at a time; the ChainError's message, if any."""
+    try:
+        for b in blocks:
+            store.append(b)
+    except ChainError as e:
+        return str(e)
+
+
+def extended(store, blocks):
+    """``blocks`` given to one ``extend``; the ChainError's message, if any."""
+    try:
+        store.extend(blocks)
+    except ChainError as e:
+        return str(e)
+
+
+def store_state(store, creators):
+    """Everything a store answers: its blocks in order, tips, top height and
+    id, creator slots, and every block's path counts for ``creators``."""
+    counts = {
+        b.id: (
+            store.factored_on_path(b.id),
+            [(store.count_by_on_path(b.id, m), store.factored_by_on_path(b.id, m))
+             for m in creators],
+        )
+        for b in list(store.blocks())
+    }
+    return (store.to_jsonl(), store.tip_ids(), store.max_height, store.max_id,
+            dict(store._slot), counts)
+
+
+EXTEND_FAULTS = [None, "duplicate id", "present id", "height", "kind",
+                 "no creator", "missing parent", "second genesis"]
+
+
+class TestExtend:
+    OLD = ["m0", "m1", "m2"]  # the creators of the stored tree
+    NEW = ["n0", "n1", "n2", "n3", "n4"]  # first seen in the extension
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_append_loop(self, data):
+        # a random tree, some reads that leave the cursors in it, then one
+        # chain off a stored block, or a tree of new blocks, with at most
+        # one fault: extend and the append loop leave the same store and
+        # raise the same error
+        draw = data.draw
+        kinds = st.sampled_from([REGULAR, FACTORED])
+        edges = [
+            (i, draw(st.integers(0, i - 1)), draw(st.sampled_from(self.OLD)), draw(kinds))
+            for i in range(1, draw(st.integers(0, 40)) + 1)
+        ]
+        stored = list(range(len(edges) + 1))
+        reads = draw(st.lists(st.sampled_from(stored), max_size=3))
+        base = build_store(edges)
+        height = {b.id: b.height for b in base.blocks()}
+
+        n = draw(st.integers(1, 30))
+        ids = draw(st.permutations(range(len(stored) + 5, len(stored) + 5 + n)))
+        chain = draw(st.booleans())
+        if chain:
+            parents = [draw(st.sampled_from(stored))] + ids[:-1]
+        else:
+            parents = [draw(st.sampled_from(stored + ids[:i])) for i in range(n)]
+        heights = []
+        for bid, parent in zip(ids, parents):
+            height[bid] = height[parent] + 1
+            heights.append(height[bid])
+        who = st.sampled_from(self.OLD + self.NEW)
+        creators = draw(st.lists(who, min_size=n, max_size=n))
+        block_kinds = draw(st.lists(kinds, min_size=n, max_size=n))
+
+        fault = draw(st.sampled_from(EXTEND_FAULTS))
+        at = draw(st.integers(0, n - 1))
+        if fault in ("duplicate id", "present id"):
+            if fault == "duplicate id" and at:
+                ids[at] = ids[draw(st.integers(0, at - 1))]
+            else:
+                ids[at] = draw(st.sampled_from(stored))
+            if chain and at + 1 < n:  # the chain stays linked
+                parents[at + 1] = ids[at]
+        elif fault == "height":
+            heights[at] += draw(st.sampled_from([-1, 1, 2]))
+        elif fault == "kind":
+            block_kinds[at] = "weird"
+        elif fault == "no creator":
+            creators[at] = None
+        elif fault == "missing parent":
+            parents[at] = 10**6
+        elif fault == "second genesis":
+            parents[at], heights[at] = None, 0
+        blocks = [Block(*f) for f in zip(ids, parents, creators, block_kinds, heights)]
+
+        one, bulk = build_store(edges), build_store(edges)
+        for s in (one, bulk):
+            for bid in reads:
+                s.count_by_on_path(bid, "m0")
+                s.factored_by_on_path(bid, "m1")
+        assert appended(one, blocks) == extended(bulk, blocks)
+        everyone = self.OLD + self.NEW + ["nobody"]
+        assert store_state(one, everyone) == store_state(bulk, everyone)
+
+    def test_empty_list_changes_nothing(self):
+        for edges in (None, [(1, 0, "a", FACTORED), (2, 0, "b", REGULAR)]):
+            store = BlockStore() if edges is None else build_store(edges)
+            before = store_state(store, ["a", "b"])
+            store.extend([])
+            assert store_state(store, ["a", "b"]) == before
+
+    def test_genesis_block(self):
+        blocks = [genesis_block(7), Block(8, 7, "a", FACTORED, 1),
+                  Block(9, 8, "b", REGULAR, 2)]
+        for k in (1, 3):
+            one, bulk = BlockStore(), BlockStore()
+            assert appended(one, blocks[:k]) is extended(bulk, blocks[:k]) is None
+            assert store_state(bulk, ["a", "b"]) == store_state(one, ["a", "b"])
+            assert bulk.genesis_id == 7 and bulk.max_id == 6 + k
+        with pytest.raises(ChainError, match="second genesis rejected"):
+            bulk.extend([genesis_block(10)])
+
+    @pytest.mark.parametrize("length, tips", [(3, [10]), (6, [10, 16]), (8, [18])])
+    def test_chain_from_a_block_below_the_tip(self, length, tips):
+        # a spine of 10 blocks, then a chain off block 4: shorter than the
+        # spine, as long, and longer
+        edges = [(i, i - 1, "a" if i % 2 else "b", FACTORED if i % 3 else REGULAR)
+                 for i in range(1, 11)]
+        blocks = [Block(11 + i, 11 + i - 1 if i else 4, "c" if i % 2 else "a",
+                        REGULAR if i % 3 else FACTORED, 5 + i) for i in range(length)]
+        one, bulk = build_store(edges), build_store(edges)
+        bulk.count_by_on_path(10, "a")  # a cursor at the old tip
+        assert appended(one, blocks) is extended(bulk, blocks) is None
+        assert bulk.tip_ids() == tips and bulk.max_id == 10 + length
+        assert bulk._slot == {"a": 1, "b": 2, "c": 3}
+        assert store_state(bulk, ["a", "b", "c"]) == store_state(one, ["a", "b", "c"])
+        for b in bulk.blocks():
+            path = bulk.chain_to(b.id).blocks[1:]
+            assert bulk.count_by_on_path(b.id, "c") == sum(x.creator == "c" for x in path)
 
 
 class TestSerialization:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hebsim.chain import Block, BlockStore, EpochParams, FACTORED
+from hebsim.chain import Block, BlockStore, EpochParams, FACTORED, genesis_block
 from hebsim.engine import Game, MinerConfig, MinerView, normalized_balances, run_epoch
 from hebsim.protocols import PrescribedHeb, get_protocol, make_strategy
 
@@ -235,3 +235,44 @@ class TestPathTaken:
         plays = {"a": strategy, "b": "prescribed", "c": "prescribed"}
         run_epoch(make_game(protocol, Fraction(1, 2), plays, 50), seed=1)
         assert tip_reads
+
+
+class TestStoreCalls:
+    def test_heb_practical_epoch_extends_the_store_once(self, monkeypatch):
+        game = heb_practical_game()
+        store = BlockStore()
+        store.append(genesis_block(0))
+        calls = []
+        for name in ("append", "extend"):
+            orig = getattr(BlockStore, name)
+
+            def counted(self, arg, name=name, orig=orig):
+                calls.append(name)
+                return orig(self, arg)
+
+            monkeypatch.setattr(BlockStore, name, counted)
+        res = run_epoch(game, seed=2024, store=store)
+        assert res.steps == res.blocks_created == 1000
+        assert calls == ["extend"]
+
+    @pytest.mark.parametrize("players", [PLAYERS["prescribed"], {
+        "a": "pow_only", "b": "prescribed", "c": "prescribed"}])
+    def test_chained_epochs_do_not_scan_the_store(self, players, monkeypatch):
+        # the next block id comes from the store's largest id, not from a
+        # pass over every block stored
+        game = make_game("heb", Fraction(1, 2), players, 30)
+        expected = chained(game, [1, 2, 3])
+
+        def scan(self):
+            raise AssertionError("BlockStore.blocks called")
+
+        monkeypatch.setattr(BlockStore, "blocks", scan)
+        store = None
+        out = []
+        for seed in (1, 2, 3):
+            res = run_epoch(game, seed, store)
+            store = res.store
+            out.append(res.to_json())
+            assert store.max_id == max(store._blocks)
+        monkeypatch.undo()
+        assert out + [store.to_jsonl()] == expected
