@@ -207,12 +207,8 @@ def cmd_simulate(args) -> int:
     for idx, res in enumerate(
         iter_game_results(params, miners, protocol, runs, seed, jobs)
     ):
-        acc.add(res)
-        for mid in acc.ids:
-            n, w = res.stats[mid]
-            run_lines.append(
-                f"{idx},{mid},{_fmt(float(res.balances[mid]))},{n},{_fmt(float(w))}"
-            )
+        for mid, (u, w) in zip(acc.ids, acc.add(res)):
+            run_lines.append(f"{idx},{mid},{_fmt(u)},{res.stats[mid][0]},{_fmt(w)}")
 
     stats = acc.stats()
     out = _write(out, stats.to_csv())

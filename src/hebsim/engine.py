@@ -19,19 +19,27 @@ scheduler stream feeds nothing else.  A miner's generator is built the
 first time her strategy reads ``MinerView.rng``: prescribed miners draw
 only to break ties between longest chains, and most epochs have none.
 
-Prescribed play on one tip runs without strategy calls.  When the store
-has exactly one tip at the start, the protocol's quota mode is ``"none"``
-or ``"factored"``, and every miner's ``generate_block``, ``publish`` and
-``_pick_tip``, as bound for the run, are those ``PrescribedNakamoto`` and
-``PrescribedHeb`` define (``prescribed`` under every protocol but
-``heb_mandatory``, and ``no_ic``), each step's block extends the tip and is
-published at once.  The run then takes all its selections in one draw,
-sets each block's kind by the quota rule, counting each miner's factored
-blocks from her view's count at the tip, and hands the epoch's chain to
-one :meth:`BlockStore.extend` call.  Its output is the generic loop's
-byte for byte.  A strategy class patched before the run is not one of
-these, so its methods are called at every step.  The generic loop's
-publication rounds append block by block.
+Prescribed play on one tip runs without strategy calls, withholding
+included.  When the store has exactly one tip at the start, the protocol's
+quota mode is ``"none"`` or ``"factored"``, and every miner's
+``_pick_tip``, as bound for the run, is ``PrescribedNakamoto``'s and her
+``generate_block`` and ``publish`` are those that ``PrescribedNakamoto``
+and ``PrescribedHeb`` define (``prescribed`` under every protocol but
+``heb_mandatory``, and ``no_ic``) or those of ``PowOnly`` (``pow_only``),
+the epoch is fixed by its selections.  Each step's publishing miner
+extends the tip and publishes at once; each withholder extends her private
+chain off the epoch's start, which she publishes whole at its
+``epoch_len``-th block.  The epoch ends at the first of these chains to
+reach the epoch's end.  The run takes its selections in the generic loop's
+batches up to that step, sets each published block's kind by the quota
+rule, counting each miner's factored blocks from her view's count at the
+tip, and hands the publishing miners' chain to one
+:meth:`BlockStore.extend` call, then the chain of the withholder who ended
+the epoch, if one did, to a second.  The other withholders' blocks stay
+private.  Its output is the generic loop's byte for byte.  A strategy
+class patched before the run is not one of these, so its methods are
+called at every step.  The generic loop's publication rounds append block
+by block.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
@@ -475,28 +483,54 @@ _NO_BLOCKS = (0, Fraction(0))  # the epoch stats of a miner with no block
 
 def _prescribed_makers(
     miners: Sequence[MinerConfig], generate: dict, publish: dict
-) -> Optional[dict[str, bool]]:
-    """Whether each miner makes factored blocks while her quota lasts
-    (``PrescribedHeb``) or regular blocks only (``PrescribedNakamoto``),
+) -> Optional[tuple[dict[str, bool], list[str]]]:
+    """Whether each publishing miner makes factored blocks while her quota
+    lasts (``PrescribedHeb``) or regular blocks only
+    (``PrescribedNakamoto``), and the ids of the withholders (``PowOnly``),
     when every miner's ``generate_block``, ``publish`` and ``_pick_tip`` as
     bound for the run are the ones :mod:`hebsim.protocols` defines; else
     None."""
     # imported here: protocols imports this module
     from hebsim.protocols import PRESCRIBED_PLAY
 
-    nakamoto, heb, pick_tip, publishes = PRESCRIBED_PLAY
-    makers = {}
+    nakamoto, heb, pick_tip, publishes, withhold, withheld = PRESCRIBED_PLAY
+    makers, withholders = {}, []
     for m in miners:
         fn = getattr(generate[m.id], "__func__", None)
-        if (
-            fn is not nakamoto and fn is not heb
-            or getattr(publish[m.id], "__func__", None) is not publishes
-            or getattr(getattr(m.strategy, "_pick_tip", None), "__func__", None)
-            is not pick_tip
-        ):
+        pub = getattr(publish[m.id], "__func__", None)
+        if getattr(getattr(m.strategy, "_pick_tip", None), "__func__", None) is not pick_tip:
             return None
-        makers[m.id] = fn is heb
-    return makers
+        if fn is withhold and pub is withheld:
+            withholders.append(m.id)
+        elif (fn is nakamoto or fn is heb) and pub is publishes:
+            makers[m.id] = fn is heb
+        else:
+            return None
+    return makers, withholders
+
+
+def _withholding_draws(
+    select: Callable, rng: np.random.Generator, need: int, withholders: list[str],
+    epoch_len: int,
+) -> tuple[list[str], Optional[str]]:
+    """The selections of a one-tip epoch with withholders, up to the step
+    that ends it: the ``need``-th publishing miner's block, or a
+    withholder's ``epoch_len``-th.  Also the withholder who ended it, or
+    None.  Uniforms are drawn in the generic loop's batches."""
+    left = dict.fromkeys(withholders, epoch_len)  # blocks each still misses
+    picks: list[str] = []
+    while True:
+        batch = select(rng, min(max(need, 64), 4096))
+        for i, mid in enumerate(batch):
+            if mid in left:
+                left[mid] -= 1
+                if not left[mid]:
+                    return picks + batch[: i + 1], mid
+            else:
+                need -= 1
+                if not need:
+                    return picks + batch[: i + 1], None
+        picks += batch
 
 
 def run_epoch(
@@ -514,9 +548,10 @@ def run_epoch(
     ``k * epoch_len``: blocks a previous epoch published past its end
     already belong to epoch ``k``.
 
-    Prescribed play on a one-tip store (see the module docstring) runs as
-    a counter per miner and one ``store.extend`` instead of the step loop,
-    with the same output: the same selections, blocks, ``steps`` and
+    Prescribed play on a one-tip store, ``pow_only`` withholders included
+    (see the module docstring), runs as a counter per miner and one
+    ``store.extend`` per stored chain instead of the step loop, with the
+    same output: the same selections, blocks, ``steps`` and
     ``blocks_created``.  New block ids continue from ``store.max_id``.
     """
     params, protocol, miners = game.params, game.protocol, game.miners
@@ -554,18 +589,40 @@ def run_epoch(
         )
 
     steps = created = 0
-    makers = quota_mode in ("none", "factored") and _prescribed_makers(
+    max_steps = 1000 + 100 * params.epoch_len
+    play = quota_mode in ("none", "factored") and _prescribed_makers(
         miners, generate, publish
     )
-    if makers and len(store.tip_ids()) == 1:
-        # prescribed play on one tip: each step's miner extends the tip and
-        # publishes the block at once, so no strategy is called, and the
-        # epoch's blocks are one chain the store takes in one call.  A maker
-        # of factored blocks counts hers from her view's count at the tip.
+    if play and len(store.tip_ids()) == 1:
+        # prescribed play on one tip: each step's publishing miner extends
+        # the tip and publishes at once, and each withholder extends her
+        # private chain off ``start_tip``, which she publishes whole at its
+        # ``epoch_len``-th block.  So no strategy is called, and the stored
+        # blocks are the publishing miners' chain, then the chain of the
+        # withholder who ended the epoch, if one did: one call each.  A
+        # maker of factored blocks counts hers from her view's count at
+        # the tip.  Other withholders' blocks stay private.
+        makers, withholders = play
         parent_id, height = start_main.tip.id, start_main.length
-        steps = created = target_len - height
-        selected = select(sched_rng, steps)
-        kinds = [REGULAR] * steps
+        if withholders:
+            selected, winner = _withholding_draws(
+                select, sched_rng, target_len - height, withholders, params.epoch_len
+            )
+        else:
+            selected, winner = select(sched_rng, target_len - height), None
+        steps = created = len(selected)
+        if steps > max_steps:  # where the generic loop would have stopped
+            raise RuntimeError(
+                f"epoch did not terminate within {max_steps} scheduler steps"
+            )
+        ids = range(next_id, next_id + steps)
+        if winner is not None:
+            won = list(compress(ids, map(winner.__eq__, selected)))
+        if withholders:
+            published = [mid in makers for mid in selected]
+            ids, selected = list(compress(ids, published)), list(compress(selected, published))
+        n = len(selected)
+        kinds = [REGULAR] * n
         used = {m: views[m].factored_used(parent_id) for m in makers if makers[m]}
         if used:
             limits = game.quota_limits
@@ -573,20 +630,23 @@ def run_epoch(
                 if mid in used and within_quota(used[mid], limits[mid]):
                     used[mid] += 1
                     kinds[i] = FACTORED
-        ids = range(next_id, next_id + steps)
         parents = [parent_id, *ids[:-1]]
-        heights = range(height + 1, target_len + 1)
+        heights = range(height + 1, height + n + 1)
         # tuple.__new__ builds each Block in C; Block._make is a Python call
         store.extend(
             map(tuple.__new__, repeat(Block), zip(ids, parents, selected, kinds, heights))
         )
+        if winner is not None:
+            store.extend(map(tuple.__new__, repeat(Block), zip(
+                won, [start_tip.id, *won[:-1]], repeat(winner), repeat(REGULAR),
+                range(start_len + 1, target_len + 1),
+            )))
 
     # the generic loop, for every other game (the path above completes the
     # epoch, so after it the loop does not start).
     # miners whose ``local`` is non-empty: the only ones ``publish`` is asked
     holders: set[str] = set()
     get = store.get
-    max_steps = 1000 + 100 * params.epoch_len
     draws = iter(())
     while store.main_chain_length() < target_len:
         steps += 1
@@ -720,14 +780,21 @@ class GameAccumulator:
         self._blocks = {m: 0.0 for m in self.ids}
         self._weight = {m: 0.0 for m in self.ids}
 
-    def add(self, res: EpochResult) -> None:
+    def add(self, res: EpochResult) -> list[tuple[float, float]]:
+        """Add ``res``; return each miner's utility and epoch weight as
+        floats, in ``ids`` order."""
         self.count += 1
+        floats = []
         for m in self.ids:
             u = float(res.balances[m])
+            n, w = res.stats[m]
+            w = float(w)
             self._sum[m] += u
             self._sq[m] += u * u
-            self._blocks[m] += res.stats[m][0]
-            self._weight[m] += float(res.stats[m][1])
+            self._blocks[m] += n
+            self._weight[m] += w
+            floats.append((u, w))
+        return floats
 
     def stats(self) -> GameStats:
         n = float(self.count)

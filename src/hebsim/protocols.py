@@ -102,7 +102,11 @@ class NoInternalCurrency(PrescribedNakamoto):
 
 class PowOnly(PrescribedNakamoto):
     """Ignore internal expenditure entirely: mine a full private epoch on
-    external resources and publish the epoch_len blocks all at once."""
+    external resources and publish the epoch_len blocks all at once.
+
+    On a one-tip store, ``run_epoch`` plays her epoch without calling her
+    methods, unless they are patched or overridden (see
+    :data:`PRESCRIBED_PLAY`)."""
 
     def generate_block(self, view: MinerView):
         if view.local:
@@ -129,14 +133,17 @@ class PrescribedMandatory(PrescribedHeb):
         return tip, REGULAR
 
 
-# The methods of prescribed play as defined above, taken before anything can
-# patch the classes.  run_epoch plays an epoch of them without calling them
-# when every miner's methods, as bound for the run, are these.
+# The methods of prescribed play and of withholding as defined above, taken
+# before anything can patch the classes.  run_epoch plays an epoch of them
+# without calling them when every miner's methods, as bound for the run,
+# are these.
 PRESCRIBED_PLAY = (
     PrescribedNakamoto.generate_block,
     PrescribedHeb.generate_block,
     PrescribedNakamoto._pick_tip,
     PrescribedNakamoto.publish,
+    PowOnly.generate_block,
+    PowOnly.publish,
 )
 
 

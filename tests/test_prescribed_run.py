@@ -1,6 +1,7 @@
 """Prescribed play on one tip: run_epoch's counter path gives byte for byte
 what its generic loop gives, runs only when every miner's strategy is an
-unpatched prescribed one on a one-tip store, and calls no strategy."""
+unpatched prescribed or ``pow_only`` one on a one-tip store, and calls no
+strategy."""
 
 import json
 from fractions import Fraction
@@ -9,8 +10,15 @@ import numpy as np
 import pytest
 
 from hebsim.chain import Block, BlockStore, EpochParams, FACTORED, genesis_block
-from hebsim.engine import Game, MinerConfig, MinerView, normalized_balances, run_epoch
-from hebsim.protocols import PrescribedHeb, get_protocol, make_strategy
+from hebsim.engine import (
+    Game,
+    MinerConfig,
+    MinerView,
+    derive_streams,
+    normalized_balances,
+    run_epoch,
+)
+from hebsim.protocols import PowOnly, PrescribedHeb, get_protocol, make_strategy
 
 # (protocol, rho): prd's rho sets the share of the mint it redistributes
 PROTOCOLS = [
@@ -25,6 +33,12 @@ SHARES = {"a": Fraction(1, 2), "b": Fraction(3, 10), "c": Fraction(1, 5)}
 PLAYERS = {
     "prescribed": {"a": "prescribed", "b": "prescribed", "c": "prescribed"},
     "mixed": {"a": "prescribed", "b": "no_ic", "c": "prescribed"},
+}
+WITHHOLDING = {
+    "one": {"a": "prescribed", "b": "prescribed", "c": "pow_only"},
+    "big": {"a": "pow_only", "b": "no_ic", "c": "prescribed"},
+    "two": {"a": "pow_only", "b": "prescribed", "c": "pow_only"},
+    "all": {"a": "pow_only", "b": "pow_only", "c": "pow_only"},
 }
 
 
@@ -70,6 +84,43 @@ def tip_reads(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def appends(monkeypatch):
+    """Ids of the blocks ``BlockStore.append`` takes, genesis aside: the
+    generic loop stores each published block so, the counter path none."""
+    calls = []
+    orig = BlockStore.append
+
+    def counted(store, block):
+        if block.parent is not None:
+            calls.append(block.id)
+        return orig(store, block)
+
+    monkeypatch.setattr(BlockStore, "append", counted)
+    return calls
+
+
+@pytest.fixture
+def store_calls(monkeypatch):
+    """Names of the ``BlockStore.append``/``extend`` calls, in call order."""
+    calls = []
+    for name in ("append", "extend"):
+        orig = getattr(BlockStore, name)
+
+        def counted(self, arg, name=name, orig=orig):
+            calls.append(name)
+            return orig(self, arg)
+
+        monkeypatch.setattr(BlockStore, name, counted)
+    return calls
+
+
+def genesis_store():
+    store = BlockStore()
+    store.append(genesis_block(0))
+    return store
+
+
 def chained(game, seeds, store=None):
     """``to_json()`` of the epochs run on one store, one per seed, then the
     store's ``to_jsonl()``: it holds every epoch's blocks in append order."""
@@ -107,6 +158,57 @@ class TestDifferential:
         looped = chained(make_game(protocol, rho, plays, epoch_len, generic=True), seeds)
         assert len(tip_reads) == 3 * epoch_len
         assert counted == looped
+
+    @pytest.mark.parametrize("epoch_len", [1, 63, 64, 65, 4097])
+    @pytest.mark.parametrize("players", sorted(WITHHOLDING))
+    @pytest.mark.parametrize("protocol, rho", PROTOCOLS)
+    def test_withholders_match_the_generic_loop(
+        self, protocol, rho, players, epoch_len, tip_reads, appends
+    ):
+        plays = WITHHOLDING[players]
+        counted = chained(make_game(protocol, rho, plays, epoch_len), [7, 8, 9])
+        assert tip_reads == [] and appends == []
+        looped = chained(make_game(protocol, rho, plays, epoch_len, generic=True), [7, 8, 9])
+        assert appends
+        assert counted == looped
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_withholder_who_wins(self, seed):
+        # "a" withholds at 1/2 of the external spend against 1/4: her chain
+        # replaces the publishing miners' one
+        plays = WITHHOLDING["big"]
+        counted = chained(make_game("heb", Fraction(1, 2), plays, 100), [seed, seed + 1])
+        looped = chained(
+            make_game("heb", Fraction(1, 2), plays, 100, generic=True), [seed, seed + 1]
+        )
+        assert counted == looped
+        for epoch in counted[:2]:
+            assert json.loads(epoch)["stats"]["a"][0] == 100
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_withholder_who_loses(self, seed):
+        # "c" withholds at 1/5 of the external spend: her blocks stay private
+        plays = WITHHOLDING["one"]
+        counted = chained(make_game("nakamoto", Fraction(0), plays, 100), [seed, seed + 1])
+        looped = chained(
+            make_game("nakamoto", Fraction(0), plays, 100, generic=True), [seed, seed + 1]
+        )
+        assert counted == looped
+        for epoch in counted[:2]:
+            res = json.loads(epoch)
+            assert res["stats"]["c"][0] == 0
+            assert res["blocks_created"] > 100
+        assert '"creator": "c"' not in counted[-1]
+
+    def test_withholders_past_the_step_cap_raise_as_the_generic_loop_does(self):
+        # 500 equal withholders: none holds 20 blocks within the loop's
+        # 1000 + 100 * 20 steps
+        plays = {f"w{i:03d}": "pow_only" for i in range(500)}
+        shares = dict.fromkeys(plays, Fraction(1, 500))
+        for generic in (False, True):
+            game = make_game("nakamoto", Fraction(0), plays, 20, generic, shares)
+            with pytest.raises(RuntimeError, match="within 3000 scheduler steps"):
+                run_epoch(game, seed=1)
 
 
 class WithholdPast(PrescribedHeb):
@@ -165,6 +267,33 @@ class TestStartingStores:
         # regular ones: her quota was spent
         n, weight = json.loads(counted[0])["stats"]["w"]
         assert n > 10 and weight == str(10 * 20 + n - 10)
+
+    @pytest.mark.parametrize("players", sorted(WITHHOLDING))
+    def test_withholders_on_a_tip_above_the_epoch_start(self, players, appends):
+        # epoch 1 starts at height 20 with the tip at 30: publishing miners
+        # extend the tip, withholders the block at 20
+        params = EpochParams(
+            epoch_len=20, factor=Fraction(20), rho=Fraction(0),
+            user_balance=Fraction(10**7),
+        )
+        proto = get_protocol("heb")
+        withheld = run_epoch(
+            Game(params, [MinerConfig("w", Fraction(20), WithholdPast())], proto), seed=0
+        ).store
+        assert withheld.main_chain_length() == 30
+        copy = BlockStore.from_jsonl(withheld.to_jsonl())
+        del appends[:]
+        # "c" plays as "w", so the withheld blocks' creator is in the game
+        plays = {m.replace("c", "w"): play for m, play in WITHHOLDING[players].items()}
+        shares = {m.replace("c", "w"): share for m, share in SHARES.items()}
+        counted_game, looped_game = (
+            make_game("heb", Fraction(1, 2), plays, 20, generic, shares)
+            for generic in (False, True)
+        )
+        counted = chained(counted_game, [5, 6, 7], withheld)
+        assert appends == []
+        looped = chained(looped_game, [5, 6, 7], copy)
+        assert counted == looped
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_tips_at_the_start_run_the_generic_loop(self, seed, tip_reads):
@@ -227,7 +356,6 @@ class TestPathTaken:
         "protocol, strategy",
         [
             ("heb", "petty_compliant"),
-            ("heb", "pow_only"),
             ("heb_mandatory", "prescribed"),
         ],
     )
@@ -235,6 +363,56 @@ class TestPathTaken:
         plays = {"a": strategy, "b": "prescribed", "c": "prescribed"}
         run_epoch(make_game(protocol, Fraction(1, 2), plays, 50), seed=1)
         assert tip_reads
+
+    def test_pow_only_runs_without_strategy_calls(self, tip_reads, appends):
+        plays = {"a": "pow_only", "b": "prescribed", "c": "prescribed"}
+        res = run_epoch(make_game("heb", Fraction(1, 2), plays, 50), seed=1)
+        assert res.steps > 50
+        assert tip_reads == [] and appends == []
+
+    @staticmethod
+    def withholder_steps(game, seed, res, miner_id):
+        """How many of ``res``'s steps selected ``miner_id``."""
+        sched_rng, _ = derive_streams(seed, [])
+        return game.select(sched_rng, res.steps).count(miner_id)
+
+    def test_a_patched_pow_only_class_is_called_every_step(self, monkeypatch, tip_reads):
+        plays = {"a": "pow_only", "b": "prescribed", "c": "prescribed"}
+        game = make_game("heb", Fraction(1, 2), plays, 50)
+        expected = run_epoch(game, seed=1).to_json()
+        assert tip_reads == []  # unpatched, it takes the counter path
+        calls = []
+        orig = PowOnly.generate_block
+
+        def counted(self, view):
+            calls.append(view.miner_id)
+            return orig(self, view)
+
+        monkeypatch.setattr(PowOnly, "generate_block", counted)
+        res = run_epoch(game, seed=1)
+        assert res.to_json() == expected
+        assert len(calls) == self.withholder_steps(game, 1, res, "a") > 0
+        assert len(calls) + len(tip_reads) == res.steps
+
+    def test_a_pow_only_subclass_overriding_publish_is_called_every_step(self, tip_reads):
+        calls = []
+
+        class Polled(PowOnly):
+            def publish(self, view):
+                calls.append(view.miner_id)
+                return super().publish(view)
+
+        plays = {"a": "pow_only", "b": "prescribed", "c": "prescribed"}
+        game = make_game("heb", Fraction(1, 2), plays, 50)
+        expected = run_epoch(game, seed=1).to_json()
+        assert tip_reads == []  # with PowOnly's publish, it takes the counter path
+        game.miners[0].strategy = Polled()  # "a", the first id
+        res = run_epoch(game, seed=1)
+        assert res.to_json() == expected
+        hers = self.withholder_steps(game, 1, res, "a")
+        assert len(tip_reads) == res.steps - hers
+        # polled after each of her blocks, and after the others' once she holds one
+        assert len(calls) >= hers > 0
 
 
 class TestStoreCalls:
@@ -254,6 +432,24 @@ class TestStoreCalls:
         res = run_epoch(game, seed=2024, store=store)
         assert res.steps == res.blocks_created == 1000
         assert calls == ["extend"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_won_takeover_epoch_extends_twice(self, seed, store_calls):
+        game = make_game("heb", Fraction(1, 2), WITHHOLDING["big"], 100)
+        store = genesis_store()
+        del store_calls[:]
+        res = run_epoch(game, seed, store)
+        assert res.stats["a"][0] == 100  # her chain is the epoch
+        assert store_calls == ["extend", "extend"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_lost_takeover_epoch_extends_once(self, seed, store_calls):
+        game = make_game("nakamoto", Fraction(0), WITHHOLDING["one"], 100)
+        store = genesis_store()
+        del store_calls[:]
+        res = run_epoch(game, seed, store)
+        assert res.stats["c"][0] == 0 and res.blocks_created > 100
+        assert store_calls == ["extend"]
 
     @pytest.mark.parametrize("players", [PLAYERS["prescribed"], {
         "a": "pow_only", "b": "prescribed", "c": "prescribed"}])
