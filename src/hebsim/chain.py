@@ -14,7 +14,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 REGULAR = "regular"
@@ -242,8 +241,8 @@ class BlockStore:
     strategies and reward functions:
 
     * the set of maximum-height leaves (fork tips),
-    * per-block counts of factored blocks on the path from genesis,
-    * per-block, per-creator factored and total block counts on that path.
+    * per-creator factored and total block counts on the path from genesis
+      to a block; a path's factored total is the sum of its factored row.
 
     Each creator gets a slot number the first time the store sees them; slot
     0 stands for an unknown creator and always reads 0.  A per-creator count
@@ -258,9 +257,11 @@ class BlockStore:
     the row in place, with no walk and no call.  Any other read away from
     the cursor walks up to the cursor or to the nearest checkpoint, so a
     read on a path where a deeper block was read walks at most 64 blocks.
-    An append builds no row; at 200 creators the store costs about 100
-    bytes per block unread and about 116 with the factored count read at
-    every block.
+    An append builds no row and no count: a path's factored total, read by
+    :meth:`factored_on_path` and :meth:`path_weight`, is the sum of the
+    factored row there.  At 200 creators the store costs about 41 bytes per
+    block unread (its dict entry) and about 55 with the factored count read
+    at every block.
 
     ``max_height`` and ``max_id`` are the largest height and block id
     stored (-1 while empty).  :meth:`extend` appends a list of blocks as
@@ -277,8 +278,7 @@ class BlockStore:
         self.max_height = -1
         self.max_id = -1
         self._max_tips: list[int] = []
-        # path-cumulative accounting, keyed by block id
-        self._fac_total: dict[int, int] = {}
+        # path-cumulative accounting, read through cursors
         self._slot: dict[str, int] = {}
         self._fac = _PathCounts(FACTORED, self._blocks, self._slot)
         self._cnt = _PathCounts(None, self._blocks, self._slot)
@@ -317,7 +317,6 @@ class BlockStore:
                 raise ChainError("genesis height must be 0")
             self._genesis_id = bid
             self.max_id = bid  # the first block stored: every other needs it
-            self._fac_total[bid] = 0
             for counts in (self._fac, self._cnt):
                 counts.at = bid
                 counts.rows[bid] = counts.row
@@ -334,7 +333,6 @@ class BlockStore:
             if creator is None:
                 raise ChainError("non-genesis block must carry a creator")
             self._slot.setdefault(creator, len(self._slot) + 1)
-            self._fac_total[bid] = self._fac_total[parent_id] + (kind == FACTORED)
             if bid > self.max_id:
                 self.max_id = bid
         blocks[bid] = block
@@ -351,27 +349,27 @@ class BlockStore:
 
         When ``blocks`` is a chain of fresh ids, each the parent of the
         next, whose first block extends a stored one, the checks run over
-        whole columns and the chain is added in one pass: slots in order of
-        first appearance, as the appends would number them, and the factored
-        totals by ``accumulate``.  Any other input goes block by block."""
+        whole columns and the chain is added in one pass, with slots in
+        order of first appearance, as the appends would number them.  Any
+        other input goes block by block."""
         blocks = list(blocks)
         stored = self._blocks
         try:
             ids, parents, creators, kinds, heights = zip(*blocks, strict=True)
             n = len(ids)
             parent = stored.get(parents[0])
+            first_seen = dict.fromkeys(creators)
             chain = (
                 parent is not None
                 and parents[1:] == ids[:-1]
                 and heights == tuple(range(parent.height + 1, parent.height + n + 1))
                 and set(kinds).issubset(_KINDS)
-                and None not in creators
+                and None not in first_seen
                 and len(set(ids)) == n
                 and stored.keys().isdisjoint(ids)
             )
             if chain:
                 max_id = max(self.max_id, max(ids))
-                first_seen = dict.fromkeys(creators)
         except (TypeError, ValueError):  # no blocks, or not five hashable fields
             chain = False
         if not chain:
@@ -381,11 +379,6 @@ class BlockStore:
         slot = self._slot
         for creator in first_seen:
             slot.setdefault(creator, len(slot) + 1)
-        totals = accumulate(
-            map(FACTORED.__eq__, kinds), initial=self._fac_total[parents[0]]
-        )
-        next(totals)  # the parent's own total
-        self._fac_total.update(zip(ids, totals))
         stored.update(zip(ids, blocks))
         self.max_id = max_id
         height = heights[-1]
@@ -398,8 +391,9 @@ class BlockStore:
     # -- path accounting -------------------------------------------------------------
 
     def factored_on_path(self, block_id: int) -> int:
-        """Factored blocks on the path genesis..block_id, inclusive."""
-        return self._fac_total[block_id]
+        """Factored blocks on the path genesis..block_id, inclusive: the sum
+        of the factored row there."""
+        return sum(self._fac.move(block_id))
 
     def factored_by_on_path(self, block_id: int, creator: str) -> int:
         counts = self._fac
@@ -440,7 +434,7 @@ class BlockStore:
 
     def path_weight(self, block_id: int, factor: Fraction) -> Fraction:
         """Accumulated weight of the path genesis..block_id (genesis excluded)."""
-        fac = self._fac_total[block_id]
+        fac = self.factored_on_path(block_id)
         reg = self._blocks[block_id].height - fac
         return reg + factor * fac
 

@@ -30,13 +30,17 @@ the epoch is fixed by its selections.  Each step's publishing miner
 extends the tip and publishes at once; each withholder extends her private
 chain off the epoch's start, which she publishes whole at its
 ``epoch_len``-th block.  The epoch ends at the first of these chains to
-reach the epoch's end.  The run takes its selections in the generic loop's
-batches up to that step, sets each published block's kind by the quota
-rule, counting each miner's factored blocks from her view's count at the
-tip, and hands the publishing miners' chain to one
-:meth:`BlockStore.extend` call, then the chain of the withholder who ended
-the epoch, if one did, to a second.  The other withholders' blocks stay
-private.  Its output is the generic loop's byte for byte.  A strategy
+reach the epoch's end.  The run works on miner indices in numpy arrays
+until it builds the blocks: it takes its selections in the generic loop's
+batches and finds the step that ends the epoch by cumulative counts, splits
+the publishing miners' steps from the withholders' by a mask, and sets each
+published block's kind by the quota rule, a maker's first ``limit - used``
+blocks being factored, with ``used`` her view's count at the tip.  Ids,
+creators and kinds become Python lists once, for the blocks.  It hands the
+publishing miners' chain to one :meth:`BlockStore.extend` call, then the
+chain of the withholder who ended the epoch, if one did, to a second.  The
+other withholders' blocks stay private.  Its output is the generic loop's
+byte for byte.  A strategy
 class patched before the run is not one of these, so its methods are
 called at every step.  The generic loop's publication rounds append block
 by block.
@@ -52,7 +56,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
@@ -373,13 +377,31 @@ def normalized_balances(
     return balances
 
 
-def miner_selector(
-    external_balances: dict[str, Union[Fraction, float]],
-) -> Callable[[np.random.Generator, int], list[str]]:
+class MinerSelector:
     """A picklable function ``draw(rng, n)`` returning ``n`` miner ids, each
     drawn with probability proportional to external balance from one uniform
-    of ``rng.random(n)``: the first miner whose cumulative share exceeds it,
-    else the last.
+    of ``rng.random(n)``.  ``names`` holds the ids in sorted order, and
+    :meth:`indices` gives the positions in it that uniforms select."""
+
+    __slots__ = ("cumulative", "names")
+
+    def __init__(self, cumulative: np.ndarray, names: np.ndarray):
+        self.cumulative, self.names = cumulative, names
+
+    def indices(self, uniforms: np.ndarray) -> np.ndarray:
+        """Each uniform's miner: the first whose cumulative share exceeds
+        it, else the last."""
+        picks = np.searchsorted(self.cumulative, uniforms, side="right")
+        return np.minimum(picks, len(self.names) - 1)
+
+    def __call__(self, rng: np.random.Generator, n: int) -> list[str]:
+        return self.names[self.indices(rng.random(n))].tolist()
+
+
+def miner_selector(
+    external_balances: dict[str, Union[Fraction, float]],
+) -> MinerSelector:
+    """The :class:`MinerSelector` of miners with these external balances.
 
     The draw consumes relative weights, so uniformly scaling all balances
     (e.g. two protocols whose allocations differ by a constant factor)
@@ -396,14 +418,7 @@ def miner_selector(
         dtype=float,
         count=len(ids),
     )
-    return partial(_draw, cumulative, np.array(ids, dtype=object))
-
-
-def _draw(
-    cumulative: np.ndarray, names: np.ndarray, rng: np.random.Generator, n: int
-) -> list[str]:
-    picks = np.searchsorted(cumulative, rng.random(n), side="right")
-    return names[np.minimum(picks, len(names) - 1)].tolist()
+    return MinerSelector(cumulative, np.array(ids, dtype=object))
 
 
 def select_miner(
@@ -479,58 +494,83 @@ class Game:
 
 _height_then_id = itemgetter(4, 0)  # a publication round's append order
 _NO_BLOCKS = (0, Fraction(0))  # the epoch stats of a miner with no block
+_KIND_OF = np.array([REGULAR, FACTORED], dtype=object)  # by whether factored
 
 
 def _prescribed_makers(
     miners: Sequence[MinerConfig], generate: dict, publish: dict
-) -> Optional[tuple[dict[str, bool], list[str]]]:
-    """Whether each publishing miner makes factored blocks while her quota
-    lasts (``PrescribedHeb``) or regular blocks only
-    (``PrescribedNakamoto``), and the ids of the withholders (``PowOnly``),
-    when every miner's ``generate_block``, ``publish`` and ``_pick_tip`` as
-    bound for the run are the ones :mod:`hebsim.protocols` defines; else
-    None."""
+) -> Optional[tuple[list[bool], list[bool]]]:
+    """Per miner, in ``miners`` order: whether she makes factored blocks
+    while her quota lasts (``PrescribedHeb``), and whether she withholds
+    (``PowOnly``), when every miner's ``generate_block``, ``publish`` and
+    ``_pick_tip`` as bound for the run are the ones :mod:`hebsim.protocols`
+    defines; else None.  A miner who is neither makes regular blocks only
+    (``PrescribedNakamoto``)."""
     # imported here: protocols imports this module
     from hebsim.protocols import PRESCRIBED_PLAY
 
     nakamoto, heb, pick_tip, publishes, withhold, withheld = PRESCRIBED_PLAY
-    makers, withholders = {}, []
+    hebs, held = [], []
     for m in miners:
         fn = getattr(generate[m.id], "__func__", None)
         pub = getattr(publish[m.id], "__func__", None)
         if getattr(getattr(m.strategy, "_pick_tip", None), "__func__", None) is not pick_tip:
             return None
         if fn is withhold and pub is withheld:
-            withholders.append(m.id)
+            hebs.append(False)
+            held.append(True)
         elif (fn is nakamoto or fn is heb) and pub is publishes:
-            makers[m.id] = fn is heb
+            hebs.append(fn is heb)
+            held.append(False)
         else:
             return None
-    return makers, withholders
+    return hebs, held
 
 
 def _withholding_draws(
-    select: Callable, rng: np.random.Generator, need: int, withholders: list[str],
+    select: MinerSelector, rng: np.random.Generator, need: int, held: np.ndarray,
     epoch_len: int,
-) -> tuple[list[str], Optional[str]]:
-    """The selections of a one-tip epoch with withholders, up to the step
-    that ends it: the ``need``-th publishing miner's block, or a
-    withholder's ``epoch_len``-th.  Also the withholder who ended it, or
-    None.  Uniforms are drawn in the generic loop's batches."""
-    left = dict.fromkeys(withholders, epoch_len)  # blocks each still misses
-    picks: list[str] = []
+) -> tuple[np.ndarray, Optional[int]]:
+    """The miner indices selected in a one-tip epoch, up to the step that
+    ends it: the ``need``-th block of a publishing miner, or the
+    ``epoch_len``-th of a withholder (``held`` at her index).  Also the
+    index of the withholder who ended it, or None.  Uniforms are drawn in
+    the generic loop's batches."""
+    left = dict.fromkeys(np.flatnonzero(held).tolist(), epoch_len)  # blocks each misses
+    batches = []
     while True:
-        batch = select(rng, min(max(need, 64), 4096))
-        for i, mid in enumerate(batch):
-            if mid in left:
-                left[mid] -= 1
-                if not left[mid]:
-                    return picks + batch[: i + 1], mid
-            else:
-                need -= 1
-                if not need:
-                    return picks + batch[: i + 1], None
-        picks += batch
+        batch = select.indices(rng.random(min(max(need, 64), 4096)))
+        published = np.cumsum(~held[batch])
+        end, winner = int(np.searchsorted(published, need)), None
+        for w, missing in left.items():
+            hers = np.flatnonzero(batch == w)
+            if len(hers) >= missing and hers[missing - 1] < end:
+                end, winner = int(hers[missing - 1]), w
+            left[w] = missing - len(hers)
+        if end < len(batch):
+            batches.append(batch[: end + 1])
+            return np.concatenate(batches), winner
+        need -= int(published[-1])
+        batches.append(batch)
+
+
+def _quota_kinds(
+    selected: np.ndarray, used: dict[int, int], limits: Sequence[Optional[int]]
+) -> list[str]:
+    """The kind of each selected miner's block under the quota rule: a miner
+    ``m`` in ``used`` makes factored blocks while ``within_quota`` holds,
+    that is her first ``limits[m] - used[m]`` (all when the limit is None);
+    every other block is regular."""
+    n = len(selected)
+    room = np.zeros(len(limits), dtype=np.int64)
+    for m, u in used.items():
+        room[m] = n if limits[m] is None else min(limits[m] - u, n)  # fits int64
+    order = np.argsort(selected, kind="stable")
+    by_miner = selected[order]
+    rank = np.arange(n) - np.searchsorted(by_miner, by_miner)
+    factored = np.empty(n, dtype=bool)
+    factored[order] = rank < room[by_miner]  # her rank among her selections
+    return _KIND_OF[factored.view(np.int8)].tolist()
 
 
 def run_epoch(
@@ -549,10 +589,14 @@ def run_epoch(
     already belong to epoch ``k``.
 
     Prescribed play on a one-tip store, ``pow_only`` withholders included
-    (see the module docstring), runs as a counter per miner and one
-    ``store.extend`` per stored chain instead of the step loop, with the
-    same output: the same selections, blocks, ``steps`` and
+    (see the module docstring), runs on arrays of selected miner indices
+    and one ``store.extend`` per stored chain instead of the step loop,
+    with the same output: the same selections, blocks, ``steps`` and
     ``blocks_created``.  New block ids continue from ``store.max_id``.
+
+    Raises ValueError, before the settlement, when the epoch holds blocks
+    by a creator who is not one of the game's miners (a store built by
+    another game): no miner of this one could be paid for them.
     """
     params, protocol, miners = game.params, game.protocol, game.miners
     if store is None:
@@ -601,45 +645,49 @@ def run_epoch(
         # blocks are the publishing miners' chain, then the chain of the
         # withholder who ended the epoch, if one did: one call each.  A
         # maker of factored blocks counts hers from her view's count at
-        # the tip.  Other withholders' blocks stay private.
-        makers, withholders = play
+        # the tip.  Other withholders' blocks stay private.  Selections
+        # stay miner indices until the blocks are built.
+        hebs, held = play
+        held = np.array(held)
+        withholding = held.any()
         parent_id, height = start_main.tip.id, start_main.length
-        if withholders:
+        need = target_len - height
+        if withholding:
             selected, winner = _withholding_draws(
-                select, sched_rng, target_len - height, withholders, params.epoch_len
+                select, sched_rng, need, held, params.epoch_len
             )
         else:
-            selected, winner = select(sched_rng, target_len - height), None
+            selected, winner = select.indices(sched_rng.random(need)), None
         steps = created = len(selected)
         if steps > max_steps:  # where the generic loop would have stopped
             raise RuntimeError(
                 f"epoch did not terminate within {max_steps} scheduler steps"
             )
-        ids = range(next_id, next_id + steps)
         if winner is not None:
-            won = list(compress(ids, map(winner.__eq__, selected)))
-        if withholders:
-            published = [mid in makers for mid in selected]
-            ids, selected = list(compress(ids, published)), list(compress(selected, published))
-        n = len(selected)
-        kinds = [REGULAR] * n
-        used = {m: views[m].factored_used(parent_id) for m in makers if makers[m]}
+            won = (next_id + np.flatnonzero(selected == winner)).tolist()
+        if withholding:
+            at = np.flatnonzero(~held[selected])
+            ids, selected = (next_id + at).tolist(), selected[at]
+        else:
+            ids = range(next_id, next_id + steps)
+        n = len(ids)
+        used = {
+            i: views[m].factored_used(parent_id) for i, m in enumerate(game.ids) if hebs[i]
+        }
         if used:
-            limits = game.quota_limits
-            for i, mid in enumerate(selected):
-                if mid in used and within_quota(used[mid], limits[mid]):
-                    used[mid] += 1
-                    kinds[i] = FACTORED
+            kinds = _quota_kinds(selected, used, [game.quota_limits[m] for m in game.ids])
+        else:
+            kinds = [REGULAR] * n
         parents = [parent_id, *ids[:-1]]
         heights = range(height + 1, height + n + 1)
         # tuple.__new__ builds each Block in C; Block._make is a Python call
-        store.extend(
-            map(tuple.__new__, repeat(Block), zip(ids, parents, selected, kinds, heights))
-        )
+        store.extend(map(tuple.__new__, repeat(Block), zip(
+            ids, parents, select.names[selected].tolist(), kinds, heights
+        )))
         if winner is not None:
             store.extend(map(tuple.__new__, repeat(Block), zip(
-                won, [start_tip.id, *won[:-1]], repeat(winner), repeat(REGULAR),
-                range(start_len + 1, target_len + 1),
+                won, [start_tip.id, *won[:-1]], repeat(select.names[winner]),
+                repeat(REGULAR), range(start_len + 1, target_len + 1),
             )))
 
     # the generic loop, for every other game (the path above completes the
@@ -737,6 +785,12 @@ def run_epoch(
     ids = game.ids
     for m in ids:
         stats.setdefault(m, _NO_BLOCKS)
+    if len(stats) > len(ids):  # balance_fn pays the game's miners only
+        foreign = sorted(stats.keys() - set(ids))
+        raise ValueError(
+            f"epoch {epoch_index} holds blocks by creators not among the game's "
+            f"miners: {', '.join(map(repr, foreign))}"
+        )
 
     # balance_fn fills both dicts for every id
     outcome = protocol.balance_fn(stats, params, game.allocations, ids)

@@ -487,6 +487,99 @@ class TestTreeProperty:
             assert read_counts(store, bid) == walk_counts(store, bid)
 
 
+class TestFactoredTotals:
+    PHI = Fraction(7)
+    CREATORS = ["m0", "m1", "m2", "m3", "nobody"]
+
+    @staticmethod
+    def tree(rng):
+        """A spine to height 140 with forks of 1-6 blocks off blocks at
+        heights 55-135, so branches cross heights 63-65 and 127-129."""
+        edges = [(i, i - 1, f"m{rng.randrange(4)}",
+                  FACTORED if rng.random() < 0.4 else REGULAR) for i in range(1, 141)]
+        bid = 141
+        for _ in range(25):
+            parent = rng.randrange(55, 136)
+            for _ in range(rng.randrange(1, 7)):
+                kind = FACTORED if rng.random() < 0.4 else REGULAR
+                edges.append((bid, parent, f"m{rng.randrange(4)}", kind))
+                parent, bid = bid, bid + 1
+        return edges
+
+    def walked(self, store, bid):
+        """Every read's answer at ``bid``, from a walk of its chain."""
+        path = store.chain_to(bid).blocks[1:]
+        fac = sum(b.kind == FACTORED for b in path)
+        return {
+            "total": fac,
+            "weight": (len(path) - fac) + self.PHI * fac,
+            "count": {m: sum(b.creator == m for b in path) for m in self.CREATORS},
+            "factored": {m: sum(b.creator == m and b.kind == FACTORED for b in path)
+                         for m in self.CREATORS},
+        }
+
+    def read(self, store, bid, what, creator):
+        if what == "total":
+            return store.factored_on_path(bid)
+        if what == "weight":
+            return store.path_weight(bid, self.PHI)
+        if what == "count":
+            return store.count_by_on_path(bid, creator)
+        return store.factored_by_on_path(bid, creator)
+
+    def check(self, store, bid, what, rng, want):
+        creator = rng.choice(self.CREATORS)
+        expect = want[bid][what]
+        if what in ("count", "factored"):
+            expect = expect[creator]
+        assert self.read(store, bid, what, creator) == expect
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_interleaved_reads_match_a_walk(self, seed):
+        # each read is one of the four, at a random block, down a branch one
+        # block at a time (the in-place step), or up it; totals and weights
+        # read the factored rows the per-creator reads step
+        rng = random.Random(seed)
+        edges = self.tree(rng)
+        store = build_store(edges)
+        want = {bid: self.walked(store, bid) for bid in range(len(edges) + 1)}
+        kinds = ["total", "weight", "count", "factored"]
+        leaves = set(want) - {parent for _, parent, _, _ in edges}
+        for _ in range(300):
+            order = rng.choice(["random", "down", "up"])
+            if order == "random":
+                bids = [rng.randrange(len(want))]
+            else:
+                bids = [b.id for b in store.chain_to(rng.choice(sorted(leaves))).blocks]
+                bids = bids[rng.randrange(50, 130):][: rng.randrange(2, 20)]
+                if order == "up":
+                    bids.reverse()
+            for bid in bids:
+                self.check(store, bid, rng.choice(kinds), rng, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reads_between_appends_match_a_walk(self, seed):
+        # the store grows while it is read: each block's parent is read by
+        # one of the four reads just before the block is appended, or
+        # extended with the chain it ends
+        rng = random.Random(seed + 100)
+        edges = self.tree(rng)
+        full = build_store(edges)
+        want = {bid: self.walked(full, bid) for bid in range(len(edges) + 1)}
+        kinds = ["total", "weight", "count", "factored"]
+        store = build_store([])
+        for bid, parent, creator, kind in edges:
+            self.check(store, parent, rng.choice(kinds), rng, want)
+            store.append(Block(bid, parent, creator, kind, store.get(parent).height + 1))
+            self.check(store, bid, rng.choice(kinds), rng, want)
+        spine = [Block(*e, e[0]) for e in edges[:140]]
+        extended = build_store([])
+        extended.count_by_on_path(0, "m0")
+        extended.extend(spine)
+        for bid in rng.sample(range(141), 141):
+            self.check(extended, bid, rng.choice(kinds), rng, want)
+
+
 class TestFootprint:
     N = 2000
 
@@ -531,6 +624,11 @@ class TestFootprint:
     def test_one_extend_keeps_the_append_bounds(self):
         # the chain's columns and checks are freed when extend returns
         assert self._store_bytes_per_block(extend=True) <= 300
+
+    @pytest.mark.parametrize("extend", [False, True])
+    def test_no_count_is_kept_per_block(self, extend):
+        # a block costs its dict entry: factored totals come from the rows
+        assert self._store_bytes_per_block(extend=extend) <= 60
 
 
 def appended(store, blocks):

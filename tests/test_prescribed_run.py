@@ -9,16 +9,33 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hebsim.chain import Block, BlockStore, EpochParams, FACTORED, genesis_block
+from hebsim.chain import (
+    Block,
+    BlockStore,
+    EpochParams,
+    FACTORED,
+    REGULAR,
+    genesis_block,
+    within_quota,
+)
 from hebsim.engine import (
     Game,
     MinerConfig,
     MinerView,
+    _quota_kinds,
+    _withholding_draws,
     derive_streams,
+    miner_selector,
     normalized_balances,
     run_epoch,
 )
-from hebsim.protocols import PowOnly, PrescribedHeb, get_protocol, make_strategy
+from hebsim.protocols import (
+    PowOnly,
+    PrescribedHeb,
+    ProtocolSpec,
+    get_protocol,
+    make_strategy,
+)
 
 # (protocol, rho): prd's rho sets the share of the mint it redistributes
 PROTOCOLS = [
@@ -472,3 +489,189 @@ class TestStoreCalls:
             assert store.max_id == max(store._blocks)
         monkeypatch.undo()
         assert out + [store.to_jsonl()] == expected
+
+
+# -- the per-step stop rule and quota counter, kept as oracles ----------------
+
+
+def stepwise_draws(select, rng, need, withholders, epoch_len):
+    """The selections up to the step that ends a one-tip epoch, and the
+    withholder who ended it or None, scanned one step at a time."""
+    left = dict.fromkeys(withholders, epoch_len)  # blocks each still misses
+    picks = []
+    while True:
+        batch = select(rng, min(max(need, 64), 4096))
+        for i, mid in enumerate(batch):
+            if mid in left:
+                left[mid] -= 1
+                if not left[mid]:
+                    return picks + batch[: i + 1], mid
+            else:
+                need -= 1
+                if not need:
+                    return picks + batch[: i + 1], None
+        picks += batch
+
+
+def counted_kinds(selected, used, limits):
+    """Each selected miner's block kind by a per-miner ``within_quota``
+    counter: ``used`` holds the makers of factored blocks."""
+    used = dict(used)
+    kinds = [REGULAR] * len(selected)
+    for i, mid in enumerate(selected):
+        if mid in used and within_quota(used[mid], limits[mid]):
+            used[mid] += 1
+            kinds[i] = FACTORED
+    return kinds
+
+
+class Recorded:
+    """A scheduler stream that records the size of each ``random`` call.
+    With ``script``, a list of miner ids, its first uniforms select those
+    miners under ``EQUAL``; the rest come from ``default_rng(seed)``."""
+
+    def __init__(self, seed, script=()):
+        self.rng = np.random.default_rng(seed)
+        self.script = [EQUAL_UNIFORM[m] for m in script]
+        self.sizes = []
+
+    def random(self, n):
+        self.sizes.append(n)
+        head, self.script = self.script[:n], self.script[n:]
+        return np.concatenate([head, self.rng.random(n - len(head))])
+
+
+EQUAL = miner_selector(dict.fromkeys("abc", 1))
+EQUAL_UNIFORM = {"a": 1 / 6, "b": 1 / 2, "c": 5 / 6}
+
+
+def assert_draws_match(select, need, withholders, epoch_len, seed, script=()):
+    """The vectorised stop rule selects what the per-step one does, from the
+    same uniforms in the same batches; returns the oracle's answer."""
+    names = select.names.tolist()
+    held = np.array([m in withholders for m in names])
+    new, old = Recorded(seed, script), Recorded(seed, script)
+    indices, winner = _withholding_draws(select, new, need, held, epoch_len)
+    picks, won = stepwise_draws(select, old, need, withholders, epoch_len)
+    assert select.names[indices].tolist() == picks
+    assert (None if winner is None else names[winner]) == won
+    assert new.sizes == old.sizes
+    return picks, won
+
+
+class TestStopRule:
+    SELECT = miner_selector({"a": 5, "b": 3, "c": 2})
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("epoch_len", [1, 64, 4097])
+    @pytest.mark.parametrize("need", [1, 63, 64, 65, 4096, 4097])
+    @pytest.mark.parametrize("withholders", ["c", "a", "ac", "abc"])
+    def test_matches_the_per_step_scan(self, withholders, need, epoch_len, seed):
+        assert_draws_match(self.SELECT, need, list(withholders), epoch_len, seed)
+
+    @pytest.mark.parametrize("script, won", [
+        ("cacaca", "c"),  # her 3rd block comes one step before theirs
+        ("acacac", None),  # theirs comes one step before hers
+    ])
+    def test_a_publisher_and_a_withholder_finish_in_one_batch(self, script, won):
+        picks, winner = assert_draws_match(EQUAL, 3, ["c"], 3, 0, script)
+        assert winner == won and "".join(picks) == script[:5]
+
+    @pytest.mark.parametrize("script, won", [("acacca", "c"), ("acacac", "a")])
+    def test_two_withholders_finish_in_one_batch(self, script, won):
+        picks, winner = assert_draws_match(EQUAL, 100, ["a", "c"], 3, 0, script)
+        assert winner == won and "".join(picks) == script[:5]
+
+    def test_the_epoch_ends_in_a_later_batch(self):
+        # 63 of the publisher's blocks in the first batch of 64, and the
+        # withholder's first: the second batch, of 64, ends at its first step
+        script = "a" * 63 + "c" + "a"
+        picks, winner = assert_draws_match(EQUAL, 64, ["c"], 2, 0, script)
+        assert winner is None and len(picks) == 65
+
+
+class TestQuotaKinds:
+    NAMES = ["a", "b", "c", "d"]
+
+    def assert_kinds_match(self, selected, used, limits):
+        index = {m: i for i, m in enumerate(self.NAMES)}
+        kinds = _quota_kinds(
+            np.array([index[m] for m in selected], dtype=np.intp),
+            {index[m]: u for m, u in used.items()},
+            [limits.get(m) for m in self.NAMES],
+        )
+        assert kinds == counted_kinds(selected, used, limits)
+        return kinds
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_per_miner_counter(self, seed):
+        rng = np.random.default_rng(seed)
+        selected = rng.choice(self.NAMES, int(rng.integers(1, 400))).tolist()
+        makers = [m for m in self.NAMES if rng.random() < 0.75]
+        used = {m: int(rng.choice([0, 1, 3, 10, 40])) for m in makers}
+        limits = {m: rng.choice([None, 0, 3, 10, 40, 200]) for m in makers}
+        self.assert_kinds_match(selected, used, limits)
+
+    @pytest.mark.parametrize("used, limit, factored", [
+        (2, 5, 3),  # used > 0: three of her blocks left
+        (7, None, 6),  # no limit: all of hers
+        (5, 5, 0),  # limit == used
+        (9, 5, 0),  # limit < used
+        (0, 0, 0),
+    ])
+    def test_a_makers_quota_left(self, used, limit, factored):
+        selected = list("abacabaabcab")
+        kinds = self.assert_kinds_match(selected, {"a": used, "c": 1}, {"a": limit, "c": 2})
+        hers = [k for m, k in zip(selected, kinds) if m == "a"]
+        assert hers == [FACTORED] * factored + [REGULAR] * (len(hers) - factored)
+        assert [k for m, k in zip(selected, kinds) if m == "c"] == [FACTORED, REGULAR]
+
+
+def withheld_store():
+    """A store where ``WithholdPast`` miner "w", alone at rho 0, published
+    30 factored blocks: the last 10 already belong to epoch 1."""
+    params = EpochParams(
+        epoch_len=20, factor=Fraction(20), rho=Fraction(0), user_balance=Fraction(10**7)
+    )
+    game = Game(params, [MinerConfig("w", Fraction(20), WithholdPast())], get_protocol("heb"))
+    store = run_epoch(game, seed=0).store
+    assert store.main_chain_length() == 30
+    return store
+
+
+class TestQuotaLeft:
+    def test_a_maker_with_quota_left_after_published_blocks(self, tip_reads):
+        # "w" starts epoch 1 with 10 of her 15 factored blocks used
+        plays = {"a": "prescribed", "b": "no_ic", "w": "prescribed"}
+        shares = {"a": Fraction(1, 5), "b": Fraction(1, 20), "w": Fraction(3, 4)}
+        counted_game, looped_game = (
+            make_game("heb", Fraction(1, 2), plays, 20, generic, shares)
+            for generic in (False, True)
+        )
+        assert counted_game.quota_limits["w"] == 15
+        store = withheld_store()
+        copy = BlockStore.from_jsonl(store.to_jsonl())
+        counted = chained(counted_game, [6, 7], store)
+        assert tip_reads == []
+        assert counted == chained(looped_game, [6, 7], copy)
+        # five more factored blocks, then regular ones
+        n, weight = json.loads(counted[0])["stats"]["w"]
+        assert n > 15 and weight == str(15 * 20 + n - 15)
+
+
+class TestForeignCreators:
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_epoch_blocks_by_a_creator_outside_the_game_are_named(
+        self, generic, monkeypatch
+    ):
+        # epoch 1 of the store holds 10 blocks by "w", who is not one of a,
+        # b and c: no miner of the game is paid for them
+        game = make_game("heb", Fraction(1, 2), PLAYERS["prescribed"], 20, generic)
+        store = withheld_store()
+        settled = []
+        monkeypatch.setattr(
+            ProtocolSpec, "balance_fn", lambda *args: settled.append(args)
+        )
+        with pytest.raises(ValueError, match=r"^epoch 1 holds blocks by .*: 'w'$"):
+            run_epoch(game, 5, store)
+        assert settled == []
