@@ -2,8 +2,9 @@
 
 The storage is a directed tree rooted at a genesis block.  Chains are paths
 from genesis; the main chain is the longest common prefix of all longest
-chains.  Epoch ``k`` of a chain is the block series at 1-indexed positions
-``[len*k + 1, len*(k+1)]`` (genesis excluded).
+chains, which ends at their tips' deepest common ancestor.  Epoch ``k`` of
+a chain is the block series at 1-indexed positions ``[len*k + 1,
+len*(k+1)]`` (genesis excluded).
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 REGULAR = "regular"
 FACTORED = "factored"
-_KINDS = (REGULAR, FACTORED)
+_KINDS = frozenset((REGULAR, FACTORED))
 
 
 class ChainError(Exception):
@@ -264,10 +266,10 @@ class BlockStore:
     at every block.
 
     ``max_height`` and ``max_id`` are the largest height and block id
-    stored (-1 while empty).  :meth:`extend` appends a list of blocks as
-    :meth:`append` would one at a time; a chain of fresh ids off a stored
-    block, the shape of a prescribed epoch, is checked and added in one
-    pass of whole-list operations.
+    stored (-1 while empty).  :meth:`extend` takes a chain of new blocks
+    off a stored one as columns (ids, creators, kinds), the shape of a
+    prescribed epoch, and builds and adds its Blocks in one pass.  The main
+    chain ends at the deepest common ancestor of the maximum-height tips.
 
     Blocks are never removed or mutated.
     """
@@ -342,46 +344,41 @@ class BlockStore:
         elif height == self.max_height:
             self._max_tips.append(bid)
 
-    def extend(self, blocks: Iterable[Block]) -> None:
-        """``for b in blocks: self.append(b)``: the same state, the same
-        ChainError and the same blocks appended before it (``blocks`` is
-        read whole first).
-
-        When ``blocks`` is a chain of fresh ids, each the parent of the
-        next, whose first block extends a stored one, the checks run over
-        whole columns and the chain is added in one pass, with slots in
-        order of first appearance, as the appends would number them.  Any
-        other input goes block by block."""
-        blocks = list(blocks)
+    def extend(self, parent_id: int, ids: Sequence[int], creators: Sequence[str],
+               kinds: Sequence[str]) -> None:
+        """Add the chain ``ids`` off stored block ``parent_id``, each id the
+        parent of the next, block ``ids[i]`` by ``creators[i]`` of kind
+        ``kinds[i]``.  The store builds the Blocks, heights following the
+        parent's, and numbers new creators' slots as the appends would.  A
+        fault in the columns raises a ChainError naming it before anything
+        changes.  An empty chain changes nothing."""
         stored = self._blocks
-        try:
-            ids, parents, creators, kinds, heights = zip(*blocks, strict=True)
-            n = len(ids)
-            parent = stored.get(parents[0])
-            first_seen = dict.fromkeys(creators)
-            chain = (
-                parent is not None
-                and parents[1:] == ids[:-1]
-                and heights == tuple(range(parent.height + 1, parent.height + n + 1))
-                and set(kinds).issubset(_KINDS)
-                and None not in first_seen
-                and len(set(ids)) == n
-                and stored.keys().isdisjoint(ids)
-            )
-            if chain:
-                max_id = max(self.max_id, max(ids))
-        except (TypeError, ValueError):  # no blocks, or not five hashable fields
-            chain = False
-        if not chain:
-            for block in blocks:
-                self.append(block)
+        parent = stored.get(parent_id)
+        if parent is None:
+            raise ChainError(f"missing parent {parent_id}")
+        n = len(ids)
+        if len(creators) != n or len(kinds) != n:
+            raise ChainError("columns of unequal lengths")
+        if not n:
             return
+        if not stored.keys().isdisjoint(ids):
+            raise ChainError(f"duplicate id {next(i for i in ids if i in stored)}")
+        if len(set(ids)) != n:
+            raise ChainError(f"repeated id {Counter(ids).most_common(1)[0][0]}")
+        if not _KINDS.issuperset(kinds):
+            raise ChainError(f"unknown block kind {(set(kinds) - _KINDS).pop()!r}")
+        first_seen = dict.fromkeys(creators)
+        if None in first_seen:
+            raise ChainError("non-genesis block must carry a creator")
         slot = self._slot
         for creator in first_seen:
             slot.setdefault(creator, len(slot) + 1)
-        stored.update(zip(ids, blocks))
-        self.max_id = max_id
-        height = heights[-1]
+        height = parent.height + n
+        # tuple.__new__ builds each Block in C; Block._make is a Python call
+        stored.update(zip(ids, map(tuple.__new__, repeat(Block), zip(
+            ids, [parent_id, *ids[:-1]], creators, kinds, range(parent.height + 1, height + 1)
+        ))))
+        self.max_id = max(self.max_id, max(ids))
         if height > self.max_height:
             self.max_height = height
             self._max_tips = [ids[-1]]
@@ -454,27 +451,26 @@ class BlockStore:
         path.reverse()
         return Chain(path)
 
+    def _main_tip(self) -> int:
+        """The deepest common ancestor of the maximum-height tips: they step
+        up to their parents together until one id is left."""
+        tips = set(self._max_tips)
+        if not tips:
+            raise ChainError("store is empty")
+        blocks = self._blocks
+        while len(tips) > 1:
+            tips = {blocks[t].parent for t in tips}
+        return tips.pop()
+
     def main_chain(self) -> Chain:
         """Longest common prefix of all longest chains."""
-        tips = self.tip_ids()
-        if len(tips) == 1:
-            return self.chain_to(tips[0])
-        chains = [self.chain_to(t) for t in tips]
-        first = chains[0].blocks
-        cut = len(first)
-        for other in chains[1:]:
-            k = 0
-            limit = min(cut, len(other.blocks))
-            while k < limit and other.blocks[k].id == first[k].id:
-                k += 1
-            cut = k
-        return Chain(first[:cut])
+        return self.chain_to(self._main_tip())
 
     def main_chain_length(self) -> int:
         """Length of the main chain; O(1) while there is a unique tip."""
         if len(self._max_tips) == 1:
             return self.max_height
-        return self.main_chain().length
+        return self._blocks[self._main_tip()].height
 
     # -- serialization ------------------------------------------------------------------
 

@@ -30,20 +30,19 @@ the epoch is fixed by its selections.  Each step's publishing miner
 extends the tip and publishes at once; each withholder extends her private
 chain off the epoch's start, which she publishes whole at its
 ``epoch_len``-th block.  The epoch ends at the first of these chains to
-reach the epoch's end.  The run works on miner indices in numpy arrays
-until it builds the blocks: it takes its selections in the generic loop's
-batches and finds the step that ends the epoch by cumulative counts, splits
-the publishing miners' steps from the withholders' by a mask, and sets each
-published block's kind by the quota rule, a maker's first ``limit - used``
-blocks being factored, with ``used`` her view's count at the tip.  Ids,
-creators and kinds become Python lists once, for the blocks.  It hands the
-publishing miners' chain to one :meth:`BlockStore.extend` call, then the
-chain of the withholder who ended the epoch, if one did, to a second.  The
-other withholders' blocks stay private.  Its output is the generic loop's
-byte for byte.  A strategy
-class patched before the run is not one of these, so its methods are
-called at every step.  The generic loop's publication rounds append block
-by block.
+reach the epoch's end.  The run works on miner indices in numpy arrays:
+it takes its selections in the generic loop's batches and finds the step
+that ends the epoch by cumulative counts, splits the publishing miners'
+steps from the withholders' by a mask, and sets each published block's
+kind by the quota rule, a maker's first ``limit - used`` blocks being
+factored, with ``used`` her view's count at the tip.  It hands the
+publishing miners' chain to one :meth:`BlockStore.extend` call as columns
+of ids, creators and kinds, then the chain of the withholder who ended the
+epoch, if one did, to a second; the store builds the blocks.  The other
+withholders' blocks stay private.  Its output is the generic loop's byte
+for byte.  A strategy class patched before the run is not one of these,
+so its methods are called at every step.  The generic loop's publication
+rounds append block by block.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
@@ -562,6 +561,8 @@ def _quota_kinds(
     that is her first ``limits[m] - used[m]`` (all when the limit is None);
     every other block is regular."""
     n = len(selected)
+    if not used:
+        return [REGULAR] * n
     room = np.zeros(len(limits), dtype=np.int64)
     for m, u in used.items():
         room[m] = n if limits[m] is None else min(limits[m] - u, n)  # fits int64
@@ -590,9 +591,10 @@ def run_epoch(
 
     Prescribed play on a one-tip store, ``pow_only`` withholders included
     (see the module docstring), runs on arrays of selected miner indices
-    and one ``store.extend`` per stored chain instead of the step loop,
-    with the same output: the same selections, blocks, ``steps`` and
-    ``blocks_created``.  New block ids continue from ``store.max_id``.
+    instead of the step loop, and gives each stored chain to one
+    ``store.extend`` call as columns, from which the store builds the
+    blocks.  The output is the same: the same selections, blocks, ``steps``
+    and ``blocks_created``.  New block ids continue from ``store.max_id``.
 
     Raises ValueError, before the settlement, when the epoch holds blocks
     by a creator who is not one of the game's miners (a store built by
@@ -643,15 +645,13 @@ def run_epoch(
         # private chain off ``start_tip``, which she publishes whole at its
         # ``epoch_len``-th block.  So no strategy is called, and the stored
         # blocks are the publishing miners' chain, then the chain of the
-        # withholder who ended the epoch, if one did: one call each.  A
-        # maker of factored blocks counts hers from her view's count at
-        # the tip.  Other withholders' blocks stay private.  Selections
-        # stay miner indices until the blocks are built.
+        # withholder who ended the epoch, if one did: one extend call each,
+        # given columns.  A maker of factored blocks counts hers from her
+        # view's count at the tip.  Other withholders' blocks stay private.
         hebs, held = play
         held = np.array(held)
         withholding = held.any()
-        parent_id, height = start_main.tip.id, start_main.length
-        need = target_len - height
+        parent_id, need = start_main.tip.id, target_len - start_main.length
         if withholding:
             selected, winner = _withholding_draws(
                 select, sched_rng, need, held, params.epoch_len
@@ -663,32 +663,21 @@ def run_epoch(
             raise RuntimeError(
                 f"epoch did not terminate within {max_steps} scheduler steps"
             )
+        names = select.names
         if winner is not None:
             won = (next_id + np.flatnonzero(selected == winner)).tolist()
-        if withholding:
-            at = np.flatnonzero(~held[selected])
-            ids, selected = (next_id + at).tolist(), selected[at]
-        else:
-            ids = range(next_id, next_id + steps)
-        n = len(ids)
+        at = np.flatnonzero(~held[selected])  # the publishing miners' steps
+        selected = selected[at]
         used = {
             i: views[m].factored_used(parent_id) for i, m in enumerate(game.ids) if hebs[i]
         }
-        if used:
-            kinds = _quota_kinds(selected, used, [game.quota_limits[m] for m in game.ids])
-        else:
-            kinds = [REGULAR] * n
-        parents = [parent_id, *ids[:-1]]
-        heights = range(height + 1, height + n + 1)
-        # tuple.__new__ builds each Block in C; Block._make is a Python call
-        store.extend(map(tuple.__new__, repeat(Block), zip(
-            ids, parents, select.names[selected].tolist(), kinds, heights
-        )))
+        store.extend(
+            parent_id, (next_id + at).tolist(), names[selected].tolist(),
+            _quota_kinds(selected, used, [game.quota_limits[m] for m in game.ids]),
+        )
         if winner is not None:
-            store.extend(map(tuple.__new__, repeat(Block), zip(
-                won, [start_tip.id, *won[:-1]], repeat(select.names[winner]),
-                repeat(REGULAR), range(start_len + 1, target_len + 1),
-            )))
+            n = len(won)
+            store.extend(start_tip.id, won, [names[winner]] * n, [REGULAR] * n)
 
     # the generic loop, for every other game (the path above completes the
     # epoch, so after it the loop does not start).

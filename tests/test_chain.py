@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -200,6 +201,62 @@ class TestChains:
         assert tips == brute_force_longest_tips(store)
         for tip in tips:
             assert [b.id for b in store.chain_to(tip)][: len(mc)] == [b.id for b in mc]
+
+
+class TestMainChainRule:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_walks_after_every_insertion(self, data):
+        # from a genesis-only store, appended blocks and extended chains off
+        # random stored blocks, each ending near the top height (so tips
+        # tie, and a longer one reorganises) or at heights 63-65 and
+        # 127-129; the main chain, its length and the tips are compared
+        # with the DFS oracles after every insertion
+        draw = data.draw
+        store = build_store([])
+
+        def check():
+            prefix = brute_force_main_prefix(store)
+            assert [b.id for b in store.main_chain()] == prefix
+            assert store.main_chain_length() == len(prefix) - 1
+            assert store.tip_ids() == brute_force_longest_tips(store)
+
+        check()
+        ids = [0]
+        for _ in range(draw(st.integers(0, 10))):
+            parent = store.get(draw(st.sampled_from(ids)))
+            top = store.max_height
+            end = draw(st.one_of(st.integers(top - 2, top + 1),
+                                 st.sampled_from([63, 64, 65, 127, 128, 129])))
+            n = max(1, end - parent.height)
+            new = list(range(len(ids), len(ids) + n))
+            creators = [draw(st.sampled_from(["a", "b"]))] * n
+            if n == 1 and draw(st.booleans()):
+                store.append(Block(new[0], parent.id, creators[0], REGULAR, parent.height + 1))
+            else:
+                store.extend(parent.id, new, creators, [REGULAR] * n)
+            ids += new
+            check()
+
+    def test_a_tie_over_a_long_chain_walks_no_chain(self, monkeypatch):
+        # two tips at height 10**4 off block 9,998: the length is read at
+        # the fork, not from a chain to each tip
+        n = 10**4
+        store = build_store([(i, i - 1, "a", REGULAR) for i in range(1, n + 1)])
+        store.append(Block(n + 1, n - 2, "b", REGULAR, n - 1))
+        store.append(Block(n + 2, n + 1, "b", REGULAR, n))
+
+        def no_walk(self, block_id):
+            raise AssertionError("main_chain_length walked a chain")
+
+        monkeypatch.setattr(BlockStore, "chain_to", no_walk)
+        assert store.main_chain_length() == n - 2
+
+    def test_an_empty_store_has_no_main_chain(self):
+        store = BlockStore()
+        for read in (store.main_chain, store.main_chain_length):
+            with pytest.raises(ChainError, match="store is empty"):
+                read()
 
 
 class TestEpochs:
@@ -572,41 +629,64 @@ class TestFactoredTotals:
             self.check(store, parent, rng.choice(kinds), rng, want)
             store.append(Block(bid, parent, creator, kind, store.get(parent).height + 1))
             self.check(store, bid, rng.choice(kinds), rng, want)
-        spine = [Block(*e, e[0]) for e in edges[:140]]
+        ids, _, creators, spine_kinds = map(list, zip(*edges[:140]))
         extended = build_store([])
         extended.count_by_on_path(0, "m0")
-        extended.extend(spine)
+        extended.extend(0, ids, creators, spine_kinds)
         for bid in rng.sample(range(141), 141):
             self.check(extended, bid, rng.choice(kinds), rng, want)
+
+
+def traced_bytes(make):
+    """Bytes that ``make()`` allocates and still holds when it returns."""
+    tracemalloc.start()
+    try:
+        kept = make()  # held while the bytes are read
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFootprint:
     N = 2000
 
     def _store_bytes_per_block(self, read_factored=False, extend=False):
-        # 200 creators, about half the blocks factored; the Blocks are made
-        # before tracing starts, so only the store's own allocations count
+        # 200 creators, about half the blocks factored; the Blocks, or the
+        # columns extend takes, are made before tracing starts, so only the
+        # store's own allocations count.  extend builds the Blocks that the
+        # appends are given: building them apart from a store, as extend
+        # does, is taken off its bytes
         rng = random.Random(3)
         blocks = [
             Block(i, i - 1, f"m{rng.randrange(200)}",
                   FACTORED if rng.random() < 0.5 else REGULAR, i)
             for i in range(1, self.N + 1)
         ]
+        ids, parents, creators, kinds, _ = map(list, zip(*blocks))
         genesis = genesis_block(0)
-        tracemalloc.start()
-        try:
+
+        def stored():
             store = BlockStore()
             store.append(genesis)
             if extend:
-                store.extend(blocks)
+                store.extend(0, ids, creators, kinds)
             else:
                 for b in blocks:
                     store.append(b)
                     if read_factored:
                         store.factored_by_on_path(b.id, b.creator)
-            used, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return store
+
+        used = traced_bytes(stored)
+        if extend:
+            built = [None] * self.N
+
+            def build():
+                fields = zip(ids, parents, creators, kinds, range(1, self.N + 1))
+                for i, f in enumerate(fields):
+                    built[i] = tuple.__new__(Block, f)
+
+            used -= traced_bytes(build)
         return used / self.N
 
     def test_append_footprint_per_block(self):
@@ -622,7 +702,7 @@ class TestFootprint:
         assert self._store_bytes_per_block(read_factored=True) <= 150
 
     def test_one_extend_keeps_the_append_bounds(self):
-        # the chain's columns and checks are freed when extend returns
+        # the chain's checks and parent column are freed when extend returns
         assert self._store_bytes_per_block(extend=True) <= 300
 
     @pytest.mark.parametrize("extend", [False, True])
@@ -631,21 +711,12 @@ class TestFootprint:
         assert self._store_bytes_per_block(extend=extend) <= 60
 
 
-def appended(store, blocks):
-    """``blocks`` appended one at a time; the ChainError's message, if any."""
-    try:
-        for b in blocks:
-            store.append(b)
-    except ChainError as e:
-        return str(e)
-
-
-def extended(store, blocks):
-    """``blocks`` given to one ``extend``; the ChainError's message, if any."""
-    try:
-        store.extend(blocks)
-    except ChainError as e:
-        return str(e)
+def chain_blocks(store, parent_id, ids, creators, kinds):
+    """The Blocks of the chain ``ids`` off stored block ``parent_id``, each
+    the parent of the next, built here rather than by the store."""
+    height = store.get(parent_id).height
+    parents = [parent_id, *ids[:-1]]
+    return [Block(*f, height + i) for i, f in enumerate(zip(ids, parents, creators, kinds), 1)]
 
 
 def store_state(store, creators):
@@ -663,94 +734,49 @@ def store_state(store, creators):
             dict(store._slot), counts)
 
 
-EXTEND_FAULTS = [None, "duplicate id", "present id", "height", "kind",
-                 "no creator", "missing parent", "second genesis"]
+def read_paths(store, bids):
+    """Per-creator reads at ``bids``, which leave the cursors there."""
+    for bid in bids:
+        store.count_by_on_path(bid, "m0")
+        store.factored_by_on_path(bid, "m1")
 
 
 class TestExtend:
     OLD = ["m0", "m1", "m2"]  # the creators of the stored tree
-    NEW = ["n0", "n1", "n2", "n3", "n4"]  # first seen in the extension
+    NEW = ["n0", "n1", "n2"]  # first seen in the extension
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=150, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_matches_the_append_loop(self, data):
-        # a random tree, some reads that leave the cursors in it, then one
-        # chain off a stored block, or a tree of new blocks, with at most
-        # one fault: extend and the append loop leave the same store and
-        # raise the same error
+        # a random tree, reads that leave the cursors in it, one chain off
+        # any stored block (the tip or below it), then reads again: extend
+        # and the append loop of the same blocks leave the same store
         draw = data.draw
         kinds = st.sampled_from([REGULAR, FACTORED])
         edges = [
             (i, draw(st.integers(0, i - 1)), draw(st.sampled_from(self.OLD)), draw(kinds))
-            for i in range(1, draw(st.integers(0, 40)) + 1)
+            for i in range(1, draw(st.integers(0, 30)) + 1)
         ]
         stored = list(range(len(edges) + 1))
-        reads = draw(st.lists(st.sampled_from(stored), max_size=3))
-        base = build_store(edges)
-        height = {b.id: b.height for b in base.blocks()}
-
+        parent = draw(st.sampled_from(stored))
         n = draw(st.integers(1, 30))
         ids = draw(st.permutations(range(len(stored) + 5, len(stored) + 5 + n)))
-        chain = draw(st.booleans())
-        if chain:
-            parents = [draw(st.sampled_from(stored))] + ids[:-1]
-        else:
-            parents = [draw(st.sampled_from(stored + ids[:i])) for i in range(n)]
-        heights = []
-        for bid, parent in zip(ids, parents):
-            height[bid] = height[parent] + 1
-            heights.append(height[bid])
-        who = st.sampled_from(self.OLD + self.NEW)
-        creators = draw(st.lists(who, min_size=n, max_size=n))
+        creators = draw(st.lists(st.sampled_from(self.OLD + self.NEW), min_size=n, max_size=n))
         block_kinds = draw(st.lists(kinds, min_size=n, max_size=n))
-
-        fault = draw(st.sampled_from(EXTEND_FAULTS))
-        at = draw(st.integers(0, n - 1))
-        if fault in ("duplicate id", "present id"):
-            if fault == "duplicate id" and at:
-                ids[at] = ids[draw(st.integers(0, at - 1))]
-            else:
-                ids[at] = draw(st.sampled_from(stored))
-            if chain and at + 1 < n:  # the chain stays linked
-                parents[at + 1] = ids[at]
-        elif fault == "height":
-            heights[at] += draw(st.sampled_from([-1, 1, 2]))
-        elif fault == "kind":
-            block_kinds[at] = "weird"
-        elif fault == "no creator":
-            creators[at] = None
-        elif fault == "missing parent":
-            parents[at] = 10**6
-        elif fault == "second genesis":
-            parents[at], heights[at] = None, 0
-        blocks = [Block(*f) for f in zip(ids, parents, creators, block_kinds, heights)]
+        before = draw(st.lists(st.sampled_from(stored), max_size=3))
+        after = draw(st.lists(st.sampled_from(stored + ids), max_size=3))
 
         one, bulk = build_store(edges), build_store(edges)
-        for s in (one, bulk):
-            for bid in reads:
-                s.count_by_on_path(bid, "m0")
-                s.factored_by_on_path(bid, "m1")
-        assert appended(one, blocks) == extended(bulk, blocks)
+        blocks = chain_blocks(one, parent, ids, creators, block_kinds)
+        read_paths(one, before)
+        read_paths(bulk, before)
+        for b in blocks:
+            one.append(b)
+        bulk.extend(parent, ids, creators, block_kinds)
+        read_paths(one, after)
+        read_paths(bulk, after)
         everyone = self.OLD + self.NEW + ["nobody"]
-        assert store_state(one, everyone) == store_state(bulk, everyone)
-
-    def test_empty_list_changes_nothing(self):
-        for edges in (None, [(1, 0, "a", FACTORED), (2, 0, "b", REGULAR)]):
-            store = BlockStore() if edges is None else build_store(edges)
-            before = store_state(store, ["a", "b"])
-            store.extend([])
-            assert store_state(store, ["a", "b"]) == before
-
-    def test_genesis_block(self):
-        blocks = [genesis_block(7), Block(8, 7, "a", FACTORED, 1),
-                  Block(9, 8, "b", REGULAR, 2)]
-        for k in (1, 3):
-            one, bulk = BlockStore(), BlockStore()
-            assert appended(one, blocks[:k]) is extended(bulk, blocks[:k]) is None
-            assert store_state(bulk, ["a", "b"]) == store_state(one, ["a", "b"])
-            assert bulk.genesis_id == 7 and bulk.max_id == 6 + k
-        with pytest.raises(ChainError, match="second genesis rejected"):
-            bulk.extend([genesis_block(10)])
+        assert store_state(bulk, everyone) == store_state(one, everyone)
 
     @pytest.mark.parametrize("length, tips", [(3, [10]), (6, [10, 16]), (8, [18])])
     def test_chain_from_a_block_below_the_tip(self, length, tips):
@@ -758,17 +784,54 @@ class TestExtend:
         # spine, as long, and longer
         edges = [(i, i - 1, "a" if i % 2 else "b", FACTORED if i % 3 else REGULAR)
                  for i in range(1, 11)]
-        blocks = [Block(11 + i, 11 + i - 1 if i else 4, "c" if i % 2 else "a",
-                        REGULAR if i % 3 else FACTORED, 5 + i) for i in range(length)]
+        ids = list(range(11, 11 + length))
+        creators = ["c" if i % 2 else "a" for i in range(length)]
+        kinds = [REGULAR if i % 3 else FACTORED for i in range(length)]
         one, bulk = build_store(edges), build_store(edges)
         bulk.count_by_on_path(10, "a")  # a cursor at the old tip
-        assert appended(one, blocks) is extended(bulk, blocks) is None
+        for b in chain_blocks(one, 4, ids, creators, kinds):
+            one.append(b)
+        bulk.extend(4, ids, creators, kinds)
         assert bulk.tip_ids() == tips and bulk.max_id == 10 + length
         assert bulk._slot == {"a": 1, "b": 2, "c": 3}
         assert store_state(bulk, ["a", "b", "c"]) == store_state(one, ["a", "b", "c"])
         for b in bulk.blocks():
             path = bulk.chain_to(b.id).blocks[1:]
             assert bulk.count_by_on_path(b.id, "c") == sum(x.creator == "c" for x in path)
+
+    # (parent, ids, creators, kinds, the error's message): each fault comes
+    # after a block by a new creator, so a slot given early would show
+    FAULTS = {
+        "missing parent": (99, [11, 12], ["c", "a"], [REGULAR] * 2, "missing parent 99"),
+        "stored id": (4, [11, 3], ["c", "a"], [REGULAR] * 2, "duplicate id 3"),
+        "repeated id": (4, [11, 12, 11], ["c", "a", "b"], [REGULAR] * 3, "repeated id 11"),
+        "unknown kind": (4, [11, 12], ["c", "a"], [REGULAR, "weird"],
+                         "unknown block kind 'weird'"),
+        "no creator": (4, [11, 12], ["c", None], [REGULAR] * 2,
+                       "non-genesis block must carry a creator"),
+        "short creators": (4, [11, 12], ["c"], [REGULAR] * 2, "columns of unequal lengths"),
+        "short kinds": (4, [11, 12], ["c", "a"], [REGULAR], "columns of unequal lengths"),
+        "long kinds": (4, [11], ["c"], [REGULAR] * 2, "columns of unequal lengths"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_a_fault_raises_and_changes_nothing(self, fault):
+        parent, ids, creators, kinds, message = self.FAULTS[fault]
+        store = build_store([(i, i - 1, "a" if i % 2 else "b", FACTORED if i % 3 else REGULAR)
+                             for i in range(1, 11)])
+        store.count_by_on_path(7, "a")  # a cursor below the tip
+        before = store_state(store, ["a", "b", "c"])
+        with pytest.raises(ChainError, match=re.escape(message)):
+            store.extend(parent, ids, creators, kinds)
+        assert store_state(store, ["a", "b", "c"]) == before
+        assert "c" not in store._slot
+
+    def test_an_empty_chain_changes_nothing(self):
+        for edges in ([], [(1, 0, "a", FACTORED), (2, 0, "b", REGULAR)]):
+            store = build_store(edges)
+            before = store_state(store, ["a", "b"])
+            store.extend(0, [], [], [])
+            assert store_state(store, ["a", "b"]) == before
 
 
 class TestSerialization:

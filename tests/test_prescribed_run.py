@@ -124,9 +124,9 @@ def store_calls(monkeypatch):
     for name in ("append", "extend"):
         orig = getattr(BlockStore, name)
 
-        def counted(self, arg, name=name, orig=orig):
+        def counted(self, *args, name=name, orig=orig):
             calls.append(name)
-            return orig(self, arg)
+            return orig(self, *args)
 
         monkeypatch.setattr(BlockStore, name, counted)
     return calls
@@ -441,9 +441,9 @@ class TestStoreCalls:
         for name in ("append", "extend"):
             orig = getattr(BlockStore, name)
 
-            def counted(self, arg, name=name, orig=orig):
+            def counted(self, *args, name=name, orig=orig):
                 calls.append(name)
-                return orig(self, arg)
+                return orig(self, *args)
 
             monkeypatch.setattr(BlockStore, name, counted)
         res = run_epoch(game, seed=2024, store=store)
