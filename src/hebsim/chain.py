@@ -82,6 +82,14 @@ class Chain:
             if cur.parent != prev.id:
                 raise ChainError("chain is not parent-linked")
 
+    @classmethod
+    def _linked(cls, blocks: Iterable[Block]) -> "Chain":
+        """A chain of ``blocks`` that a store walked from a block up to
+        genesis: parent-linked by construction, so not checked again."""
+        chain = object.__new__(cls)
+        chain.blocks = tuple(blocks)
+        return chain
+
     @property
     def length(self) -> int:
         """Number of non-genesis blocks."""
@@ -236,6 +244,32 @@ class _PathCounts:
         return row
 
 
+class _Pending:
+    """A chain that :meth:`BlockStore.extend` took, kept as copies of its
+    columns until a read needs its blocks: block ``ids[i]`` by
+    ``creators[i]`` of kind ``kinds[i]`` at height ``height + 1 + i``, each
+    the parent of the next, the first a child of ``parent``.  ``built``
+    holds its Blocks once they are built."""
+
+    __slots__ = ("parent", "ids", "creators", "kinds", "height", "built")
+
+    def __init__(self, parent: int, ids: Sequence[int], creators: Sequence[str],
+                 kinds: Sequence[str], height: int):
+        self.parent, self.height = parent, height
+        self.ids, self.creators, self.kinds = list(ids), list(creators), list(kinds)
+        self.built: Optional[list[Block]] = None
+
+    def blocks(self) -> list[Block]:
+        if self.built is None:
+            ids, height = self.ids, self.height
+            # tuple.__new__ builds each Block in C; Block._make is a Python call
+            self.built = list(map(tuple.__new__, repeat(Block), zip(
+                ids, [self.parent, *ids[:-1]], self.creators, self.kinds,
+                range(height + 1, height + 1 + len(ids)),
+            )))
+        return self.built
+
+
 class BlockStore:
     """Append-only set of blocks forming a tree rooted at genesis.
 
@@ -268,14 +302,26 @@ class BlockStore:
     ``max_height`` and ``max_id`` are the largest height and block id
     stored (-1 while empty).  :meth:`extend` takes a chain of new blocks
     off a stored one as columns (ids, creators, kinds), the shape of a
-    prescribed epoch, and builds and adds its Blocks in one pass.  The main
-    chain ends at the deepest common ancestor of the maximum-height tips.
+    prescribed epoch.  It checks them, keeps copies (about 24 bytes per
+    block) and builds no Block until a read needs one.  Then the store
+    builds every pending chain, in ``extend`` order, so its blocks are
+    stored as the appends would have stored them.  The reads that build are
+    :meth:`get`, ``in``, :meth:`blocks`, :meth:`append`, the path counts,
+    :meth:`chain_to`, :meth:`to_jsonl`, and the main chain's when the
+    maximum-height tips tie.  ``len()``, :meth:`tip_ids`, ``max_height``,
+    ``max_id`` and :meth:`main_chain_length` with one tip build nothing, nor
+    does :meth:`main_chain` when the last pending chain holds the one tip
+    (it builds that chain's Blocks only).  The main chain ends at the
+    deepest common ancestor of the maximum-height tips.
 
     Blocks are never removed or mutated.
     """
 
     def __init__(self):
+        # every built block, a set closed under parents; _pending holds the
+        # chains extend took since the last build, in call order
         self._blocks: dict[int, Block] = {}
+        self._pending: list[_Pending] = []
         self._genesis_id: Optional[int] = None
         self.max_height = -1
         self.max_id = -1
@@ -285,15 +331,39 @@ class BlockStore:
         self._fac = _PathCounts(FACTORED, self._blocks, self._slot)
         self._cnt = _PathCounts(None, self._blocks, self._slot)
 
+    def _build(self) -> None:
+        """Store the pending chains' Blocks, in the order extend took them."""
+        blocks = self._blocks
+        for chain in self._pending:
+            blocks.update(zip(chain.ids, chain.blocks()))
+        self._pending.clear()
+
+    def _height(self, block_id: int) -> Optional[int]:
+        """The height of stored block ``block_id``, built or not; None when
+        there is no such block."""
+        block = self._blocks.get(block_id)
+        if block is not None:
+            return block[4]
+        for chain in self._pending:
+            try:
+                return chain.height + 1 + chain.ids.index(block_id)
+            except ValueError:
+                pass
+        return None
+
     # -- basic container protocol -------------------------------------------------
 
     def __contains__(self, block_id: int) -> bool:
+        if self._pending:
+            self._build()
         return block_id in self._blocks
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self._blocks) + sum(len(chain.ids) for chain in self._pending)
 
     def get(self, block_id: int) -> Block:
+        if self._pending:
+            self._build()
         return self._blocks[block_id]
 
     @property
@@ -303,12 +373,16 @@ class BlockStore:
         return self._genesis_id
 
     def blocks(self) -> Iterator[Block]:
+        if self._pending:
+            self._build()
         return iter(self._blocks.values())
 
     # -- append --------------------------------------------------------------------
 
     def append(self, block: Block) -> None:
         bid, parent_id, creator, kind, height = block
+        if self._pending:
+            self._build()
         blocks = self._blocks
         if bid in blocks:
             raise ChainError(f"duplicate id {bid}")
@@ -348,22 +422,27 @@ class BlockStore:
                kinds: Sequence[str]) -> None:
         """Add the chain ``ids`` off stored block ``parent_id``, each id the
         parent of the next, block ``ids[i]`` by ``creators[i]`` of kind
-        ``kinds[i]``.  The store builds the Blocks, heights following the
-        parent's, and numbers new creators' slots as the appends would.  A
-        fault in the columns raises a ChainError naming it before anything
-        changes.  An empty chain changes nothing."""
-        stored = self._blocks
-        parent = stored.get(parent_id)
-        if parent is None:
+        ``kinds[i]``, heights following the parent's.  The store numbers new
+        creators' slots as the appends would and keeps copies of the columns;
+        the first read that needs a block builds the Blocks (see the class
+        docstring).  A fault in the columns raises a ChainError naming it
+        before anything changes.  An empty chain changes nothing."""
+        parent_height = self._height(parent_id)
+        if parent_height is None:
             raise ChainError(f"missing parent {parent_id}")
         n = len(ids)
         if len(creators) != n or len(kinds) != n:
             raise ChainError("columns of unequal lengths")
         if not n:
             return
-        if not stored.keys().isdisjoint(ids):
-            raise ChainError(f"duplicate id {next(i for i in ids if i in stored)}")
-        if len(set(ids)) != n:
+        new = set(ids)
+        if min(ids) <= self.max_id:  # else none of them is stored
+            taken = self._blocks.keys() & new
+            for chain in self._pending:
+                taken |= new.intersection(chain.ids)
+            if taken:
+                raise ChainError(f"duplicate id {next(i for i in ids if i in taken)}")
+        if len(new) != n:
             raise ChainError(f"repeated id {Counter(ids).most_common(1)[0][0]}")
         if not _KINDS.issuperset(kinds):
             raise ChainError(f"unknown block kind {(set(kinds) - _KINDS).pop()!r}")
@@ -373,11 +452,8 @@ class BlockStore:
         slot = self._slot
         for creator in first_seen:
             slot.setdefault(creator, len(slot) + 1)
-        height = parent.height + n
-        # tuple.__new__ builds each Block in C; Block._make is a Python call
-        stored.update(zip(ids, map(tuple.__new__, repeat(Block), zip(
-            ids, [parent_id, *ids[:-1]], creators, kinds, range(parent.height + 1, height + 1)
-        ))))
+        self._pending.append(_Pending(parent_id, ids, creators, kinds, parent_height))
+        height = parent_height + n
         self.max_id = max(self.max_id, max(ids))
         if height > self.max_height:
             self.max_height = height
@@ -390,12 +466,16 @@ class BlockStore:
     def factored_on_path(self, block_id: int) -> int:
         """Factored blocks on the path genesis..block_id, inclusive: the sum
         of the factored row there."""
+        if self._pending:
+            self._build()
         return sum(self._fac.move(block_id))
 
     def factored_by_on_path(self, block_id: int, creator: str) -> int:
         counts = self._fac
         row = counts.row
-        if block_id != counts.at:
+        if block_id != counts.at:  # the cursor's block is built
+            if self._pending:
+                self._build()
             _, parent, by, kind, height = self._blocks[block_id]
             if parent == counts.at and counts.own and height % _CHECKPOINT:
                 try:  # one block past an own row, off a checkpoint: add in place
@@ -414,7 +494,9 @@ class BlockStore:
     def count_by_on_path(self, block_id: int, creator: str) -> int:
         counts = self._cnt
         row = counts.row
-        if block_id != counts.at:
+        if block_id != counts.at:  # the cursor's block is built
+            if self._pending:
+                self._build()
             _, parent, by, _, height = self._blocks[block_id]
             if parent == counts.at and counts.own and height % _CHECKPOINT:
                 try:  # one block past an own row, off a checkpoint: add in place
@@ -442,14 +524,21 @@ class BlockStore:
         return sorted(self._max_tips)
 
     def chain_to(self, block_id: int) -> Chain:
+        if self._pending:
+            self._build()
+        return Chain._linked(self._path(block_id))
+
+    def _path(self, block_id: int) -> list[Block]:
+        """The built blocks from genesis to built block ``block_id``."""
+        blocks = self._blocks
         path = []
         cur: Optional[int] = block_id
         while cur is not None:
-            b = self._blocks[cur]
+            b = blocks[cur]
             path.append(b)
             cur = b.parent
         path.reverse()
-        return Chain(path)
+        return path
 
     def _main_tip(self) -> int:
         """The deepest common ancestor of the maximum-height tips: they step
@@ -457,17 +546,29 @@ class BlockStore:
         tips = set(self._max_tips)
         if not tips:
             raise ChainError("store is empty")
+        if len(tips) > 1 and self._pending:
+            self._build()
         blocks = self._blocks
         while len(tips) > 1:
             tips = {blocks[t].parent for t in tips}
         return tips.pop()
 
     def main_chain(self) -> Chain:
-        """Longest common prefix of all longest chains."""
+        """Longest common prefix of all longest chains.  When the last
+        pending chain holds the one maximum-height tip and its parent is
+        built, the main chain is the walk to that parent plus that chain's
+        Blocks, which are kept for the build: no other pending chain is
+        built.  Otherwise it reads as :meth:`chain_to` does."""
+        tips, pending = self._max_tips, self._pending
+        if pending and len(tips) == 1:
+            last = pending[-1]
+            if tips[0] == last.ids[-1] and last.parent in self._blocks:
+                return Chain._linked(self._path(last.parent) + last.blocks())
         return self.chain_to(self._main_tip())
 
     def main_chain_length(self) -> int:
-        """Length of the main chain; O(1) while there is a unique tip."""
+        """Length of the main chain; O(1), and no build, while there is a
+        unique tip."""
         if len(self._max_tips) == 1:
             return self.max_height
         return self._blocks[self._main_tip()].height
@@ -476,6 +577,8 @@ class BlockStore:
 
     def to_jsonl(self) -> str:
         """One block per line, in insertion order (parents precede children)."""
+        if self._pending:
+            self._build()
         return "\n".join(b.to_json() for b in self._blocks.values())
 
     @staticmethod

@@ -38,7 +38,9 @@ kind by the quota rule, a maker's first ``limit - used`` blocks being
 factored, with ``used`` her view's count at the tip.  It hands the
 publishing miners' chain to one :meth:`BlockStore.extend` call as columns
 of ids, creators and kinds, then the chain of the withholder who ended the
-epoch, if one did, to a second; the store builds the blocks.  The other
+epoch, if one did, to a second.  The store keeps the columns and builds
+Blocks only where a read needs them: on a fresh store, the epoch's
+``main_chain()`` builds the main chain's and no other.  The other
 withholders' blocks stay private.  Its output is the generic loop's byte
 for byte.  A strategy class patched before the run is not one of these,
 so its methods are called at every step.  The generic loop's publication
@@ -592,8 +594,8 @@ def run_epoch(
     Prescribed play on a one-tip store, ``pow_only`` withholders included
     (see the module docstring), runs on arrays of selected miner indices
     instead of the step loop, and gives each stored chain to one
-    ``store.extend`` call as columns, from which the store builds the
-    blocks.  The output is the same: the same selections, blocks, ``steps``
+    ``store.extend`` call as columns, which the store keeps until a read
+    needs their blocks.  The output is the same: the same selections, blocks, ``steps``
     and ``blocks_created``.  New block ids continue from ``store.max_id``.
 
     Raises ValueError, before the settlement, when the epoch holds blocks

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hebsim.chain import (
     Block,
     BlockStore,
+    Chain,
     ChainError,
     EpochParams,
     FACTORED,
@@ -201,6 +202,16 @@ class TestChains:
         assert tips == brute_force_longest_tips(store)
         for tip in tips:
             assert [b.id for b in store.chain_to(tip)][: len(mc)] == [b.id for b in mc]
+
+    def test_a_chain_built_by_a_caller_is_checked(self):
+        # the store's own chains skip the check; a caller's keeps it
+        store = build_store([(1, 0, "a", REGULAR), (2, 1, "a", REGULAR), (3, 0, "b", REGULAR)])
+        g, b1, b2, b3 = (store.get(i) for i in range(4))
+        assert Chain([g, b1, b2]) == store.chain_to(2)
+        with pytest.raises(ChainError, match="not parent-linked"):
+            Chain([g, b3, b2])
+        with pytest.raises(ChainError, match="must start at genesis"):
+            Chain([b1, b2])
 
 
 class TestMainChainRule:
@@ -650,12 +661,13 @@ def traced_bytes(make):
 class TestFootprint:
     N = 2000
 
-    def _store_bytes_per_block(self, read_factored=False, extend=False):
+    def _store_bytes_per_block(self, read_factored=False, extend=False, read=True):
         # 200 creators, about half the blocks factored; the Blocks, or the
         # columns extend takes, are made before tracing starts, so only the
-        # store's own allocations count.  extend builds the Blocks that the
-        # appends are given: building them apart from a store, as extend
-        # does, is taken off its bytes
+        # store's own allocations count.  A read of an extended chain builds
+        # the Blocks that the appends are given: building them apart from a
+        # store is taken off its bytes.  read=False leaves an extended chain
+        # unread, and its bytes are the store's raw bytes
         rng = random.Random(3)
         blocks = [
             Block(i, i - 1, f"m{rng.randrange(200)}",
@@ -670,6 +682,8 @@ class TestFootprint:
             store.append(genesis)
             if extend:
                 store.extend(0, ids, creators, kinds)
+                if read:
+                    store.get(self.N)
             else:
                 for b in blocks:
                     store.append(b)
@@ -678,7 +692,7 @@ class TestFootprint:
             return store
 
         used = traced_bytes(stored)
-        if extend:
+        if extend and read:
             built = [None] * self.N
 
             def build():
@@ -709,6 +723,11 @@ class TestFootprint:
     def test_no_count_is_kept_per_block(self, extend):
         # a block costs its dict entry: factored totals come from the rows
         assert self._store_bytes_per_block(extend=extend) <= 60
+
+    def test_an_unread_extended_chain_builds_no_block(self):
+        # extend keeps copies of its three columns, 24 bytes per block,
+        # until a read builds the chain
+        assert self._store_bytes_per_block(extend=True, read=False) <= 48
 
 
 def chain_blocks(store, parent_id, ids, creators, kinds):
@@ -832,6 +851,151 @@ class TestExtend:
             before = store_state(store, ["a", "b"])
             store.extend(0, [], [], [])
             assert store_state(store, ["a", "b"]) == before
+
+
+def no_build(monkeypatch):
+    """Make any build of a pending chain raise, until ``monkeypatch.undo()``."""
+    def refuse(self):
+        raise AssertionError("a pending chain was built")
+
+    monkeypatch.setattr(BlockStore, "_build", refuse)
+
+
+def unbuilt(store):
+    """The reads that never build a pending chain."""
+    return len(store), store.tip_ids(), store.max_height, store.max_id
+
+
+def answers(store):
+    """The reads that build nothing while one tip leads, and the main chain."""
+    return (*unbuilt(store), store.main_chain_length(), store.main_chain())
+
+
+# reads of a store, each given a random stored id: the first three never
+# build, the main chain's two build where they need blocks (see BlockStore),
+# and the rest build every pending chain
+READS = {
+    "len": lambda s, bid: len(s),
+    "tips": lambda s, bid: s.tip_ids(),
+    "tops": lambda s, bid: (s.max_height, s.max_id),
+    "main length": lambda s, bid: s.main_chain_length(),
+    "main chain": lambda s, bid: s.main_chain(),
+    "get": lambda s, bid: s.get(bid),
+    "in": lambda s, bid: (bid in s, bid + 1000 in s),
+    "blocks": lambda s, bid: list(s.blocks()),
+    "chain to": lambda s, bid: s.chain_to(bid),
+    "counts": lambda s, bid: (s.count_by_on_path(bid, "m0"), s.factored_by_on_path(bid, "n0"),
+                              s.path_weight(bid, Fraction(7))),
+    "jsonl": lambda s, bid: s.to_jsonl(),
+}
+
+
+class TestUnreadChains:
+    CREATORS = ["m0", "m1", "n0", "n1"]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_store_read_after_every_insertion(self, data):
+        # appends and extends off any stored block, built or inside a chain
+        # no read has built, with ids below and above the largest stored,
+        # and chains crossing height 64; reads come in between.  The twin
+        # reads everything after every insertion, so it builds each chain
+        # at once
+        draw = data.draw
+        lazy, eager = build_store([]), build_store([])
+        kinds = st.sampled_from([REGULAR, FACTORED])
+        free = list(range(1, 400))
+        for _ in range(draw(st.integers(1, 12))):
+            op = draw(st.sampled_from(["append", "extend", "extend", "read"]))
+            if op == "read":
+                read = READS[draw(st.sampled_from(sorted(READS)))]
+                bid = draw(st.sampled_from(sorted(b.id for b in eager.blocks())))
+                assert read(lazy, bid) == read(eager, bid)
+                continue
+            parent = eager.get(draw(st.sampled_from(sorted(b.id for b in eager.blocks()))))
+            n = 1 if op == "append" else draw(st.integers(1, 70))
+            ids = draw(st.lists(st.sampled_from(free), min_size=n, max_size=n, unique=True))
+            free = [i for i in free if i not in ids]
+            creators = draw(st.lists(st.sampled_from(self.CREATORS), min_size=n, max_size=n))
+            block_kinds = draw(st.lists(kinds, min_size=n, max_size=n))
+            if op == "append":
+                block = Block(ids[0], parent.id, creators[0], block_kinds[0], parent.height + 1)
+                lazy.append(block)
+                eager.append(block)
+            else:
+                lazy.extend(parent.id, ids, creators, block_kinds)
+                eager.extend(parent.id, ids, creators, block_kinds)
+            store_state(eager, self.CREATORS)
+            assert unbuilt(lazy) == unbuilt(eager)
+        assert answers(lazy) == answers(eager)
+        assert store_state(lazy, self.CREATORS) == store_state(eager, self.CREATORS)
+
+    def test_reads_that_build_nothing(self, monkeypatch):
+        # a chain off block 1 that loses, then a longer one off genesis: the
+        # main chain is genesis plus the second chain's Blocks, and a build
+        # afterwards stores those same Blocks
+        store, twin = build_store([(1, 0, "a", REGULAR)]), build_store([(1, 0, "a", REGULAR)])
+        for s in (store, twin):
+            s.extend(1, [2, 3, 4], ["a", "b", "a"], [REGULAR, FACTORED, REGULAR])
+            s.extend(0, [5, 6, 7, 8, 9], ["c"] * 5, [FACTORED] * 5)
+        twin.get(0)
+        no_build(monkeypatch)
+        main = store.main_chain()
+        assert answers(store) == answers(twin)
+        assert len(store) == 10 and store.genesis_id == 0
+        monkeypatch.undo()
+        assert [b.id for b in main] == [0, 5, 6, 7, 8, 9]
+        assert all(store.get(b.id) is b for b in main)
+        assert store_state(store, ["a", "b", "c"]) == store_state(twin, ["a", "b", "c"])
+
+    @pytest.mark.parametrize("ids, dup", [([1, 6], 6), ([8, 7], 7)])  # 7: the largest
+    def test_an_id_in_an_unread_chain_is_a_duplicate(self, ids, dup, monkeypatch):
+        store, twin = build_store([]), build_store([])
+        for s in (store, twin):
+            s.extend(0, [5, 6, 7], ["a"] * 3, [REGULAR] * 3)
+        no_build(monkeypatch)
+        with pytest.raises(ChainError, match=f"duplicate id {dup}"):
+            store.extend(0, ids, ["b", "b"], [REGULAR] * 2)
+        monkeypatch.undo()
+        assert "b" not in store._slot
+        assert store_state(store, ["a", "b"]) == store_state(twin, ["a", "b"])
+
+    def test_a_parent_in_an_unread_chain(self, monkeypatch):
+        # a chain off the middle of an unread one, then off its tip, against
+        # the appends of the same blocks
+        store, one = build_store([]), build_store([])
+        store.extend(0, [1, 2, 3, 4], ["a"] * 4, [REGULAR] * 4)
+        no_build(monkeypatch)
+        store.extend(2, [5, 6, 7], ["b"] * 3, [FACTORED] * 3)
+        store.extend(4, [8], ["c"], [REGULAR])
+        assert store.tip_ids() == [7, 8] and store.max_height == 5
+        monkeypatch.undo()
+        for parent, ids, creator, kind in ((0, [1, 2, 3, 4], "a", REGULAR),
+                                           (2, [5, 6, 7], "b", FACTORED),
+                                           (4, [8], "c", REGULAR)):
+            for b in chain_blocks(one, parent, ids, [creator] * len(ids), [kind] * len(ids)):
+                one.append(b)
+        assert answers(store) == answers(one)
+        assert store_state(store, ["a", "b", "c"]) == store_state(one, ["a", "b", "c"])
+
+    def test_the_callers_columns_are_copied(self):
+        store, twin = build_store([]), build_store([])
+        ids, creators, kinds = [1, 2, 3], ["a", "b", "a"], [REGULAR, FACTORED, REGULAR]
+        store.extend(0, ids, creators, kinds)
+        twin.extend(0, list(ids), list(creators), list(kinds))
+        ids[1], creators[0], kinds[2] = 99, "z", FACTORED
+        ids.append(100)
+        assert store_state(store, ["a", "b", "z"]) == store_state(twin, ["a", "b", "z"])
+
+    def test_an_unread_store_survives_a_pickle_round_trip(self):
+        store, twin = build_store([(1, 0, "a", REGULAR)]), build_store([(1, 0, "a", REGULAR)])
+        for s in (store, twin):
+            s.count_by_on_path(1, "a")  # a cursor, which the pickle keeps
+            s.extend(1, [2, 3, 4], ["a", "b", "a"], [REGULAR, FACTORED, REGULAR])
+            s.extend(0, [5, 6], ["c", "b"], [FACTORED] * 2)
+        back = pickle.loads(pickle.dumps(store))
+        assert answers(back) == answers(twin)
+        assert store_state(back, ["a", "b", "c"]) == store_state(twin, ["a", "b", "c"])
 
 
 class TestSerialization:

@@ -4,6 +4,7 @@ unpatched prescribed or ``pow_only`` one on a one-tip store, and calls no
 strategy."""
 
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,27 @@ class TestDifferential:
             game = make_game("nakamoto", Fraction(0), plays, 20, generic, shares)
             with pytest.raises(RuntimeError, match="within 3000 scheduler steps"):
                 run_epoch(game, seed=1)
+
+
+class TestMainChain:
+    PLAYS = {**PLAYERS, **WITHHOLDING}
+
+    @pytest.mark.parametrize("epoch_len", [1, 63, 64, 65, 4097])
+    @pytest.mark.parametrize("players", sorted(PLAYS))
+    @pytest.mark.parametrize("protocol, rho", PROTOCOLS)
+    def test_is_the_walk_over_the_built_store(self, protocol, rho, players, epoch_len):
+        # each of three chained epochs: on a copy of the result, so that the
+        # next epoch runs on a store no test read built, the main chain is
+        # the store's own after a full build, block for block the same objects
+        game = make_game(protocol, rho, self.PLAYS[players], epoch_len)
+        store = None
+        for seed in (4, 5, 6):
+            res = run_epoch(game, seed, store)
+            store = res.store
+            main, built = pickle.loads(pickle.dumps((res.main, store)))
+            stored = {b.id: b for b in built.blocks()}
+            assert main == built.main_chain() == res.main
+            assert all(stored[b.id] is b for b in main)
 
 
 class WithholdPast(PrescribedHeb):
@@ -486,7 +508,7 @@ class TestStoreCalls:
             res = run_epoch(game, seed, store)
             store = res.store
             out.append(res.to_json())
-            assert store.max_id == max(store._blocks)
+            assert store.max_id == max(json.loads(b)["id"] for b in store.to_jsonl().split("\n"))
         monkeypatch.undo()
         assert out + [store.to_jsonl()] == expected
 
