@@ -70,9 +70,16 @@ def genesis_block(block_id: int = 0) -> Block:
 
 
 class Chain:
-    """A path of blocks starting at genesis, each the parent of the next."""
+    """A path of blocks starting at genesis, each the parent of the next.
 
-    __slots__ = ("blocks",)
+    A chain that a :class:`BlockStore` returns is pinned to its tip: it
+    answers ``length`` and ``tip`` without building its path, builds
+    ``blocks`` on the first read, as the store's own objects, and pickles
+    as the store and the tip, without Blocks.  A path from genesis to a
+    block never changes, so the chain reads the same whatever the store
+    took since."""
+
+    __slots__ = ("blocks", "length", "_store", "_tip_id", "_last")
 
     def __init__(self, blocks: Iterable[Block]):
         self.blocks: tuple[Block, ...] = tuple(blocks)
@@ -81,26 +88,46 @@ class Chain:
         for prev, cur in zip(self.blocks, self.blocks[1:]):
             if cur.parent != prev.id:
                 raise ChainError("chain is not parent-linked")
+        self.length = len(self.blocks) - 1  # non-genesis blocks
+        self._store = None
 
     @classmethod
-    def _linked(cls, blocks: Iterable[Block]) -> "Chain":
-        """A chain of ``blocks`` that a store walked from a block up to
-        genesis: parent-linked by construction, so not checked again."""
+    def _pinned(cls, store: "BlockStore", tip_id: int, length: int,
+                last: Optional["_Pending"] = None) -> "Chain":
+        """The chain of ``store`` from genesis to block ``tip_id``, at height
+        ``length``: a built block, or the last of pending chain ``last``,
+        whose parent is built."""
         chain = object.__new__(cls)
-        chain.blocks = tuple(blocks)
+        chain.length, chain._store, chain._tip_id, chain._last = length, store, tip_id, last
         return chain
 
-    @property
-    def length(self) -> int:
-        """Number of non-genesis blocks."""
-        return len(self.blocks) - 1
+    def __getattr__(self, name):
+        # reached only for an unset slot: a pinned chain's blocks, unread
+        if name != "blocks":
+            raise AttributeError(name)
+        store, last = self._store, self._last
+        if self._tip_id in store._blocks:
+            path = store._path(self._tip_id)
+        else:
+            path = store._path(last.parent) + last.blocks()
+        self.blocks = blocks = tuple(path)
+        return blocks
+
+    def __reduce__(self):
+        if self._store is None:
+            return Chain, (self.blocks,)
+        return Chain._pinned, (self._store, self._tip_id, self.length, self._last)
 
     @property
     def tip(self) -> Block:
-        return self.blocks[-1]
+        store = self._store
+        if store is None:
+            return self.blocks[-1]
+        tip = store._blocks.get(self._tip_id)
+        return self._last.tip() if tip is None else tip
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return self.length + 1
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)
@@ -243,13 +270,17 @@ class _PathCounts:
         self.at, self.row, self.own = block_id, row, own
         return row
 
+    def __getstate__(self):  # without ``blocks``: the store links them back
+        return None, {s: getattr(self, s) for s in self.__slots__ if s != "blocks"}
+
 
 class _Pending:
     """A chain that :meth:`BlockStore.extend` took, kept as copies of its
     columns until a read needs its blocks: block ``ids[i]`` by
     ``creators[i]`` of kind ``kinds[i]`` at height ``height + 1 + i``, each
     the parent of the next, the first a child of ``parent``.  ``built``
-    holds its Blocks once they are built."""
+    holds its Blocks once they are built; a pickle drops them, and a read
+    builds them again."""
 
     __slots__ = ("parent", "ids", "creators", "kinds", "height", "built")
 
@@ -268,6 +299,17 @@ class _Pending:
                 range(height + 1, height + 1 + len(ids)),
             )))
         return self.built
+
+    def tip(self) -> Block:
+        """The chain's last Block, built alone while the chain is unread."""
+        if self.built is not None:
+            return self.built[-1]
+        ids = self.ids
+        return Block(ids[-1], ids[-2] if len(ids) > 1 else self.parent,
+                     self.creators[-1], self.kinds[-1], self.height + len(ids))
+
+    def __getstate__(self):
+        return None, {**{s: getattr(self, s) for s in self.__slots__}, "built": None}
 
 
 class BlockStore:
@@ -310,9 +352,12 @@ class BlockStore:
     :meth:`chain_to`, :meth:`to_jsonl`, and the main chain's when the
     maximum-height tips tie.  ``len()``, :meth:`tip_ids`, ``max_height``,
     ``max_id`` and :meth:`main_chain_length` with one tip build nothing, nor
-    does :meth:`main_chain` when the last pending chain holds the one tip
-    (it builds that chain's Blocks only).  The main chain ends at the
-    deepest common ancestor of the maximum-height tips.
+    does :meth:`main_chain` when the last pending chain holds the one tip:
+    its chain builds that pending chain's Blocks alone, and only when its
+    ``blocks`` are read.  The main chain ends at the deepest common
+    ancestor of the maximum-height tips.  A store pickles its built blocks
+    as plain tuples and its pending chains as columns, so a pickle holds no
+    Block.
 
     Blocks are never removed or mutated.
     """
@@ -330,6 +375,19 @@ class BlockStore:
         self._slot: dict[str, int] = {}
         self._fac = _PathCounts(FACTORED, self._blocks, self._slot)
         self._cnt = _PathCounts(None, self._blocks, self._slot)
+
+    def __getstate__(self):
+        # the built blocks pickle as plain tuples, so a pickle holds no Block
+        state = self.__dict__.copy()
+        state["_blocks"] = list(map(tuple, self._blocks.values()))
+        return state
+
+    def __setstate__(self, state):
+        rows = state["_blocks"]
+        state["_blocks"] = dict(zip([row[0] for row in rows],
+                                    map(tuple.__new__, repeat(Block), rows)))
+        self.__dict__.update(state)
+        self._fac.blocks = self._cnt.blocks = self._blocks
 
     def _build(self) -> None:
         """Store the pending chains' Blocks, in the order extend took them."""
@@ -524,9 +582,10 @@ class BlockStore:
         return sorted(self._max_tips)
 
     def chain_to(self, block_id: int) -> Chain:
+        """The chain to ``block_id``, pinned there (see :class:`Chain`)."""
         if self._pending:
             self._build()
-        return Chain._linked(self._path(block_id))
+        return Chain._pinned(self, block_id, self._blocks[block_id].height)
 
     def _path(self, block_id: int) -> list[Block]:
         """The built blocks from genesis to built block ``block_id``."""
@@ -554,16 +613,17 @@ class BlockStore:
         return tips.pop()
 
     def main_chain(self) -> Chain:
-        """Longest common prefix of all longest chains.  When the last
-        pending chain holds the one maximum-height tip and its parent is
-        built, the main chain is the walk to that parent plus that chain's
-        Blocks, which are kept for the build: no other pending chain is
-        built.  Otherwise it reads as :meth:`chain_to` does."""
+        """Longest common prefix of all longest chains, pinned to its tip
+        (see :class:`Chain`).  When the last pending chain holds the one
+        maximum-height tip and its parent is built, nothing is built: the
+        chain's first read of ``blocks`` walks to that parent and builds
+        that pending chain's Blocks alone, which the store keeps for its
+        build.  Otherwise it reads as :meth:`chain_to` does."""
         tips, pending = self._max_tips, self._pending
         if pending and len(tips) == 1:
             last = pending[-1]
             if tips[0] == last.ids[-1] and last.parent in self._blocks:
-                return Chain._linked(self._path(last.parent) + last.blocks())
+                return Chain._pinned(self, tips[0], self.max_height, last)
         return self.chain_to(self._main_tip())
 
     def main_chain_length(self) -> int:
@@ -613,8 +673,14 @@ def epoch_stats(
     # fields by index: (id, parent, creator, kind, height)
     counts = Counter([b[2] for b in blocks])
     factored = Counter([b[2] for b in blocks if b[3] == FACTORED])
-    factor = params.factor
-    return {
-        m: (n, (n - factored[m]) + factor * factored[m] if m in factored else Fraction(n))
-        for m, n in counts.items()
-    }
+    return stats_from_counts(
+        ((m, n, factored[m]) for m, n in counts.items()), params.factor
+    )
+
+
+def stats_from_counts(
+    counts: Iterable[tuple[str, int, int]], factor: Fraction
+) -> dict[str, tuple[int, Fraction]]:
+    """Per-miner (block count, accumulated weight) from (miner, blocks,
+    factored blocks) counts; a miner with no block is left out."""
+    return {m: (n, n - f + factor * f if f else Fraction(n)) for m, n, f in counts if n}

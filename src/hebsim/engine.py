@@ -39,8 +39,12 @@ factored, with ``used`` her view's count at the tip.  It hands the
 publishing miners' chain to one :meth:`BlockStore.extend` call as columns
 of ids, creators and kinds, then the chain of the withholder who ended the
 epoch, if one did, to a second.  The store keeps the columns and builds
-Blocks only where a read needs them: on a fresh store, the epoch's
-``main_chain()`` builds the main chain's and no other.  The other
+Blocks only where a read needs them.  On a fresh store the run settles
+from the counts: the main chain is the chain that ended the epoch, so each
+miner's blocks on it are a ``bincount`` of its creators (all
+``epoch_len`` the winning withholder's, none factored), her factored ones
+the lesser of that and her quota room.  So it builds no Block, and its
+``main`` is pinned to its tip and built only when read.  The other
 withholders' blocks stay private.  Its output is the generic loop's byte
 for byte.  A strategy class patched before the run is not one of these,
 so its methods are called at every step.  The generic loop's publication
@@ -75,6 +79,7 @@ from hebsim.chain import (
     as_fraction,
     epoch_stats,
     genesis_block,
+    stats_from_counts,
     within_quota,
 )
 
@@ -555,19 +560,25 @@ def _withholding_draws(
         batches.append(batch)
 
 
-def _quota_kinds(
-    selected: np.ndarray, used: dict[int, int], limits: Sequence[Optional[int]]
-) -> list[str]:
-    """The kind of each selected miner's block under the quota rule: a miner
-    ``m`` in ``used`` makes factored blocks while ``within_quota`` holds,
-    that is her first ``limits[m] - used[m]`` (all when the limit is None);
-    every other block is regular."""
-    n = len(selected)
-    if not used:
-        return [REGULAR] * n
+def _quota_room(
+    n: int, used: dict[int, int], limits: Sequence[Optional[int]]
+) -> np.ndarray:
+    """The quota rule, per miner index: how many of her next ``n`` blocks
+    are factored.  A miner ``m`` in ``used`` makes factored blocks while
+    ``within_quota`` holds, that is her first ``limits[m] - used[m]`` (all
+    when the limit is None); every other block is regular."""
     room = np.zeros(len(limits), dtype=np.int64)
     for m, u in used.items():
-        room[m] = n if limits[m] is None else min(limits[m] - u, n)  # fits int64
+        room[m] = n if limits[m] is None else min(max(limits[m] - u, 0), n)  # fits int64
+    return room
+
+
+def _quota_kinds(selected: np.ndarray, room: np.ndarray) -> list[str]:
+    """The kind of each selected miner's block: factored for her first
+    ``room[m]`` selections (see :func:`_quota_room`), else regular."""
+    n = len(selected)
+    if not room.any():
+        return [REGULAR] * n
     order = np.argsort(selected, kind="stable")
     by_miner = selected[order]
     rank = np.arange(n) - np.searchsorted(by_miner, by_miner)
@@ -595,15 +606,19 @@ def run_epoch(
     (see the module docstring), runs on arrays of selected miner indices
     instead of the step loop, and gives each stored chain to one
     ``store.extend`` call as columns, which the store keeps until a read
-    needs their blocks.  The output is the same: the same selections, blocks, ``steps``
-    and ``blocks_created``.  New block ids continue from ``store.max_id``.
+    needs their blocks.  With ``store`` None it also settles from the
+    selection counts, so neither it nor ``to_json()`` builds a Block, and
+    ``main`` builds its Blocks on its first read of ``blocks``.  The output
+    is the same: the same selections, blocks, stats, ``steps`` and
+    ``blocks_created``.  New block ids continue from ``store.max_id``.
 
     Raises ValueError, before the settlement, when the epoch holds blocks
     by a creator who is not one of the game's miners (a store built by
     another game): no miner of this one could be paid for them.
     """
     params, protocol, miners = game.params, game.protocol, game.miners
-    if store is None:
+    fresh = store is None
+    if fresh:
         store = BlockStore()
         store.append(genesis_block(0))
     start_main = store.main_chain()
@@ -638,6 +653,7 @@ def run_epoch(
 
     steps = created = 0
     max_steps = 1000 + 100 * params.epoch_len
+    stats = None  # the epoch's stats, when the path below counts them
     play = quota_mode in ("none", "factored") and _prescribed_makers(
         miners, generate, publish
     )
@@ -650,6 +666,8 @@ def run_epoch(
         # withholder who ended the epoch, if one did: one extend call each,
         # given columns.  A maker of factored blocks counts hers from her
         # view's count at the tip.  Other withholders' blocks stay private.
+        # On a fresh store the main chain is the one that ended the epoch,
+        # so its stats are counts over the selections.
         hebs, held = play
         held = np.array(held)
         withholding = held.any()
@@ -673,13 +691,22 @@ def run_epoch(
         used = {
             i: views[m].factored_used(parent_id) for i, m in enumerate(game.ids) if hebs[i]
         }
+        room = _quota_room(len(selected), used, [game.quota_limits[m] for m in game.ids])
         store.extend(
             parent_id, (next_id + at).tolist(), names[selected].tolist(),
-            _quota_kinds(selected, used, [game.quota_limits[m] for m in game.ids]),
+            _quota_kinds(selected, room),
         )
         if winner is not None:
             n = len(won)
             store.extend(start_tip.id, won, [names[winner]] * n, [REGULAR] * n)
+            if fresh:  # her chain: all her blocks, none factored
+                stats = stats_from_counts([(names[winner], n, 0)], params.factor)
+        elif fresh:
+            counts = np.bincount(selected, minlength=len(room))
+            stats = stats_from_counts(
+                zip(game.ids, counts.tolist(), np.minimum(counts, room).tolist()),
+                params.factor,
+            )
 
     # the generic loop, for every other game (the path above completes the
     # epoch, so after it the loop does not start).
@@ -769,10 +796,13 @@ def run_epoch(
                     holders.discard(creator)
 
     main = store.main_chain()
-    prefix_ok = (
-        main.length >= start_len and main.blocks[start_len].id == start_tip.id
-    )
-    stats = epoch_stats(main, epoch_index, params)
+    if stats is None:
+        prefix_ok = (
+            main.length >= start_len and main.blocks[start_len].id == start_tip.id
+        )
+        stats = epoch_stats(main, epoch_index, params)
+    else:  # the epoch's chain is the main chain from genesis
+        prefix_ok = True
     ids = game.ids
     for m in ids:
         stats.setdefault(m, _NO_BLOCKS)

@@ -3,6 +3,7 @@ what its generic loop gives, runs only when every miner's strategy is an
 unpatched prescribed or ``pow_only`` one on a one-tip store, and calls no
 strategy."""
 
+import io
 import json
 import pickle
 from fractions import Fraction
@@ -16,6 +17,8 @@ from hebsim.chain import (
     EpochParams,
     FACTORED,
     REGULAR,
+    _Pending,
+    epoch_stats,
     genesis_block,
     within_quota,
 )
@@ -24,6 +27,7 @@ from hebsim.engine import (
     MinerConfig,
     MinerView,
     _quota_kinds,
+    _quota_room,
     _withholding_draws,
     derive_streams,
     miner_selector,
@@ -454,6 +458,104 @@ class TestPathTaken:
         assert len(calls) >= hers > 0
 
 
+def takeover_game(protocol, shares):
+    """A 1,000-block takeover game: a ``pow_only`` "w" at ``shares[0]``
+    against prescribed miners at the others."""
+    params = EpochParams(
+        epoch_len=1000, factor=Fraction(20), rho=Fraction(1, 2),
+        user_balance=Fraction(10**7),
+    )
+    proto = get_protocol(protocol)
+    balances = normalized_balances(shares, params)
+    miners = [MinerConfig("w", balances[0], make_strategy("pow_only", proto))] + [
+        MinerConfig(f"p{i}", b, make_strategy("prescribed", proto))
+        for i, b in enumerate(balances[1:])
+    ]
+    return Game(params, miners, proto)
+
+
+class NoBlocks(pickle.Unpickler):
+    """An unpickler that refuses to make a ``Block``."""
+
+    def find_class(self, module, name):
+        if (module, name) == ("hebsim.chain", "Block"):
+            raise pickle.UnpicklingError("the pickle holds a Block")
+        return super().find_class(module, name)
+
+
+def no_build(monkeypatch):
+    """Make every build of stored Blocks raise."""
+
+    def build(*args):
+        raise AssertionError("Blocks built")
+
+    monkeypatch.setattr(BlockStore, "_build", build)
+    monkeypatch.setattr(_Pending, "blocks", build)
+
+
+class TestCountSettlement:
+    """A fresh-store epoch on the strategy-free path settles from the
+    selection counts and builds no Block; its main chain stays pinned."""
+
+    PLAYS = {**PLAYERS, **WITHHOLDING}
+
+    @pytest.mark.parametrize("epoch_len", [1, 63, 64, 65, 4097])
+    @pytest.mark.parametrize("players", sorted(PLAYS))
+    @pytest.mark.parametrize("protocol, rho", PROTOCOLS)
+    def test_settles_unbuilt_as_the_main_chain_does(
+        self, protocol, rho, players, epoch_len, monkeypatch
+    ):
+        game = make_game(protocol, rho, self.PLAYS[players], epoch_len)
+        no_build(monkeypatch)
+        res = run_epoch(game, 12)
+        res.to_json()
+        stored = len(res.store)
+        assert res.main.length == epoch_len == res.main.tip.height
+        monkeypatch.undo()
+        assert stored == len(list(res.store.blocks()))
+        main = res.store.main_chain()
+        assert res.main.tip == main.tip
+        expected = epoch_stats(main, 0, game.params)
+        for m in game.ids:
+            expected.setdefault(m, (0, Fraction(0)))
+        assert res.stats == expected
+
+    GAMES = {  # a game, and the withholder's blocks on its main chain
+        "won": (lambda: takeover_game("heb", [Fraction(2, 5)] + [Fraction(3, 20)] * 4), 1000),
+        "lost": (lambda: takeover_game("nakamoto", [Fraction(1, 5)] * 5), 0),
+        "heb-practical": (heb_practical_game, None),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(GAMES))
+    def test_an_unread_result_pickles_no_blocks(self, shape):
+        make, withheld = self.GAMES[shape]
+        res = run_epoch(make(), 5)
+        if withheld is not None:
+            assert res.stats["w"][0] == withheld
+        data = pickle.dumps(res)
+        assert len(data) <= 16_000  # 37.5 kB for a won takeover with Blocks
+        back = NoBlocks(io.BytesIO(data)).load()
+        assert back.to_json() == res.to_json()
+        assert back.store.to_jsonl() == res.store.to_jsonl()
+        assert back.main == res.main
+        stored = {b.id: b for b in back.store.blocks()}
+        assert all(stored[b.id] is b for b in back.main)
+
+    @pytest.mark.parametrize("players", sorted(PLAYS))
+    def test_the_main_chain_stays_pinned_to_its_epoch(self, players):
+        game = make_game("heb", Fraction(1, 2), self.PLAYS[players], 65)
+        first = run_epoch(game, 21)
+        tip = json.loads(first.to_json())["main_tip"]
+        store = first.store
+        for seed in (22, 23):
+            store = run_epoch(game, seed, store).store
+        assert store.main_chain_length() == 3 * 65
+        main, walked = first.main, store.chain_to(tip)
+        assert main.length == 65 and main.tip.id == tip
+        assert len(main.blocks) == len(walked.blocks) == 66
+        assert all(a is b for a, b in zip(main, walked))
+
+
 class TestStoreCalls:
     def test_heb_practical_epoch_extends_the_store_once(self, monkeypatch):
         game = heb_practical_game()
@@ -617,11 +719,12 @@ class TestQuotaKinds:
 
     def assert_kinds_match(self, selected, used, limits):
         index = {m: i for i, m in enumerate(self.NAMES)}
-        kinds = _quota_kinds(
-            np.array([index[m] for m in selected], dtype=np.intp),
+        room = _quota_room(
+            len(selected),
             {index[m]: u for m, u in used.items()},
             [limits.get(m) for m in self.NAMES],
         )
+        kinds = _quota_kinds(np.array([index[m] for m in selected], dtype=np.intp), room)
         assert kinds == counted_kinds(selected, used, limits)
         return kinds
 
