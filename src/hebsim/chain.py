@@ -1,21 +1,28 @@
-"""Blocks, the append-only global storage tree, chains, and epoch accounting.
+"""Blocks, the append-only global storage tree, chains, epoch accounting,
+and exact token arithmetic.
 
 The storage is a directed tree rooted at a genesis block.  Chains are paths
 from genesis; the main chain is the longest common prefix of all longest
 chains, which ends at their tips' deepest common ancestor.  Epoch ``k`` of
 a chain is the block series at 1-indexed positions ``[len*k + 1,
 len*(k+1)]`` (genesis excluded).
+
+Token amounts are Fractions.  The ``exact_*`` helpers add, multiply and
+divide them as integer numerators and denominators, making one Fraction
+per result; the settlement and a game's totals go through them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import floordiv, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 REGULAR = "regular"
@@ -34,6 +41,61 @@ def as_fraction(x: Union[int, float, Fraction, str]) -> Fraction:
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     return Fraction(x)
+
+
+# Exact token arithmetic.  Every token amount is a Fraction.  The helpers
+# below work on numerators and denominators as integers and make one
+# Fraction per result, where the operators make one per operation, each
+# through their fallbacks and type checks.  They take ints and Fractions
+# (anything with integer ``numerator`` and ``denominator``) and give the
+# Fraction that the operators give.
+
+
+def exact_fraction(x: Union[int, float, Fraction, str]) -> Fraction:
+    """``Fraction(x)``, exactly as it reads a float or a string, but ``x``
+    itself when it is a Fraction."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def exact_sum(terms: Iterable[Union[int, Fraction]]) -> Fraction:
+    """The sum of ``terms``: one integer sum over the least common multiple
+    of their denominators.  An empty sum is 0."""
+    terms = list(terms)
+    dens = [t.denominator for t in terms]
+    den = math.lcm(*dens)
+    nums = [t.numerator for t in terms]
+    return Fraction(sum(map(mul, nums, map(floordiv, repeat(den), dens))), den)
+
+
+def exact_add(a: Union[int, Fraction], b: Union[int, Fraction]) -> Fraction:
+    """``a + b``, over the product of their denominators."""
+    ad, bd = a.denominator, b.denominator
+    return Fraction(a.numerator * bd + b.numerator * ad, ad * bd)
+
+
+def exact_product(a: Union[int, Fraction], b: Union[int, Fraction]) -> Fraction:
+    """``a * b``."""
+    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+
+
+def exact_quotient(a: Union[int, Fraction], b: Union[int, Fraction]) -> Fraction:
+    """``a / b``; ZeroDivisionError when ``b`` is 0."""
+    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
+
+
+def exact_scaled(terms: Iterable[Union[int, Fraction]],
+                 factor: Union[int, Fraction]) -> list[Fraction]:
+    """Each of ``terms`` times ``factor``."""
+    fn, fd = factor.numerator, factor.denominator
+    return [Fraction(t.numerator * fn, t.denominator * fd) for t in terms]
+
+
+def exact_split(amount: Union[int, Fraction],
+                ratio: Union[int, Fraction]) -> tuple[Fraction, Fraction]:
+    """``(ratio * amount, (1 - ratio) * amount)``."""
+    n, d = amount.numerator, amount.denominator
+    rn, rd = ratio.numerator, ratio.denominator
+    return Fraction(rn * n, rd * d), Fraction((rd - rn) * n, rd * d)
 
 
 class Block(NamedTuple):
@@ -77,7 +139,8 @@ class Chain:
     ``blocks`` on the first read, as the store's own objects, and pickles
     as the store and the tip, without Blocks.  A path from genesis to a
     block never changes, so the chain reads the same whatever the store
-    took since."""
+    took since.  A chain that ends on a chain the store still holds as
+    columns keeps that record until the store builds it, and no longer."""
 
     __slots__ = ("blocks", "length", "_store", "_tip_id", "_last")
 
@@ -101,12 +164,20 @@ class Chain:
         chain.length, chain._store, chain._tip_id, chain._last = length, store, tip_id, last
         return chain
 
+    def _unbuilt(self) -> Optional["_Pending"]:
+        """The pending chain this chain ends on while the store has not built
+        it; once it has, the record is dropped, so the chain keeps and
+        pickles no copy of blocks the store holds."""
+        if self._last is not None and self._tip_id in self._store._blocks:
+            self._last = None
+        return self._last
+
     def __getattr__(self, name):
         # reached only for an unset slot: a pinned chain's blocks, unread
         if name != "blocks":
             raise AttributeError(name)
-        store, last = self._store, self._last
-        if self._tip_id in store._blocks:
+        store, last = self._store, self._unbuilt()
+        if last is None:
             path = store._path(self._tip_id)
         else:
             path = store._path(last.parent) + last.blocks()
@@ -116,15 +187,15 @@ class Chain:
     def __reduce__(self):
         if self._store is None:
             return Chain, (self.blocks,)
-        return Chain._pinned, (self._store, self._tip_id, self.length, self._last)
+        return Chain._pinned, (self._store, self._tip_id, self.length, self._unbuilt())
 
     @property
     def tip(self) -> Block:
         store = self._store
         if store is None:
             return self.blocks[-1]
-        tip = store._blocks.get(self._tip_id)
-        return self._last.tip() if tip is None else tip
+        last = self._unbuilt()
+        return store._blocks[self._tip_id] if last is None else last.tip()
 
     def __len__(self) -> int:
         return self.length + 1
@@ -181,12 +252,18 @@ class EpochParams:
         if self.user_balance <= 0:
             raise ValueError("user_balance must be positive")
 
-    def quota_limit(self, internal: Fraction) -> Optional[int]:
-        """Blocks of quota an internal commitment buys at ``rho * mint`` each;
-        None (unlimited) when rho is 0."""
-        if self.rho == 0:
+    def quota_limit(self, internal: Union[int, float, Fraction, str]) -> Optional[int]:
+        """Blocks of quota an internal commitment, read as ``Fraction(internal)``
+        reads it, buys at ``rho * mint`` each, truncated toward zero as
+        ``int()`` truncates; None (unlimited) when rho is 0."""
+        rho, mint = self.rho, self.mint
+        if not rho:
             return None
-        return int(Fraction(internal) / (self.rho * self.mint))
+        internal = exact_fraction(internal)
+        # internal / (rho * mint), as integers over positive denominators
+        num = internal.numerator * rho.denominator * mint.denominator
+        den = internal.denominator * rho.numerator * mint.numerator
+        return num // den if num >= 0 else -(-num // den)
 
 
 def within_quota(used: int, limit: Optional[int]) -> bool:
@@ -203,9 +280,9 @@ class Allocation:
     external: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "internal", Fraction(self.internal))
-        object.__setattr__(self, "external", Fraction(self.external))
-        if self.internal < 0 or self.external < 0:
+        object.__setattr__(self, "internal", exact_fraction(self.internal))
+        object.__setattr__(self, "external", exact_fraction(self.external))
+        if self.internal.numerator < 0 or self.external.numerator < 0:
             raise ValueError("allocation parts must be non-negative")
 
     @property
@@ -682,5 +759,10 @@ def stats_from_counts(
     counts: Iterable[tuple[str, int, int]], factor: Fraction
 ) -> dict[str, tuple[int, Fraction]]:
     """Per-miner (block count, accumulated weight) from (miner, blocks,
-    factored blocks) counts; a miner with no block is left out."""
-    return {m: (n, n - f + factor * f if f else Fraction(n)) for m, n, f in counts if n}
+    factored blocks) counts, the weight an exact Fraction for a ``factor``
+    read as ``Fraction(factor)``; a miner with no block is left out."""
+    # n - f + factor * f over factor's denominator
+    factor = exact_fraction(factor)
+    den = factor.denominator
+    extra = factor.numerator - den
+    return {m: (n, Fraction(n * den + f * extra, den)) for m, n, f in counts if n}

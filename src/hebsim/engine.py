@@ -78,6 +78,10 @@ from hebsim.chain import (
     REGULAR,
     as_fraction,
     epoch_stats,
+    exact_add,
+    exact_fraction,
+    exact_product,
+    exact_sum,
     genesis_block,
     stats_from_counts,
     within_quota,
@@ -228,8 +232,8 @@ class MinerConfig:
     strategy: "Strategy"
 
     def __post_init__(self):
-        self.balance = Fraction(self.balance)
-        if self.balance < 0:
+        self.balance = exact_fraction(self.balance)
+        if self.balance.numerator < 0:
             raise ValueError("balance must be non-negative")
 
 
@@ -411,16 +415,25 @@ def miner_selector(
 
     The draw consumes relative weights, so uniformly scaling all balances
     (e.g. two protocols whose allocations differ by a constant factor)
-    yields bit-identical selections under the same stream.
+    yields bit-identical selections under the same stream.  Each share is
+    a balance over the total, exact and rounded once to a float; the total
+    is exact for int and Fraction balances, and their float sum when a
+    balance is a float.
     """
     ids = sorted(external_balances)
-    total = sum(external_balances[m] for m in ids)
+    values = [external_balances[m] for m in ids]
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        total = exact_sum(values)
+    else:
+        total = sum(values)
+        values = [Fraction(v) for v in values]
     if total <= 0:
         raise StalledSystemError("all external balances are zero")
+    total = exact_fraction(total)
+    tn, td = total.numerator, total.denominator
+    # int true division rounds correctly, as float(Fraction) does
     cumulative = np.fromiter(
-        accumulate(
-            float(Fraction(external_balances[m]) / Fraction(total)) for m in ids
-        ),
+        accumulate(v.numerator * td / (v.denominator * tn) for v in values),
         dtype=float,
         count=len(ids),
     )
@@ -442,7 +455,13 @@ def allocate(miner: MinerConfig, params: EpochParams, protocol) -> Allocation:
     """``miner``'s allocation, checked against her balance and the protocol:
     internal expenditure needs a protocol that redistributes it."""
     alloc = miner.strategy.allocate(miner.balance, params)
-    if alloc.total != miner.balance:
+    internal, external, balance = alloc.internal, alloc.external, miner.balance
+    # internal + external == balance, cross-multiplied
+    if (
+        (internal.numerator * external.denominator + external.numerator * internal.denominator)
+        * balance.denominator
+        != balance.numerator * internal.denominator * external.denominator
+    ):
         raise StrategyFault(
             f"miner {miner.id} allocated {float(alloc.total)} of balance "
             f"{float(miner.balance)}"
@@ -459,7 +478,8 @@ class Game:
     """The part of an epoch run that every run of a batch shares, computed
     once: the checks on the miners, the guard-ratio warning, each miner's
     allocation and quota limit, the miner selector, and the internal,
-    external and minted totals.
+    external and minted totals, each sum exact over one common denominator
+    (:func:`~hebsim.chain.exact_sum`).
 
     Raises ValueError for no miners or duplicate ids, StalledSystemError for
     zero total (or zero external) balance, and StrategyFault for an
@@ -477,8 +497,8 @@ class Game:
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate miner ids")
 
-        total_balance = sum((m.balance for m in self.miners), Fraction(0))
-        if total_balance == 0:
+        total_balance = exact_sum([m.balance for m in self.miners])
+        if not total_balance:
             raise StalledSystemError("all miner balances are zero")
         if total_balance > params.user_balance * GUARD_RATIO:
             warnings.warn(
@@ -493,9 +513,9 @@ class Game:
         }
         self.quota_limits = {m: params.quota_limit(a.internal) for m, a in allocs.items()}
         self.select = miner_selector({m: a.external for m, a in allocs.items()})
-        self.internal_total = sum((a.internal for a in allocs.values()), Fraction(0))
-        self.external_total = sum((a.external for a in allocs.values()), Fraction(0))
-        self.minted_total = params.epoch_len * protocol.mint_per_block(params)
+        self.internal_total = exact_sum([a.internal for a in allocs.values()])
+        self.external_total = exact_sum([a.external for a in allocs.values()])
+        self.minted_total = exact_product(protocol.mint_per_block(params), params.epoch_len)
 
 
 _height_then_id = itemgetter(4, 0)  # a publication round's append order
@@ -595,7 +615,9 @@ def run_epoch(
     Repeats {select a miner proportionally to external expenditure, generate
     one block, run the publication fixpoint} until the main chain reaches
     the end of epoch ``k``.  End balances follow the protocol's reward
-    distribution.
+    distribution, exact: the run checks token conservation as an equality
+    of Fractions, summed over one common denominator, and raises
+    AssertionError when it fails.
 
     On a given ``store``, ``k`` is the main chain's length floor-divided by
     ``params.epoch_len``, and the epoch starts at main-chain position
@@ -817,10 +839,11 @@ def run_epoch(
     outcome = protocol.balance_fn(stats, params, game.allocations, ids)
     minted, redistributed = outcome.minted, outcome.redistributed
     balances = {
-        m: minted[m] + redistributed[m] if redistributed[m] else minted[m] for m in ids
+        m: exact_add(minted[m], redistributed[m]) if redistributed[m] else minted[m]
+        for m in ids
     }
-    conserved = sum(balances.values()) + outcome.user_payout
-    if conserved != game.internal_total + game.minted_total:
+    conserved = exact_sum([*balances.values(), outcome.user_payout])
+    if conserved != exact_add(game.internal_total, game.minted_total):
         raise AssertionError(
             "token conservation violated: "
             f"{conserved} != {game.internal_total} + {game.minted_total}"
@@ -872,6 +895,8 @@ class GameAccumulator:
         return floats
 
     def stats(self) -> GameStats:
+        if not self.count:
+            raise ValueError("no run was added: the statistics of no runs are undefined")
         n = float(self.count)
         mean = {m: self._sum[m] / n for m in self.ids}
         stderr = {}

@@ -25,6 +25,13 @@ from hebsim.chain import (
     FACTORED,
     REGULAR,
     epoch_stats,  # unused here; perfbench's tracer patches protocols.epoch_stats by name
+    exact_add,
+    exact_fraction,
+    exact_product,
+    exact_quotient,
+    exact_scaled,
+    exact_split,
+    exact_sum,
     within_quota,
 )
 from hebsim.engine import MinerView
@@ -71,8 +78,7 @@ class PrescribedHeb(PrescribedNakamoto):
     chain, create factored blocks while quota remains, publish immediately."""
 
     def allocate(self, balance, params) -> Allocation:
-        balance = Fraction(balance)
-        return Allocation(params.rho * balance, (1 - params.rho) * balance)
+        return Allocation(*exact_split(exact_fraction(balance), params.rho))
 
     def generate_block(self, view: MinerView):
         tip = self._pick_tip(view)
@@ -168,7 +174,7 @@ class ProtocolSpec:
     quota_mode: str = "factored"  # "factored" | "count" | "none"
 
     def mint_per_block(self, params: EpochParams) -> Fraction:
-        return params.mint * self.mint_scale
+        return exact_product(params.mint, self.mint_scale)
 
     def balance_fn(
         self,
@@ -182,25 +188,35 @@ class ProtocolSpec:
 
         The epoch's mint (less the ``"mint"`` pool) is split by accumulated
         weight under factored quotas and by block count otherwise.
-        ``allocations`` is read only when there is a pool.
+        ``allocations`` is read only when there is a pool.  Every amount is
+        exact, each sum taken over one common denominator (see
+        :func:`~hebsim.chain.exact_sum`).
         """
         by = 1 if self.quota_mode == "factored" else 0
         zero = Fraction(0)
-        contributed = sum(s[by] for s in stats.values())
-        if contributed == 0:
+        contributed = exact_sum([s[by] for s in stats.values()])
+        if not contributed:
             raise ArithmeticError("epoch carries zero total weight")
-        mint_total = self.mint_per_block(params) * params.epoch_len
-        kept = mint_total * (1 - params.rho) if self.pool == "mint" else mint_total
-        per_unit = kept / contributed
+        mint_total = exact_product(self.mint_per_block(params), params.epoch_len)
+        # the "mint" pool is a rho share of the mint, which miners do not keep
+        pool, kept = (
+            exact_split(mint_total, params.rho) if self.pool == "mint" else (None, mint_total)
+        )
         absent = (0, zero)
-        minted = {m: stats.get(m, absent)[by] * per_unit for m in miner_ids}
+        minted = dict(zip(miner_ids, exact_scaled(
+            [stats.get(m, absent)[by] for m in miner_ids], exact_quotient(kept, contributed)
+        )))
         if self.pool == "none":
             return BalanceOutcome(minted, dict.fromkeys(miner_ids, zero), zero)
-        internal_total = sum((allocations[m].internal for m in miner_ids), zero)
-        pool = mint_total - kept if self.pool == "mint" else internal_total
-        per_holding = pool / (params.user_balance + internal_total)
-        redistributed = {m: allocations[m].internal * per_holding for m in miner_ids}
-        return BalanceOutcome(minted, redistributed, params.user_balance * per_holding)
+        internals = [allocations[m].internal for m in miner_ids]
+        internal_total = exact_sum(internals)
+        if pool is None:  # the "internal" pool
+            pool = internal_total
+        per_holding = exact_quotient(pool, exact_add(params.user_balance, internal_total))
+        redistributed = dict(zip(miner_ids, exact_scaled(internals, per_holding)))
+        return BalanceOutcome(
+            minted, redistributed, exact_product(params.user_balance, per_holding)
+        )
 
 
 _PROTOCOLS: dict[str, ProtocolSpec] = {

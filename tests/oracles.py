@@ -6,11 +6,14 @@ the race oracle is a plain dynamic program over step outcomes.  The
 scheduler oracle selects an epoch's miners with one draw per step, as the
 engine did before it drew its uniforms in batches, and the expected-weight
 oracle sums every binomial term, as ``metrics`` did before it skipped the
-terms that underflow to 0.0.  The scalar references at the end walk a
-compiled MDP graph state by state, one float operation at a time, for the
-array-native passes to match bit for bit, and the reference compile builds
-a game's graph by a recursive depth-first search over the readable one-step
-model, for the integer-coded compile to match array for array.
+terms that underflow to 0.0.  The token references settle an epoch, weigh
+its blocks and total a game with the Fraction operators, one operation at
+a time, for the chain module's exact integer arithmetic to match Fraction
+for Fraction.  The scalar references at the end walk a compiled MDP graph
+state by state, one float operation at a time, for the array-native
+passes to match bit for bit, and the reference compile builds a game's
+graph by a recursive depth-first search over the readable one-step model,
+for the integer-coded compile to match array for array.
 """
 
 import math
@@ -271,6 +274,64 @@ def scheduler(external_balances, sched_rng, steps):
         ids[min(bisect_right(cumulative, sched_rng.random()), last)]
         for _ in range(steps)
     ]
+
+
+# -- token arithmetic by the Fraction operators (what chain's exact helpers replaced) --
+
+
+def stats_from_counts(counts, factor):
+    """Per-miner (block count, weight) from (miner, blocks, factored)
+    counts, one Fraction operator at a time."""
+    return {m: (n, n - f + factor * f if f else Fraction(n)) for m, n, f in counts if n}
+
+
+def balance_fn(spec, stats, params, allocations, miner_ids):
+    """``spec.balance_fn`` by the Fraction operators: the minted and
+    redistributed amounts per miner and the users' payout."""
+    by = 1 if spec.quota_mode == "factored" else 0
+    zero = Fraction(0)
+    contributed = sum(s[by] for s in stats.values())
+    if contributed == 0:
+        raise ArithmeticError("epoch carries zero total weight")
+    mint_total = params.mint * spec.mint_scale * params.epoch_len
+    kept = mint_total * (1 - params.rho) if spec.pool == "mint" else mint_total
+    per_unit = kept / contributed
+    absent = (0, zero)
+    minted = {m: stats.get(m, absent)[by] * per_unit for m in miner_ids}
+    if spec.pool == "none":
+        return minted, dict.fromkeys(miner_ids, zero), zero
+    internal_total = sum((allocations[m].internal for m in miner_ids), zero)
+    pool = mint_total - kept if spec.pool == "mint" else internal_total
+    per_holding = pool / (params.user_balance + internal_total)
+    redistributed = {m: allocations[m].internal * per_holding for m in miner_ids}
+    return minted, redistributed, params.user_balance * per_holding
+
+
+def game_totals(params, miners, protocol, internal_of):
+    """What ``engine.Game`` derives from ``miners``, by the operators: each
+    miner's (internal, external) allocation with ``internal_of(miner)`` as
+    its internal part, her quota limit, the selector's cumulative shares,
+    and the internal, external and minted totals."""
+    miners = sorted(miners, key=lambda m: m.id)
+    allocs = {}
+    for m in miners:
+        internal = Fraction(internal_of(m))
+        allocs[m.id] = (internal, m.balance - internal)
+    limits = {
+        m: None if params.rho == 0 else int(internal / (params.rho * params.mint))
+        for m, (internal, _) in allocs.items()
+    }
+    external_total = sum((e for _, e in allocs.values()), Fraction(0))
+    return {
+        "allocations": allocs,
+        "quota_limits": limits,
+        "cumulative": list(
+            accumulate(float(e / external_total) for _, e in allocs.values())
+        ),
+        "internal_total": sum((i for i, _ in allocs.values()), Fraction(0)),
+        "external_total": external_total,
+        "minted_total": params.epoch_len * (params.mint * protocol.mint_scale),
+    }
 
 
 def expected_weight(share, epoch_len, factor, allow_fractional=False):

@@ -24,7 +24,7 @@ from hebsim.engine import (
     run_games,
     select_miner,
 )
-from hebsim.protocols import get_protocol, make_strategy
+from hebsim.protocols import ProtocolSpec, get_protocol, make_strategy
 
 import oracles
 
@@ -130,6 +130,33 @@ class TestRunEpoch:
         res = run_epoch(Game(params, miners, proto), seed=5)
         total = sum(res.balances.values()) + res.user_payout
         assert total == res.internal_total + Fraction(20)
+
+    @pytest.mark.parametrize("protocol", ["nakamoto", "prd", "heb"])
+    @pytest.mark.parametrize("settled", ["minted", "redistributed", "user_payout"])
+    def test_conservation_check_trips_on_a_billionth(self, protocol, settled, monkeypatch):
+        # one amount of the settlement off by 1/10**9 breaks the equality
+        params = EpochParams(
+            epoch_len=20, factor=Fraction(20), rho=Fraction(1, 3),
+            user_balance=Fraction(10**5 + 3),
+        )
+        proto = get_protocol(protocol)
+        miners = [
+            MinerConfig(m, Fraction(10), make_strategy("prescribed", proto)) for m in "ab"
+        ]
+        game = Game(params, miners, proto)
+        settle = ProtocolSpec.balance_fn
+
+        def off(spec, *args):
+            out = settle(spec, *args)
+            if settled == "user_payout":
+                out.user_payout += Fraction(1, 10**9)
+            else:
+                getattr(out, settled)["b"] += Fraction(1, 10**9)
+            return out
+
+        monkeypatch.setattr(ProtocolSpec, "balance_fn", off)
+        with pytest.raises(AssertionError, match="token conservation violated"):
+            run_epoch(game, seed=5)
 
     def test_honest_runs_keep_prefix(self):
         params = EpochParams(epoch_len=20)
@@ -707,6 +734,11 @@ class TestMinerStreams:
 
 
 class TestRunGames:
+    def test_no_runs_have_no_statistics(self):
+        acc = engine.GameAccumulator(["a"], {"a": 1.0})
+        with pytest.raises(ValueError, match="no run was added"):
+            acc.stats()
+
     def test_count_one_equals_single_run(self):
         params = EpochParams(epoch_len=20)
         proto, miners = nakamoto_miners([0.5, 0.5], params)

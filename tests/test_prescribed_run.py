@@ -541,6 +541,25 @@ class TestCountSettlement:
         stored = {b.id: b for b in back.store.blocks()}
         assert all(stored[b.id] is b for b in back.main)
 
+    @pytest.mark.parametrize("read_main", [False, True])
+    @pytest.mark.parametrize("shape", sorted(GAMES))
+    def test_a_built_result_pickles_its_blocks_once(self, shape, read_main):
+        # once the store has built the main chain, the chain drops its
+        # pending record: the result pickles those blocks as the store's
+        make, _ = self.GAMES[shape]
+        res = run_epoch(make(), 1)
+        if read_main:
+            assert res.main.blocks[-1] == res.main.tip
+        res.store.get(0)
+        data = pickle.dumps(res)
+        assert len(data) <= len(pickle.dumps(res.store)) + 1024
+        back = pickle.loads(data)
+        assert back.to_json() == res.to_json()
+        assert back.store.to_jsonl() == res.store.to_jsonl()
+        assert back.main == res.main and back.main.tip == res.main.tip
+        stored = {b.id: b for b in back.store.blocks()}
+        assert all(stored[b.id] is b for b in back.main)
+
     @pytest.mark.parametrize("players", sorted(PLAYS))
     def test_the_main_chain_stays_pinned_to_its_epoch(self, players):
         game = make_game("heb", Fraction(1, 2), self.PLAYS[players], 65)
