@@ -653,13 +653,7 @@ def run_epoch(
     ss = as_seedseq(seed)
     sched_rng = _stream(ss, (0,))
 
-    views = {
-        m.id: MinerView(
-            m.id, store, {}, params, game.allocations[m.id], game.quota_limits[m.id],
-            start_len, start_tip.id, partial(miner_stream, ss, m.id),
-        )
-        for m in miners
-    }
+    views: dict[str, MinerView] = {}  # built for the generic loop only
     # bound once per run, so a strategy class patched before the run is seen
     generate = {m.id: m.strategy.generate_block for m in miners}
     publish = {m.id: m.strategy.publish for m in miners}
@@ -686,8 +680,9 @@ def run_epoch(
         # ``epoch_len``-th block.  So no strategy is called, and the stored
         # blocks are the publishing miners' chain, then the chain of the
         # withholder who ended the epoch, if one did: one extend call each,
-        # given columns.  A maker of factored blocks counts hers from her
-        # view's count at the tip.  Other withholders' blocks stay private.
+        # given columns.  A maker of factored blocks counts hers at the tip
+        # as her view would, by the store's counts there and at
+        # ``start_tip``.  Other withholders' blocks stay private.
         # On a fresh store the main chain is the one that ended the epoch,
         # so its stats are counts over the selections.
         hebs, held = play
@@ -710,9 +705,13 @@ def run_epoch(
             won = (next_id + np.flatnonzero(selected == winner)).tolist()
         at = np.flatnonzero(~held[selected])  # the publishing miners' steps
         selected = selected[at]
-        used = {
-            i: views[m].factored_used(parent_id) for i, m in enumerate(game.ids) if hebs[i]
-        }
+        makers = [i for i, heb in enumerate(hebs) if heb]
+        used = dict.fromkeys(makers, 0)  # none past a tip at or below the start
+        if makers and start_main.length > start_len:  # the tip's height
+            on_path = store.factored_by_on_path
+            at_start = [on_path(start_tip.id, game.ids[i]) for i in makers]
+            for i, before in zip(makers, at_start):
+                used[i] = on_path(parent_id, game.ids[i]) - before
         room = _quota_room(len(selected), used, [game.quota_limits[m] for m in game.ids])
         store.extend(
             parent_id, (next_id + at).tolist(), names[selected].tolist(),
@@ -729,6 +728,14 @@ def run_epoch(
                 zip(game.ids, counts.tolist(), np.minimum(counts, room).tolist()),
                 params.factor,
             )
+    else:
+        views = {
+            m.id: MinerView(
+                m.id, store, {}, params, game.allocations[m.id], game.quota_limits[m.id],
+                start_len, start_tip.id, partial(miner_stream, ss, m.id),
+            )
+            for m in miners
+        }
 
     # the generic loop, for every other game (the path above completes the
     # epoch, so after it the loop does not start).

@@ -35,19 +35,26 @@ when terminal, else one more than its highest successor).  The compile runs
 in numpy one frontier of states at a time, a frontier being the states whose
 chains hold a given number of blocks, and it checks the state budget before
 it expands each frontier.  States are numbered frontier by frontier as the
-compile finds them, the initial state first.  Each phi then costs one
-backward pass over those arrays in numpy, one level at a time.  A level's
-action values are summed one successor column at a time and its best actions
-found by scanning one action slot at a time, the float operations of a
-scalar loop, so values and tie-breaking are bit-identical to it.  That one
-pass serves both :func:`solve` (maximising over the legal actions, with a
-level plan built once per graph) and :func:`policy_value` (one fixed action
-per state).  :func:`solve` keeps its results by state index; the state-keyed
+compile finds them, the initial state first.  The allocations of one game
+differ only in the attacker's factored quota and in ``alpha``, so a cached
+graph holds all of them: each state's row also names its allocation, states
+of different allocations never merge, and allocation ``k``'s initial state
+is state ``k``, the root its game starts from.  Each phi then costs one
+backward pass over those arrays in numpy, one level at a time, for every
+allocation at once.  A level's action values are summed one successor
+column at a time and its best actions found by scanning one action slot at
+a time, the float operations of a scalar loop, so values and tie-breaking
+are bit-identical to it, whichever states share the pass.  That one pass
+serves both :func:`solve` (maximising over the legal actions, with a level
+plan built once per graph, and its result kept for the other allocations'
+calls at the same phi) and :func:`policy_value` (one fixed action per
+state).  :func:`solve` keeps its results by state index; the state-keyed
 ``policy`` and ``state_values`` dicts are built only when read, in the order
-of a depth-first search from the initial state.  A caller that evaluates
-several factors passes a ``graphs`` dict to reuse the compiled graphs;
-:func:`min_factor` keeps one for the length of its search and there is no
-process-wide cache.  A fixed policy (a function of the state, a solved
+of a depth-first search from the root.  A caller that evaluates several
+factors or allocations passes a ``graphs`` dict to reuse the compiled
+graphs; :func:`best_response` and :func:`min_factor` keep one for the length
+of a call and there is no process-wide cache.  Without one, a call compiles
+its own allocation alone.  A fixed policy (a function of the state, a solved
 result, or :data:`PRESCRIBED`) is first mapped, by one walk over the states
 reachable under it, to an action index per state; that map serves the exact
 evaluation, the seeded rollouts and the check that an optimal policy has the
@@ -58,9 +65,10 @@ drawn from the generator in batches.  The one-step kernel
 out the same model state by state.
 
 The state count grows about 2.3-fold per unit of epoch length.  One
-resource guard bounds it: compiling a graph past :data:`MAX_STATES` states
-raises :class:`StateBudgetError`, so every entry point (solve, policy
-evaluation, rollouts, the best-response search) stops before it costs more.
+resource guard bounds it: compiling a graph in which one allocation's game
+passes :data:`MAX_STATES` states raises :class:`StateBudgetError`, so every
+entry point (solve, policy evaluation, rollouts, the best-response search)
+stops before it costs more.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
@@ -86,11 +94,11 @@ Action = tuple[str, int, bool]
 # state: (att_reg, att_fac, coh_reg, coh_fac, secret_ext, public_ext, fork)
 State = tuple[int, int, int, int, tuple[bool, ...], tuple[bool, ...], bool]
 
-# The most states one compiled graph may hold; _compile raises
-# StateBudgetError once the states it has found pass it, before it expands
-# another frontier.  The largest graph at ell 12 (share 0.2, phi 20, rho 0)
-# has 1,082,448 states; it compiles in about 2.3 s and peaks at about 335 MB
-# RSS on a 2-vCPU Xeon.  Each step of ell multiplies the count by about
+# The most states one allocation's game may have; _compile raises
+# StateBudgetError once the states it has found for one allocation pass it,
+# before it expands another frontier.  The largest graph at ell 12 (share
+# 0.2, phi 20, rho 0) has 1,082,448 states; it compiles in about 2.3 s and
+# peaks at about 335 MB RSS on a 2-vCPU Xeon.  Each step of ell multiplies the count by about
 # 2.3, so ell 13 trips the budget after about 5 s.  Read at call time.
 MAX_STATES = 1_200_000
 
@@ -100,7 +108,8 @@ VALUE_TOL = 1e-9
 
 
 class StateBudgetError(Exception):
-    """The game's state graph has more than :data:`MAX_STATES` states."""
+    """A game's state graph, at one allocation, has more than
+    :data:`MAX_STATES` states."""
 
 
 @dataclass(frozen=True)
@@ -191,10 +200,12 @@ def _lighter(fac_a: int, fac_b: int, phi: float) -> Optional[bool]:
 @dataclass(eq=False)
 class SolveResult:
     """The optimal value of one game, with every state's value and chosen
-    action kept by index into its compiled graph.  ``policy`` (each
-    non-terminal state's optimal action) and ``state_values`` (every state's
-    value), both keyed by state in the order of :func:`_post_order`, are
-    built on first access.  A result is also a policy for
+    action kept by index into its compiled graph, which may hold the game's
+    other allocations too; ``states`` counts this allocation's states only.
+    ``policy`` (each non-terminal state's optimal action) and
+    ``state_values`` (every state's value), both keyed by state in the order
+    of :func:`_post_order` from the allocation's root, are built on first
+    access.  A result is also a policy for
     :func:`policy_value` and :func:`rollout_rewards`."""
 
     value: float
@@ -203,24 +214,25 @@ class SolveResult:
     _graph: _Graph = field(repr=False)
     _values: np.ndarray = field(repr=False)
     _choices: np.ndarray = field(repr=False)
+    _root: int = field(repr=False)
 
     @cached_property
     def policy(self) -> dict[State, Action]:
         g = self._graph
-        post = _post_order(g)
+        post = _post_order(g, self._root)
         inner = post[g.leaf_of[post] < 0]
         chosen = g.act[self._choices[inner]].tolist()
         return dict(zip(_decode_states(g, inner), map(_decode_action, chosen)))
 
     @cached_property
     def state_values(self) -> dict[State, float]:
-        post = _post_order(self._graph)
+        post = _post_order(self._graph, self._root)
         return dict(zip(_decode_states(self._graph, post), self._values[post].tolist()))
 
     @cached_property
     def _fixed(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_fixed_arrays` of this result on its own graph."""
-        return _walk(self._graph, self._choices)
+        return _walk(self._graph, self._choices, self._root)
 
 
 class _Prescribed:
@@ -422,8 +434,9 @@ def successors(
 
 
 # the columns of a state row: the established counts, both extensions'
-# lengths, the public extension's factored count and the fork flag
-_AR, _AF, _CR, _CF, _LS, _LP, _PF, _FORK = range(8)
+# lengths, the public extension's factored count, the fork flag and the
+# allocation (see _Graph)
+_AR, _AF, _CR, _CF, _LS, _LP, _PF, _FORK, _AL = range(9)
 # an action code is m * 8 + 2 * (index of the move in _MOVES) + factored
 _MOVES = (PUBLISH, ADOPT, WAIT)
 # bits set per byte value, and the masks of the lowest 0..64 bits
@@ -433,42 +446,56 @@ _LOW = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
 # scratch arrays of one expansion
 _CHUNK = 1 << 13
 
-# the initial state's index in a compiled graph: the compile numbers states
-# as it finds them, and it starts from the initial state
+# the initial state of a compiled graph's first allocation, and so the one
+# root of a graph compiled for a single game (see _Graph)
 _ROOT = 0
 
 
 @dataclass
 class _Graph:
-    """One game's state graph with everything but the factor resolved.
+    """The state graphs of one game's allocations, with everything but the
+    factor resolved, compiled together.
 
-    States are numbered frontier by frontier (see :func:`_compile`), the
-    initial state :data:`_ROOT` first.  ``level[i]`` is 0 for a terminal
-    state, else 1 + the largest level among its successors; the backward
-    pass visits states by level (see :func:`_plan`).  State ``i`` is the
-    integer row ``rows[i]`` (the columns ``_AR`` to ``_FORK``) with its
-    secret extension's types in ``sec[i]``: a set bit for a factored block,
-    its last block in bit 0, 64 blocks per word.
+    Allocation ``k`` is the game with internal allocation ``allocs[k]``
+    (None at rho 0, where there is one).  The allocations differ only in
+    the attacker's factored quota and her probability ``alpha`` of creating
+    the next block, so their graphs share the compile's work but never a
+    state: the allocation is a column of each state's row and part of its
+    key.  States are numbered frontier by frontier (see :func:`_compile`),
+    and the initial states come first: state ``k`` is allocation ``k``'s
+    root, from which everything that plays its game starts.  ``sizes[k]`` is
+    how many states it has.  ``level[i]`` is 0 for a terminal state, else 1
+    + the largest level among its successors; the backward pass visits
+    states by level (see :func:`_plan`).  State ``i`` is the integer row
+    ``rows[i]`` (the columns ``_AR`` to ``_AL``) with its secret extension's
+    types in ``sec[i]``: a set bit for a factored block, its last block in
+    bit 0, 64 blocks per word.
     The public extension needs no mask: the cohort adds factored blocks
     while its quota lasts and regular ones after, so it is ``_PF`` factored
     blocks followed by regular ones.
 
     State ``i`` is terminal when ``leaf_of[i] >= 0``, a row of ``leaves``
-    (the counts of :func:`_leaf`).  Otherwise its legal actions, in
-    :func:`legal_actions` order, are ``act[act_lo[i]:act_lo[i + 1]]`` (codes
-    that :func:`_decode_action` decodes), and action ``a`` leads to state
-    ``succ[e]`` with probability ``probs[prob_of[e]]`` for ``e`` in
-    ``range(succ_lo[a], succ_lo[a + 1])``, in :func:`successors` order: one
-    to three successors, with a handful of distinct probabilities per game.
-    ``plan`` is the maximising evaluation plan (see :func:`_plan`), built by
-    the first :func:`solve` and kept; ``prescribed`` is
-    :func:`_fixed_arrays` of :data:`PRESCRIBED`, built when first needed;
-    ``post`` is the order of the state-keyed dicts (see
-    :func:`_post_order`), built when one is first read.
+    (the counts of :func:`_leaf`, which allocations share).  Otherwise its
+    legal actions, in :func:`legal_actions` order, are
+    ``act[act_lo[i]:act_lo[i + 1]]`` (codes that :func:`_decode_action`
+    decodes), and action ``a`` leads to state ``succ[e]`` with probability
+    ``probs[prob_of[e]]`` for ``e`` in ``range(succ_lo[a], succ_lo[a + 1])``,
+    in :func:`successors` order: one to three successors, with a handful of
+    distinct probabilities per allocation.
+
+    Built when first needed and kept: ``plan``, the maximising evaluation
+    plan of every allocation (see :func:`_plan`); ``solved``, the factor
+    of the last :func:`solve` with every state's value and chosen action
+    at it, which the other allocations' solves at that factor read;
+    ``prescribed``, per root, :func:`_fixed_arrays` of :data:`PRESCRIBED`
+    and its evaluation plan; ``post``, per root, the order of the
+    state-keyed dicts (see :func:`_post_order`).
     """
 
     ell: int
-    rows: np.ndarray  # int16 (int32 for ell >= 2**14), one row of 8 per state
+    allocs: tuple  # the allocation of each root
+    sizes: np.ndarray  # the states of each allocation
+    rows: np.ndarray  # int16 (int32 for ell >= 2**14), one row of 9 per state
     sec: np.ndarray  # uint64, one row of ceil(ell / 64) words per state
     leaves: np.ndarray  # int32, one row of 9 counts per leaf
     leaf_of: np.ndarray  # intc; the arrays below are intc unless noted
@@ -481,8 +508,15 @@ class _Graph:
     prob_of: np.ndarray  # unsigned int, an index into probs
     probs: np.ndarray
     plan: Optional[list] = None
-    prescribed: Optional[tuple[np.ndarray, np.ndarray]] = None
-    post: Optional[np.ndarray] = None
+    solved: Optional[tuple[float, np.ndarray, np.ndarray]] = None
+    prescribed: dict = field(default_factory=dict)
+    post: dict = field(default_factory=dict)
+
+
+def _root(g: _Graph, inst: MdpInstance) -> int:
+    """The state of ``g`` where ``inst``'s game starts: its allocation's
+    index, an allocation being known by the attacker's quota."""
+    return g.allocs.index(inst.attacker_quota)
 
 
 def _decode_action(code: int) -> Action:
@@ -512,7 +546,7 @@ def _decode_states(g: _Graph, ids) -> list[State]:
     return [
         (ar, af, cr, cf, ext(ls, words), (True,) * pf + (False,) * (lp - pf), bool(fork))
         for (ar, af, cr, cf, ls, lp, pf, fork), words in zip(
-            g.rows[ids].tolist(), map(tuple, g.sec[ids].tolist())
+            g.rows[ids, :_AL].tolist(), map(tuple, g.sec[ids].tolist())
         )
     ]
 
@@ -551,6 +585,12 @@ def _append(words: np.ndarray, factored: np.ndarray) -> np.ndarray:
     return out
 
 
+def _where(mask: np.ndarray) -> Union[slice, np.ndarray]:
+    """The places where ``mask`` holds, as an index: all of them as a
+    slice, which reads a view and writes in place without a gather."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
 def _within(used: np.ndarray, quota: Optional[int]) -> np.ndarray:
     """:func:`within_quota` per row."""
     return np.ones(len(used), bool) if quota is None else used < quota
@@ -558,10 +598,9 @@ def _within(used: np.ndarray, quota: Optional[int]) -> np.ndarray:
 
 def _key_layout(row_bits: list[int], sec_bits: list[int]) -> list:
     """Where :func:`_keys` puts each field: per uint64 word, the row columns
-    it holds with their weights ``2**offset`` (as int64, which wraps to the
-    same bits), and the type words with their offsets.  ``row_bits`` and
-    ``sec_bits`` give each field's width; a field never straddles two
-    words."""
+    it holds and the type words it holds, each with its offset (a
+    ``np.uint64`` shift).  ``row_bits`` and ``sec_bits`` give each field's
+    width; a field never straddles two words."""
     words: list[list[tuple[int, int]]] = []
     used = 64
     for field, size in enumerate(row_bits + sec_bits):
@@ -573,8 +612,7 @@ def _key_layout(row_bits: list[int], sec_bits: list[int]) -> list:
     rows = len(row_bits)
     return [
         (
-            [f for f, _ in word if f < rows],
-            np.array([1 << at for f, at in word if f < rows], np.uint64).view(np.int64),
+            [(f, np.uint64(at)) for f, at in word if f < rows],
             [(f - rows, np.uint64(at)) for f, at in word if f >= rows],
         )
         for word in words
@@ -582,14 +620,18 @@ def _key_layout(row_bits: list[int], sec_bits: list[int]) -> list:
 
 
 def _keys(rows: np.ndarray, sec: Optional[np.ndarray], layout: list) -> np.ndarray:
-    """Sort keys that tell apart rows of small integers, each with its
-    uint64 type words (see :func:`_key_layout`): one uint64 word, or a
-    record of the words, the most significant (last) first.  A state's
-    counts take ``ell.bit_length()`` bits, its fork flag one and its secret
-    extension ``ell``, so ``ell <= 28`` needs one word."""
+    """Sort keys that tell apart rows of small non-negative integers, each
+    with its uint64 type words (see :func:`_key_layout`): one uint64 word,
+    or a record of the words, the most significant (last) first.  A word
+    ORs in one field at a time, so no temporary is wider than a column.  A
+    state's counts take ``ell.bit_length()`` bits, its fork flag one, its
+    allocation that of the largest allocation index and its secret
+    extension ``ell``, so ``ell <= 28`` needs one word for one allocation."""
     words = []
-    for cols, weights, secs in layout:
-        key = (rows[:, cols] @ weights).view(np.uint64)
+    for cols, secs in layout:
+        key = np.zeros(len(rows), np.uint64)
+        for c, at in cols:
+            key |= rows[:, c].astype(np.uint64) << at
         for k, at in secs:
             key |= sec[:, k] << at
         words.append(key)
@@ -611,16 +653,43 @@ def _dedup(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
-def _expand(inst: MdpInstance, rows: np.ndarray, sec: np.ndarray):
+@dataclass(frozen=True)
+class _Family:
+    """The allocations that :func:`_compile` explores together: ``inst``'s
+    game with each allocation of ``allocs`` (see :class:`_Graph`).  Per
+    allocation ``k``: the attacker's probability ``alpha[k]`` of creating
+    the next block, her factored quota ``quota[k]`` (``ell + 1``, which no
+    count reaches, when she has none), and probability codes ``3 * k`` to
+    ``3 * k + 2``."""
+
+    inst: MdpInstance
+    allocs: tuple
+    alpha: np.ndarray
+    quota: np.ndarray
+
+    @classmethod
+    def of(cls, inst: MdpInstance, allocs: Sequence) -> _Family:
+        games = [replace(inst, alloc=a) for a in allocs]
+        quota = [inst.ell + 1 if g.attacker_quota is None else g.attacker_quota for g in games]
+        return cls(inst, tuple(allocs), np.array([g.alpha for g in games]), np.array(quota))
+
+    @property
+    def code_type(self) -> np.dtype:
+        return np.min_scalar_type(3 * len(self.allocs) - 1)
+
+
+def _expand(fam: _Family, rows: np.ndarray, sec: np.ndarray):
     """The legal actions and successors of the non-terminal states
-    ``rows``/``sec``, in :func:`legal_actions` and :func:`successors` order.
+    ``rows``/``sec`` of the allocations ``fam``, in :func:`legal_actions`
+    and :func:`successors` order.
 
     Returns each state's action count, the action codes, each action's
     successor count, and the successors: candidate state rows and type words
     (the attacker's blocks, then the cohort's), each edge's index into them
-    and its probability code (0 for ``alpha``, 1 for ``1 - alpha``, 2 for
-    half of that on a cohort split)."""
-    alpha = inst.alpha
+    and its probability code (``3 * k`` for allocation ``k``'s ``alpha``,
+    ``3 * k + 1`` for ``1 - alpha``, ``3 * k + 2`` for half of that on a
+    cohort split)."""
+    inst = fam.inst
     typed = not inst.collapse_types
     ls, lp, fork = rows[:, _LS], rows[:, _LP], rows[:, _FORK]
     spop = _popcount(sec)
@@ -640,7 +709,7 @@ def _expand(inst: MdpInstance, rows: np.ndarray, sec: np.ndarray):
     adopt = np.flatnonzero(move == 1)
     mid[adopt, _CR] += mid[adopt, _LP] - mid[adopt, _PF]
     mid[adopt, _CF] += mid[adopt, _PF]
-    mid[adopt, _LS:] = 0
+    mid[adopt, _LS:_AL] = 0
     msec[adopt] = 0
     mpop[adopt] = 0
     publish = move == 0
@@ -653,62 +722,67 @@ def _expand(inst: MdpInstance, rows: np.ndarray, sec: np.ndarray):
     mid[take, _AR] += m[take] - moved
     mid[take, _AF] += moved
     mid[take, _LS] = keep
-    mid[take, _LP:] = 0
+    mid[take, _LP:_AL] = 0
 
     # the attacker's block types: factored first while her quota lasts
-    nkind = 1 + (typed & _within(mid[:, _AF] + mpop, inst.attacker_quota))
+    alloc = mid[:, _AL]
+    nkind = 1 + (typed & (mid[:, _AF] + mpop < fam.quota[alloc]))
     by = np.repeat(np.arange(len(mid)), nkind)
     kind = np.zeros(len(by), bool)
     kind[np.cumsum(nkind) - nkind] = nkind == 2
     codes = (m * 8 + move * 2)[by].astype(np.int32) + kind
     nact = np.add.reduceat(nkind, move_lo)
 
+    alpha = fam.alpha[alloc]
     cand_rows, cand_sec = [], []
-    ref = np.zeros((len(by), 3), np.intp)
-    prob = np.zeros((len(by), 3), np.uint8)
-    has = np.zeros((len(by), 3), bool)
-    if alpha > 0.0:  # the attacker's block, at the end of her secret extension
-        att = mid[by]
-        att[:, _LS] += 1
-        cand_rows.append(att)
-        cand_sec.append(_append(msec[by], kind))
-        ref[:, 0] = np.arange(len(by))
-        has[:, 0] = True
-    if alpha < 1.0:  # the cohort's block, on the lighter public tip
-        base = len(by) if alpha > 0.0 else 0
-        own = mid.copy()  # on the cohort's own extension
-        own[:, _PF] += typed & _within(own[:, _CF] + own[:, _PF], inst.cohort_quota)
-        own[:, _LP] += 1
-        own[:, _FORK] = 0
-        # on a fork the cohort extends the lighter of two equal-length tips:
-        # the attacker's published prefix, or its own extension
-        forks = np.flatnonzero(mid[:, _FORK])
-        length = mid[forks, _LP]
-        rest = _last(msec[forks], mid[forks, _LS] - length)
-        moved = mpop[forks] - _popcount(rest)
-        tie = (inst.phi == 1.0) | (moved == mid[forks, _PF])
-        lighter = tie | (moved < mid[forks, _PF])
-        fk, length, moved, rest = forks[lighter], length[lighter], moved[lighter], rest[lighter]
-        first, first_sec = own.copy(), msec.copy()
-        first[fk] = mid[fk]
-        first[fk, _AR] += length - moved
-        first[fk, _AF] += moved
-        first[fk, _LS] -= length
-        first[fk, _LP] = 1
-        first[fk, _PF] = typed & _within(mid[fk, _CF], inst.cohort_quota)
-        first[fk, _FORK] = 0
-        first_sec[fk] = rest
-        split = forks[tie]
-        cand_rows += [first, own[split]]
-        cand_sec += [first_sec, msec[split]]
-        ref[:, 1] = base + by
-        has[:, 1] = True
-        prob[:, 1] = 1
-        second = np.full(len(mid), -1, np.intp)
-        second[split] = base + len(mid) + np.arange(len(split))
-        ref[:, 2] = second[by]
-        has[:, 2] = ref[:, 2] >= 0
-        prob[has[:, 2], 1:] = 2
+    ref = np.full((len(by), 3), -1, np.intp)
+    prob = np.empty((len(by), 3), fam.code_type)
+    prob[:, 0] = (3 * alloc)[by]
+    prob[:, 1] = prob[:, 0] + 1
+    prob[:, 2] = prob[:, 0] + 2
+    # the attacker's block, at the end of her secret extension
+    att = _where(alpha[by] > 0.0)  # the actions it can follow
+    grown = mid[by[att]]
+    grown[:, _LS] += 1
+    cand_rows.append(grown)
+    cand_sec.append(_append(msec[by[att]], kind[att]))
+    ref[att, 0] = np.arange(len(grown))
+    # the cohort's block, on the lighter public tip
+    coh = _where(alpha < 1.0)  # the states it can follow
+    cmid, csec, cpop = mid[coh], msec[coh], mpop[coh]
+    own = cmid.copy()  # on the cohort's own extension
+    own[:, _PF] += typed & _within(own[:, _CF] + own[:, _PF], inst.cohort_quota)
+    own[:, _LP] += 1
+    own[:, _FORK] = 0
+    # on a fork the cohort extends the lighter of two equal-length tips:
+    # the attacker's published prefix, or its own extension
+    forks = np.flatnonzero(cmid[:, _FORK])
+    length = cmid[forks, _LP]
+    rest = _last(csec[forks], cmid[forks, _LS] - length)
+    moved = cpop[forks] - _popcount(rest)
+    tie = (inst.phi == 1.0) | (moved == cmid[forks, _PF])
+    lighter = tie | (moved < cmid[forks, _PF])
+    fk, length, moved, rest = forks[lighter], length[lighter], moved[lighter], rest[lighter]
+    first, first_sec = own.copy(), csec.copy()
+    first[fk] = cmid[fk]
+    first[fk, _AR] += length - moved
+    first[fk, _AF] += moved
+    first[fk, _LS] -= length
+    first[fk, _LP] = 1
+    first[fk, _PF] = typed & _within(cmid[fk, _CF], inst.cohort_quota)
+    first[fk, _FORK] = 0
+    first_sec[fk] = rest
+    split = forks[tie]
+    cand_rows += [first, own[split]]
+    cand_sec += [first_sec, csec[split]]
+    second = np.full(len(own), -1, np.intp)
+    second[split] = len(grown) + len(own) + np.arange(len(split))
+    for k, place in ((1, len(grown) + np.arange(len(own))), (2, second)):
+        col = np.full(len(mid), -1, np.intp)  # per state after its move
+        col[coh] = place
+        ref[:, k] = col[by]
+    prob[:, 1] += ref[:, 2] >= 0
+    has = ref >= 0
     return (
         nact,
         codes,
@@ -765,9 +839,10 @@ def _levels(ell: int, rows: np.ndarray, act_lo: np.ndarray, succ_lo: np.ndarray,
     return level
 
 
-def _compile(inst: MdpInstance) -> _Graph:
-    """Explore the state graph from the initial state one frontier at a
-    time, in numpy.
+def _compile(inst: MdpInstance, allocs: Optional[Sequence] = None) -> _Graph:
+    """Explore the state graphs of ``inst``'s game at each allocation of
+    ``allocs`` (by default ``inst``'s own) from their initial states,
+    together, one frontier at a time, in numpy (see :class:`_Graph`).
 
     Frontier ``d`` holds the states whose established prefix and extensions
     hold ``d`` blocks between them.  A step creates one block; a step that
@@ -786,13 +861,26 @@ def _compile(inst: MdpInstance) -> _Graph:
     frontier is numbered; an edge into a numbered frontier finds its state
     at once, by binary search in that frontier's sorted keys, and one
     without a state is a RuntimeError.  States keep the numbers the
-    frontiers gave them, and each one's level comes from :func:`_levels`."""
+    frontiers gave them, and each one's level comes from :func:`_levels`.
+    The allocation column is the key's field above the fork flag, so the
+    initial states, zero but for it, are numbered first, in allocation
+    order.  The budget holds per allocation: each allocation's states are
+    counted per frontier, and the first one past :data:`MAX_STATES` raises."""
     ell = inst.ell
+    fam = _Family.of(inst, (inst.attacker_quota,) if allocs is None else allocs)
+    nalloc = len(fam.allocs)
     dtype = np.int16 if ell < 1 << 14 else np.int32
     width = ell.bit_length()
     words = -(-ell // 64)  # the secret extension's type words per state
-    layout = _key_layout([width] * _FORK + [1], [min(64, ell - 64 * k) for k in range(words)])
-    front = [(np.zeros((1, 8), dtype), np.zeros((1, words), np.uint64))]
+    layout = _key_layout(
+        [width] * _FORK + [1, (nalloc - 1).bit_length()],
+        [min(64, ell - 64 * k) for k in range(words)],
+    )
+    roots = np.zeros((nalloc, _AL + 1), dtype)
+    roots[:, _AL] = np.arange(nalloc)
+    front = [(roots, np.zeros((nalloc, words), np.uint64))]
+    sizes = np.zeros(nalloc, np.intp)  # each allocation's states so far
+    coded = np.zeros(3 * nalloc, bool)  # the probability codes in use
     n = 0
     tables, starts = [], []  # each frontier's sorted keys and first state
     rows_out, sec_out, nact_out, codes_out, nsucc_out, prob_out = [], [], [], [], [], []
@@ -815,9 +903,13 @@ def _compile(inst: MdpInstance) -> _Graph:
         tables.append(keys[first])
         starts.append(n)
         n += len(rows)
-        if n > MAX_STATES:
+        sizes += np.bincount(rows[:, _AL], minlength=nalloc)
+        over = np.flatnonzero(sizes > MAX_STATES)
+        if len(over):
+            alloc = fam.allocs[over[0]]
+            game = f"ell={ell}" if alloc is None else f"ell={ell}, alloc={alloc}"
             raise StateBudgetError(
-                f"the game at ell={ell} has more than {MAX_STATES:,} states (mdp.MAX_STATES)"
+                f"the game at {game} has more than {MAX_STATES:,} states (mdp.MAX_STATES)"
             )
         rows_out.append(rows)
         sec_out.append(sec)
@@ -828,10 +920,11 @@ def _compile(inst: MdpInstance) -> _Graph:
         front, refs, n_front = [], [], 0
         for lo in range(0, len(inner), _CHUNK):
             part = inner[lo : lo + _CHUNK]
-            nact[part], codes, nsucc, cr, cs, ref, prob = _expand(inst, rows[part], sec[part])
+            nact[part], codes, nsucc, cr, cs, ref, prob = _expand(fam, rows[part], sec[part])
             codes_out.append(codes)
             nsucc_out.append(nsucc)
             prob_out.append(prob)
+            coded[prob] = True
             at = _rowsum(cr[:, :_PF])  # each successor's frontier
             ahead = at > depth
             place = np.empty(len(cr), np.int64)  # each successor's, as in ``refs``
@@ -871,13 +964,15 @@ def _compile(inst: MdpInstance) -> _Graph:
     succ_lo = np.zeros(len(codes) + 1, np.intc)
     np.cumsum(nsucc, dtype=np.intc, out=succ_lo[1:])
     level = _levels(ell, rows, act_lo, succ_lo, succ)
-    table = np.array([inst.alpha, 1.0 - inst.alpha, (1.0 - inst.alpha) * 0.5])
-    used = np.flatnonzero([(prob == c).any() for c in range(3)])  # no int64 copy of prob
+    table = np.array([(a, 1.0 - a, (1.0 - a) * 0.5) for a in fam.alpha.tolist()]).ravel()
+    used = np.flatnonzero(coded)
     probs = np.unique(table[used])
-    code_of = np.zeros(3, np.min_scalar_type(len(probs) + 1))  # two more codes in _plan
+    code_of = np.zeros(len(table), np.min_scalar_type(len(probs) + 1))  # two more codes in _plan
     code_of[used] = np.searchsorted(probs, table[used])
     return _Graph(
         ell=ell,
+        allocs=fam.allocs,
+        sizes=sizes,
         rows=rows,
         sec=sec,
         leaves=leaves,
@@ -893,17 +988,21 @@ def _compile(inst: MdpInstance) -> _Graph:
     )
 
 
-def _post_order(g: _Graph) -> np.ndarray:
-    """The states in the order a depth-first search from the initial state
-    finishes them, each state's successors taken in action and
-    :func:`successors` order: the order of ``SolveResult.state_values``.
-    Built once per graph."""
-    if g.post is None:
-        first = g.succ_lo[g.act_lo].tolist()
-        succ = g.succ.tolist()
-        seen = bytearray(len(first) - 1)
-        seen[_ROOT] = 1
-        stack, at, post = [_ROOT], [first[_ROOT]], []
+def _post_order(g: _Graph, root: int = _ROOT) -> np.ndarray:
+    """The states of ``root``'s allocation in the order a depth-first search
+    from ``root`` finishes them, each state's successors taken in action
+    and :func:`successors` order: the order of ``SolveResult.state_values``.
+    Built once per root, on the allocation's own states (``own``, in index
+    order, ``root`` first) renumbered from 0."""
+    if root not in g.post:
+        own = np.flatnonzero(g.rows[:, _AL] == g.rows[root, _AL])
+        lo = g.succ_lo[g.act_lo[own]]
+        count = g.succ_lo[g.act_lo[own + 1]] - lo
+        first = [0, *np.cumsum(count).tolist()]
+        succ = np.searchsorted(own, g.succ[_ranges(lo, count)]).tolist()
+        seen = bytearray(len(own))
+        seen[0] = 1
+        stack, at, post = [0], [0], []
         while stack:
             i, e = stack[-1], at[-1]
             end = first[i + 1]
@@ -918,8 +1017,8 @@ def _post_order(g: _Graph) -> np.ndarray:
             else:
                 post.append(stack.pop())
                 at.pop()
-        g.post = np.array(post, np.intc)
-    return g.post
+        g.post[root] = own[post].astype(np.intc)
+    return g.post[root]
 
 
 def _plan(g: _Graph, rows: np.ndarray, first: np.ndarray, count: np.ndarray) -> list:
@@ -990,38 +1089,57 @@ def _evaluate(g: _Graph, phi: float, plan: list) -> tuple[np.ndarray, np.ndarray
     return val[:n], choice
 
 
+def _allocations(ell: int, share: float, rho: float) -> list[Optional[int]]:
+    """Every integral internal allocation of a game, as a count of
+    factored-block commitments; ``[None]`` at rho 0, where there is none."""
+    if rho == 0.0:
+        return [None]
+    return list(range(math.floor(ell * share / rho + 1e-9) + 1))
+
+
 def _graph(inst: MdpInstance, graphs: Optional[dict]) -> _Graph:
-    """The compiled graph of ``inst``, from ``graphs`` when it holds one."""
+    """The compiled graph of ``inst``'s game.  With a ``graphs`` dict it is
+    the graph of every allocation of the game, compiled once and kept under
+    the key (ell, share, rho, phi == 1); without one, of ``inst``'s
+    allocation alone."""
     if graphs is None:
         return _compile(inst)
-    key = (inst.ell, inst.share, inst.rho, inst.alloc, inst.phi == 1.0)
+    key = (inst.ell, inst.share, inst.rho, inst.phi == 1.0)
     g = graphs.get(key)
     if g is None:
-        g = graphs[key] = _compile(inst)
+        g = graphs[key] = _compile(inst, _allocations(inst.ell, inst.share, inst.rho))
     return g
 
 
 def solve(inst: MdpInstance, graphs: Optional[dict] = None) -> SolveResult:
     """Exact optimal value and policy; the policy covers every non-terminal
     state reachable from the initial state.  ``graphs`` caches compiled
-    graphs across calls that differ only in the factor; results are the same
-    with or without it."""
+    graphs across calls that differ only in the factor or the allocation;
+    results are the same with or without it.  A cached graph is solved for
+    all its allocations at once, and the other allocations' calls at the
+    same factor read that pass.  So with ``graphs`` the state budget
+    applies to each allocation of the game, not only to ``inst``'s."""
     g = _graph(inst, graphs)
-    if g.plan is None:
-        inner, act_lo = g.inner, g.act_lo
-        g.plan = _plan(g, inner, act_lo[inner], act_lo[inner + 1] - act_lo[inner])
-    values, choices = _evaluate(g, inst.phi, g.plan)
-    return SolveResult(float(values[_ROOT]), len(values), inst, g, values, choices)
+    if g.solved is None or g.solved[0] != inst.phi:
+        if g.plan is None:
+            inner, act_lo = g.inner, g.act_lo
+            g.plan = _plan(g, inner, act_lo[inner], act_lo[inner + 1] - act_lo[inner])
+        g.solved = (inst.phi, *_evaluate(g, inst.phi, g.plan))
+    _phi, values, choices = g.solved
+    root = _root(g, inst)
+    return SolveResult(
+        float(values[root]), int(g.sizes[root]), inst, g, values, choices, root
+    )
 
 
-def _walk(g: _Graph, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The non-terminal states reachable when each state ``i`` plays action
-    ``pick[i]``, in index order, and their actions: a breadth-first search
-    in numpy."""
+def _walk(g: _Graph, pick: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """The non-terminal states reachable from ``root`` when each state
+    ``i`` plays action ``pick[i]``, in index order, and their actions: a
+    breadth-first search in numpy."""
     act_lo, succ_lo = g.act_lo, g.succ_lo
     seen = np.zeros(len(g.leaf_of), bool)
     found = []
-    front = np.array([_ROOT])
+    front = np.array([root])
     while len(front):
         seen[front] = True
         front = front[act_lo[front] < act_lo[front + 1]]
@@ -1033,21 +1151,32 @@ def _walk(g: _Graph, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, pick[rows].astype(np.intc)
 
 
-def _fixed_arrays(g: _Graph, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
-    """A fixed deterministic policy as two arrays: the non-terminal states
-    reachable under it and the index of each one's action.  A function that
-    returns an action not legal in its state is a ValueError; a
-    :class:`SolveResult` solved on ``g`` itself and :data:`PRESCRIBED` are
-    read by index, walked once and kept (callers do not modify the arrays)."""
+def _prescribed(g: _Graph, root: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """:data:`PRESCRIBED` from ``root``: the states reachable under it, each
+    one's first action, and their evaluation plan (see :func:`_plan`);
+    built once per root."""
+    if root not in g.prescribed:
+        rows, acts = _walk(g, g.act_lo[:-1], root)
+        g.prescribed[root] = rows, acts, _plan(g, rows, acts, np.ones_like(acts))
+    return g.prescribed[root]
+
+
+def _fixed_arrays(
+    g: _Graph, policy: Policy, root: int = _ROOT
+) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed deterministic policy from ``root`` as two arrays: the
+    non-terminal states reachable under it and the index of each one's
+    action.  A function that returns an action not legal in its state is a
+    ValueError; a :class:`SolveResult` solved on ``g`` itself from ``root``
+    and :data:`PRESCRIBED` are read by index, walked once and kept (callers
+    do not modify the arrays)."""
     if policy is PRESCRIBED:
-        if g.prescribed is None:
-            g.prescribed = _walk(g, g.act_lo[:-1])
-        return g.prescribed
-    if isinstance(policy, SolveResult) and policy._graph is g:
+        return _prescribed(g, root)[:2]
+    if isinstance(policy, SolveResult) and policy._graph is g and policy._root == root:
         return policy._fixed
     policy_fn = policy.policy.__getitem__ if isinstance(policy, SolveResult) else policy
     fixed: dict[int, int] = {}
-    stack = [_ROOT]
+    stack = [root]
     while stack:
         i = stack.pop()
         lo, hi = g.act_lo[i : i + 2].tolist()
@@ -1075,9 +1204,14 @@ def policy_value(
     a :class:`SolveResult` of the same game plays its optimal policy, and
     :data:`PRESCRIBED` the prescribed one."""
     g = _graph(inst, graphs)
-    rows, acts = _fixed_arrays(g, policy)
-    values, _choices = _evaluate(g, inst.phi, _plan(g, rows, acts, np.ones_like(acts)))
-    return float(values[_ROOT])
+    root = _root(g, inst)
+    if policy is PRESCRIBED:
+        plan = _prescribed(g, root)[2]
+    else:
+        rows, acts = _fixed_arrays(g, policy, root)
+        plan = _plan(g, rows, acts, np.ones_like(acts))
+    values, _choices = _evaluate(g, inst.phi, plan)
+    return float(values[root])
 
 
 def prescribed_action(inst: MdpInstance, state: State) -> Action:
@@ -1105,7 +1239,8 @@ def rollout_rewards(
     whose cumulative probability exceeds it, else the last.  The uniforms
     are drawn ``_DRAWS`` at a time, the same stream as one draw per step."""
     g = _graph(inst, graphs)
-    rows, acts = _fixed_arrays(g, policy)
+    root = _root(g, inst)
+    rows, acts = _fixed_arrays(g, policy, root)
     succ_lo, succ = g.succ_lo, g.succ
     # Each state's step as (c0, s0, c1, s1, s2): successor s0 below the
     # cumulative probability c0, else s1 below c1, else s2.  With fewer
@@ -1123,7 +1258,7 @@ def rollout_rewards(
     get = step.get
     ends = []
     for _ in range(games):
-        i = _ROOT
+        i = root
         while (t := get(i)) is not None:
             c0, s0, c1, s1, s2 = t
             r = draw()
@@ -1187,21 +1322,15 @@ def best_response(
     in ``value`` even when the classification stays "prescribed".
 
     ``graphs`` caches compiled state graphs (see :func:`solve`); without it
-    the prescribed evaluation still reuses its allocation's graph.
+    the call keeps a cache of its own, so every allocation is compiled and
+    solved on one graph either way.
     """
     if games == 1 or games < 0:
         raise ValueError(f"games must be 0 or at least 2, got {games}")
     if graphs is None:
         graphs = {}
-    balance = ell * share
-    if rho > 0.0:
-        j_presc: Optional[int] = math.floor(balance + 1e-9)
-        j_values: Sequence[Optional[int]] = list(
-            range(0, math.floor(balance / rho + 1e-9) + 1)
-        )
-    else:
-        j_presc = None
-        j_values = [None]
+    j_presc = math.floor(ell * share + 1e-9) if rho > 0.0 else None
+    j_values = _allocations(ell, share, rho)
 
     child_presc, child_best = as_seedseq(seed).spawn(2)
 
@@ -1230,8 +1359,9 @@ def best_response(
     shape_match = False
     if best_solve is not None and best_j == j_presc:
         g = _graph(presc_inst, graphs)
-        best_rows, best_acts = _fixed_arrays(g, best_solve)
-        presc_rows, presc_acts = _fixed_arrays(g, PRESCRIBED)
+        root = _root(g, presc_inst)
+        best_rows, best_acts = _fixed_arrays(g, best_solve, root)
+        presc_rows, presc_acts = _fixed_arrays(g, PRESCRIBED, root)
         shape_match = np.array_equal(best_rows, presc_rows) and np.array_equal(
             best_acts, presc_acts
         )

@@ -233,17 +233,17 @@ def evaluate(g, phi, fixed=None):
     return val, [choice[i] for i in sorted(choice)]
 
 
-def rollout(g, fixed, phi, games, rng):
-    """Play ``games`` epochs under ``fixed`` (state index -> action index),
-    one ``rng.random()`` per step: the first successor whose cumulative
-    probability exceeds the draw, else the last.  Returns the rewards and
-    the number of draws."""
+def rollout(g, fixed, phi, games, rng, root=mdp._ROOT):
+    """Play ``games`` epochs from state ``root`` under ``fixed`` (state
+    index -> action index), one ``rng.random()`` per step: the first
+    successor whose cumulative probability exceeds the draw, else the last.
+    Returns the rewards and the number of draws."""
     leaf_of, succ_lo, succ = g.leaf_of, g.succ_lo, g.succ
     prob = g.probs[g.prob_of].tolist()
     rewards = np.empty(games, dtype=float)
     draws = 0
     for n in range(games):
-        i = mdp._ROOT
+        i = root
         while leaf_of[i] < 0:
             r = rng.random()
             draws += 1
@@ -425,3 +425,20 @@ def compile_graph(inst):
     # two more codes stand for 0.0 and 1.0 in _plan
     g.prob_of = codes.astype(np.min_scalar_type(len(g.probs) + 1))
     return g
+
+
+def keys_by_product(rows, sec, layout):
+    """``mdp._keys`` as it was first written: each word's row columns
+    gathered into one matrix and multiplied by their weights ``2**offset``
+    as int64 (which wraps to the same bits), then the type words ORed in."""
+    words = []
+    for cols, secs in layout:
+        weights = np.array([1 << int(at) for _c, at in cols], np.uint64).view(np.int64)
+        key = (rows[:, [c for c, _at in cols]] @ weights).view(np.uint64)
+        for k, at in secs:
+            key |= sec[:, k] << at
+        words.append(key)
+    if len(words) == 1:
+        return words[0]
+    fields = [(f"w{w}", np.uint64) for w in reversed(range(len(words)))]
+    return np.stack(words[::-1], axis=1).view(fields)[:, 0]

@@ -100,6 +100,39 @@ class TestRunEpoch:
         assert res.balances["solo"] == Fraction(20)
         assert res.prefix_ok
 
+    def test_strategy_free_runs_build_no_views(self, monkeypatch):
+        built = []
+
+        class CountedView(MinerView):
+            __slots__ = ()
+
+            def __init__(self, miner_id, *args):
+                built.append(miner_id)
+                super().__init__(miner_id, *args)
+
+        monkeypatch.setattr(engine, "MinerView", CountedView)
+        params = EpochParams(
+            epoch_len=40, factor=Fraction(20), rho=Fraction(1, 2), user_balance=Fraction(10**5)
+        )
+        proto = get_protocol("heb")
+        balances = normalized_balances([Fraction(1, 4)] * 4, params)
+
+        def game(*plays):
+            return Game(params, [
+                MinerConfig(f"m{i}", b, make_strategy(play, proto))
+                for i, (b, play) in enumerate(zip(balances, plays))
+            ], proto)
+
+        prescribed = game(*["prescribed"] * 4)
+        res = run_epoch(prescribed, seed=1)
+        run_epoch(prescribed, seed=2, store=res.store)  # the next epoch, on one tip
+        run_epoch(game("pow_only", *["prescribed"] * 3), seed=1)
+        assert built == []
+        # a petty_compliant miner is called every step: the generic loop
+        # views every miner
+        run_epoch(game("petty_compliant", *["prescribed"] * 3), seed=1)
+        assert built == ["m0", "m1", "m2", "m3"]
+
     def test_deterministic_given_seed(self):
         params = EpochParams(epoch_len=50)
         proto, miners = nakamoto_miners([0.5, 0.5], params)

@@ -473,7 +473,30 @@ class TestGraphCache:
                     assert policy_value(inst, presc, graphs=graphs) == policy_value(
                         inst, presc
                     )
-        assert len(graphs) == 2 * 4  # (phi == 1) x allocation
+        assert len(graphs) == 2 * 2  # (phi == 1) x rho: one graph per family of allocations
+
+    def test_each_pass_and_prescribed_plan_is_built_once(self, monkeypatch):
+        # one backward pass per factor serves every allocation's solve, and
+        # the prescribed policy's plan is built once per allocation
+        passes, plans = [], []
+        evaluate, plan = mdp._evaluate, mdp._plan
+        monkeypatch.setattr(
+            mdp, "_evaluate", lambda g, phi, p: passes.append(phi) or evaluate(g, phi, p)
+        )
+        monkeypatch.setattr(
+            mdp, "_plan", lambda g, rows, *a: plans.append(len(rows)) or plan(g, rows, *a)
+        )
+        graphs: dict = {}
+        for phi in (5.0, 20.0):
+            br = best_response(0.2, 6, phi, 0.5, games=0, graphs=graphs)
+            assert [j for j, _ in br.candidates] == [0, 1, 2]
+            assert passes.count(phi) == 2  # the solves, and the prescribed value
+        assert len(plans) == 2  # the maximising plan and the prescribed one
+        for j in (0, 1, 2):
+            inst = MdpInstance(ell=6, share=0.2, phi=20.0, rho=0.5, alloc=j)
+            want = policy_value(inst, mdp.PRESCRIBED)
+            assert policy_value(inst, mdp.PRESCRIBED, graphs).hex() == want.hex()
+        assert len(plans) == 2 + 2 + 3  # two more roots, and one fresh graph each
 
     @pytest.mark.parametrize(
         "action",
@@ -520,9 +543,45 @@ class TestStateBudget:
             solve(inst)
 
 
-def _policy_actions(g, policy) -> dict[int, int]:
+class TestFamilyBudget:
+    """A cached graph compiles every allocation of a game, and
+    ``mdp.MAX_STATES`` still bounds each allocation's game, not their sum."""
+
+    # nine allocations of 358 to 5,273 states
+    INST = MdpInstance(ell=6, share=0.35, phi=20.0, rho=0.25, alloc=0)
+
+    def test_allocations_that_each_fit_compile_together(self, monkeypatch):
+        sizes = mdp._graph(self.INST, {}).sizes
+        monkeypatch.setattr(mdp, "MAX_STATES", int(sizes.max()))
+        assert sizes.sum() > mdp.MAX_STATES
+        assert mdp._graph(self.INST, {}).sizes.tolist() == sizes.tolist()
+        best_response(self.INST.share, self.INST.ell, 20.0, self.INST.rho, games=0)
+
+    def test_an_allocation_past_the_budget_stops_before_its_crossing_frontier(
+        self, monkeypatch
+    ):
+        sizes = mdp._graph(self.INST, {}).sizes
+        big = int(np.argmax(sizes))  # the first allocation of the most states
+        budget = int(sizes[big]) - 1
+        expanded = np.zeros(len(sizes), np.intp)
+        expand = mdp._expand
+
+        def counted(fam, rows, sec):
+            expanded[:] += np.bincount(rows[:, mdp._AL], minlength=len(sizes))
+            return expand(fam, rows, sec)
+
+        monkeypatch.setattr(mdp, "_expand", counted)
+        monkeypatch.setattr(mdp, "MAX_STATES", budget)
+        with pytest.raises(StateBudgetError, match=f"ell=6, alloc={big} has more than"):
+            mdp._graph(self.INST, {})
+        assert 0 < expanded[big] <= budget
+        with pytest.raises(StateBudgetError, match=f"ell=6, alloc={big} "):
+            best_response(self.INST.share, self.INST.ell, 20.0, self.INST.rho, games=0)
+
+
+def _policy_actions(g, policy, root=mdp._ROOT) -> dict[int, int]:
     """``mdp._fixed_arrays`` as a map from state index to action index."""
-    return dict(zip(*(a.tolist() for a in mdp._fixed_arrays(g, policy))))
+    return dict(zip(*(a.tolist() for a in mdp._fixed_arrays(g, policy, root))))
 
 
 class TestArrayPasses:
@@ -544,19 +603,20 @@ class TestArrayPasses:
         graphs: dict = {}
         res = solve(inst, graphs)
         g = mdp._graph(inst, graphs)
+        root = mdp._root(g, inst)
         inner = np.frombuffer(g.inner, np.intc)
         values, choices = oracles.evaluate(g, phi)
         assert self._hex(res._values) == self._hex(values)
         assert res._choices[inner].tolist() == choices
 
         for policy in (res, partial(prescribed_action, inst)):
-            fixed = _policy_actions(g, policy)
-            rows, acts = mdp._fixed_arrays(g, policy)
+            fixed = _policy_actions(g, policy, root)
+            rows, acts = mdp._fixed_arrays(g, policy, root)
             got, got_choices = mdp._evaluate(g, phi, mdp._plan(g, rows, acts, np.ones_like(acts)))
             values, choices = oracles.evaluate(g, phi, fixed)
             assert self._hex(got) == self._hex(values)
             assert got_choices[sorted(fixed)].tolist() == choices
-            assert policy_value(inst, policy, graphs).hex() == values[mdp._ROOT].hex()
+            assert policy_value(inst, policy, graphs).hex() == values[root].hex()
 
         # every inner state sits above each of its successors
         act_lo, succ_lo = (np.frombuffer(a, np.intc) for a in (g.act_lo, g.succ_lo))
@@ -571,10 +631,12 @@ class TestArrayPasses:
         graphs: dict = {}
         res = solve(inst, graphs)
         g = mdp._graph(inst, graphs)
+        root = mdp._root(g, inst)
         for policy in (res, partial(prescribed_action, inst)):
             got = rollout_rewards(inst, policy, 5000, seed=7, graphs=graphs)
             want, draws = oracles.rollout(
-                g, _policy_actions(g, policy), inst.phi, 5000, np.random.default_rng(7)
+                g, _policy_actions(g, policy, root), inst.phi, 5000, np.random.default_rng(7),
+                root,
             )
             assert draws > 5 * mdp._DRAWS  # the draw buffer refills mid-game
             assert self._hex(got) == self._hex(want)
@@ -683,6 +745,28 @@ class TestIntegerCompile:
                 got = [(probs[e], states[succ[e]]) for e in edges]
                 assert got == successors(inst, state, actions[a])
 
+    @pytest.mark.parametrize("ells, words", [((1, 20), 1), ((30, 45), 2)], ids=["one", "two"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_keys_match_the_product_form(self, ells, words, data):
+        # keys ORed together column by column are bit for bit the keys of a
+        # product of the widened columns with their weights
+        ell = data.draw(st.integers(*ells), label="ell")
+        nalloc = data.draw(st.integers(1, 40), label="allocations")
+        n = data.draw(st.integers(0, 30), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        row_bits = [ell.bit_length()] * mdp._FORK + [1, (nalloc - 1).bit_length()]
+        sec_bits = [min(64, ell - 64 * k) for k in range(-(-ell // 64))]
+        layout = mdp._key_layout(row_bits, sec_bits)
+        assert len(layout) == words
+        rows = np.array([rng.integers(0, 1 << b, n) for b in row_bits], np.int16).T
+        sec = np.array(
+            [rng.integers(0, 2**b - 1, n, np.uint64, endpoint=True) for b in sec_bits]
+        ).T.reshape(n, len(sec_bits))
+        got, want = mdp._keys(rows, sec, layout), oracles.keys_by_product(rows, sec, layout)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_secret_masks_span_words(self):
         # an extension longer than 64 blocks spans words: against Python ints
         rng = np.random.default_rng(0)
@@ -753,6 +837,92 @@ class TestIntegerCompile:
         assert 0 < sum(expanded) <= 1000
         monkeypatch.setattr(mdp, "MAX_STATES", 10**9)
         assert len(mdp._compile(TestStateBudget.INST).leaf_of) == 35703
+
+
+def _same_floats(a, b) -> bool:
+    """Whether two float arrays are equal bit for bit."""
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+class TestAllocationFamily:
+    """A cached graph holds every allocation of a game, compiled and solved
+    together; each allocation's part must be the graph ``_compile`` builds
+    for it alone, and everything played on it must be the same, bit for
+    bit."""
+
+    CASES = [
+        (ell, share, rho, phi)
+        for ell in range(2, 9)
+        for share in (0.2, 0.35)
+        for rho in (0.25, 0.5)
+        for phi in (1.0, 20.0)
+    ]
+
+    @staticmethod
+    def _walked(g, root):
+        """The states from ``root`` in depth-first post-order, their
+        actions and their edges, and each state's place in that order."""
+        post = mdp._post_order(g, root)
+        rank = np.full(len(g.leaf_of), -1, np.intp)
+        rank[post] = np.arange(len(post))
+        acts = mdp._ranges(g.act_lo[post], np.diff(g.act_lo)[post])
+        edges = mdp._ranges(g.succ_lo[acts], np.diff(g.succ_lo)[acts])
+        return post, acts, edges, rank
+
+    @pytest.mark.parametrize(
+        "ell, share, rho, phi, chunk",
+        [case + (mdp._CHUNK,) for case in CASES] + [(5, 0.35, 0.25, 20.0, 7)],
+        ids=[f"ell{e}-share{s}-rho{r}-phi{p:g}" for e, s, r, p in CASES]
+        + ["ell5-share0.35-rho0.25-phi20-chunk7"],
+    )
+    def test_each_allocation_matches_its_own_compile(
+        self, ell, share, rho, phi, chunk, monkeypatch
+    ):
+        monkeypatch.setattr(mdp, "_CHUNK", chunk)
+        graphs: dict = {}
+        allocs = mdp._allocations(ell, share, rho)
+        insts = [MdpInstance(ell=ell, share=share, phi=phi, rho=rho, alloc=j) for j in allocs]
+        fam = mdp._graph(insts[0], graphs)
+        assert fam.allocs == tuple(allocs)
+        assert mdp._decode_states(fam, range(len(allocs))) == [initial_state()] * len(allocs)
+        assert fam.rows[: len(allocs), mdp._AL].tolist() == list(range(len(allocs)))
+        assert fam.sizes.sum() == len(fam.leaf_of)
+        for inst in insts:
+            root = mdp._root(fam, inst)
+            one = mdp._compile(inst)
+            # the cache solve(inst) would build for itself, holding ``one``
+            single = {(ell, share, rho, phi == 1.0): one}
+            res, res1 = solve(inst, graphs), solve(inst, single)
+            post, acts, edges, rank = self._walked(fam, root)
+            post1, acts1, edges1, rank1 = self._walked(one, mdp._ROOT)
+            # the allocation's states: all of them, and only its own
+            assert len(post) == fam.sizes[root] == len(one.leaf_of)
+            assert (fam.rows[post, mdp._AL] == root).all()
+            assert np.array_equal(fam.rows[post, : mdp._AL], one.rows[post1, : mdp._AL])
+            assert np.array_equal(fam.sec[post], one.sec[post1])
+            assert np.array_equal(fam.act[acts], one.act[acts1])
+            assert np.array_equal(np.diff(fam.act_lo)[post], np.diff(one.act_lo)[post1])
+            assert np.array_equal(np.diff(fam.succ_lo)[acts], np.diff(one.succ_lo)[acts1])
+            assert np.array_equal(rank[fam.succ[edges]], rank1[one.succ[edges1]])
+            assert _same_floats(fam.probs[fam.prob_of[edges]], one.probs[one.prob_of[edges1]])
+            assert np.array_equal(fam.level[post], one.level[post1])
+            leaf_of, leaf_of1 = fam.leaf_of[post], one.leaf_of[post1]
+            assert np.array_equal(leaf_of < 0, leaf_of1 < 0)
+            leaves = fam.leaves[leaf_of[leaf_of >= 0]]
+            assert np.array_equal(leaves, one.leaves[leaf_of1[leaf_of1 >= 0]])
+
+            # solved, evaluated and played on either graph: the same bits
+            assert res.value.hex() == res1.value.hex() and res.states == res1.states
+            assert _same_floats(res._values[post], res1._values[post1])
+            inner, inner1 = post[leaf_of < 0], post1[leaf_of1 < 0]
+            assert np.array_equal(fam.act[res._choices[inner]], one.act[res1._choices[inner1]])
+            for policy, policy1 in ((res, res1), (mdp.PRESCRIBED, mdp.PRESCRIBED)):
+                got = policy_value(inst, policy, graphs)
+                assert got.hex() == policy_value(inst, policy1, single).hex()
+                rewards = rollout_rewards(inst, policy, 50, seed=ell, graphs=graphs)
+                assert _same_floats(rewards, rollout_rewards(inst, policy1, 50, ell, single))
+        # one backward pass served every allocation at this factor
+        assert fam.solved[0] == phi and len(graphs) == 1
 
 
 class TestOracleEll4:
