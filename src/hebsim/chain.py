@@ -302,10 +302,9 @@ class _PathCounts:
     says that no checkpoint shares ``row``, so the next move may add to it
     in place.  ``rows`` maps each block read through at a height that is a
     multiple of :data:`_CHECKPOINT` to its row, which never changes.  The
-    store's reads step the cursor one block down themselves when ``own`` is
-    set and the block is off a checkpoint, adding it to ``row`` exactly as
-    :meth:`move` would; every other read away from the cursor calls
-    :meth:`move`.
+    store's per-creator reads go through :meth:`read`, whose in-place step
+    serves the engine's generic loop, the one that reads path counts: only
+    an epoch on a store that holds genesis alone runs strategy-free.
     """
 
     __slots__ = ("kind", "blocks", "slot_of", "at", "row", "own", "rows")
@@ -345,6 +344,21 @@ class _PathCounts:
                 rows[bid] = row
                 own = False
         self.at, self.row, self.own = block_id, row, own
+        return row
+
+    def read(self, block_id: int) -> array:
+        """:meth:`move`, but one block past an own row and off a checkpoint
+        it adds the block to the row in place, as :meth:`move` would."""
+        _, parent, creator, kind, height = self.blocks[block_id]
+        if parent != self.at or not self.own or not height % _CHECKPOINT:
+            return self.move(block_id)
+        row = self.row
+        if self.kind is None or kind == self.kind:
+            slot = self.slot_of[creator]
+            if slot >= len(row):  # the row ends before their slot
+                return self.move(block_id)
+            row[slot] += 1
+        self.at = block_id
         return row
 
     def __getstate__(self):  # without ``blocks``: the store links them back
@@ -426,8 +440,11 @@ class BlockStore:
     builds every pending chain, in ``extend`` order, so its blocks are
     stored as the appends would have stored them.  The reads that build are
     :meth:`get`, ``in``, :meth:`blocks`, :meth:`append`, the path counts,
-    :meth:`chain_to`, :meth:`to_jsonl`, and the main chain's when the
-    maximum-height tips tie.  ``len()``, :meth:`tip_ids`, ``max_height``,
+    :meth:`chain_to`, :meth:`to_jsonl`, the main chain's when the
+    maximum-height tips tie, and an :meth:`extend` off an unbuilt block.
+    Only an epoch on a store that holds genesis alone runs strategy-free
+    and extends; a chained epoch's first path counts build what the epoch
+    before left pending.  ``len()``, :meth:`tip_ids`, ``max_height``,
     ``max_id`` and :meth:`main_chain_length` with one tip build nothing, nor
     does :meth:`main_chain` when the last pending chain holds the one tip:
     its chain builds that pending chain's Blocks alone, and only when its
@@ -472,19 +489,6 @@ class BlockStore:
         for chain in self._pending:
             blocks.update(zip(chain.ids, chain.blocks()))
         self._pending.clear()
-
-    def _height(self, block_id: int) -> Optional[int]:
-        """The height of stored block ``block_id``, built or not; None when
-        there is no such block."""
-        block = self._blocks.get(block_id)
-        if block is not None:
-            return block[4]
-        for chain in self._pending:
-            try:
-                return chain.height + 1 + chain.ids.index(block_id)
-            except ValueError:
-                pass
-        return None
 
     # -- basic container protocol -------------------------------------------------
 
@@ -560,10 +564,14 @@ class BlockStore:
         ``kinds[i]``, heights following the parent's.  The store numbers new
         creators' slots as the appends would and keeps copies of the columns;
         the first read that needs a block builds the Blocks (see the class
-        docstring).  A fault in the columns raises a ChainError naming it
-        before anything changes.  An empty chain changes nothing."""
-        parent_height = self._height(parent_id)
-        if parent_height is None:
+        docstring).  An unbuilt parent builds the pending chains first, so
+        every pending chain's parent is built: the engine extends off
+        genesis, on a store that holds it alone.  A fault in the columns
+        raises a ChainError naming it before any block is added."""
+        if parent_id not in self._blocks and self._pending:
+            self._build()
+        parent = self._blocks.get(parent_id)
+        if parent is None:
             raise ChainError(f"missing parent {parent_id}")
         n = len(ids)
         if len(creators) != n or len(kinds) != n:
@@ -587,8 +595,8 @@ class BlockStore:
         slot = self._slot
         for creator in first_seen:
             slot.setdefault(creator, len(slot) + 1)
-        self._pending.append(_Pending(parent_id, ids, creators, kinds, parent_height))
-        height = parent_height + n
+        self._pending.append(_Pending(parent_id, ids, creators, kinds, parent.height))
+        height = parent.height + n
         self.max_id = max(self.max_id, max(ids))
         if height > self.max_height:
             self.max_height = height
@@ -606,41 +614,17 @@ class BlockStore:
         return sum(self._fac.move(block_id))
 
     def factored_by_on_path(self, block_id: int, creator: str) -> int:
-        counts = self._fac
-        row = counts.row
-        if block_id != counts.at:  # the cursor's block is built
-            if self._pending:
-                self._build()
-            _, parent, by, kind, height = self._blocks[block_id]
-            if parent == counts.at and counts.own and height % _CHECKPOINT:
-                try:  # one block past an own row, off a checkpoint: add in place
-                    if kind == FACTORED:
-                        row[self._slot[by]] += 1
-                    counts.at = block_id
-                except IndexError:  # the row ends before their slot
-                    row = counts.move(block_id)
-            else:
-                row = counts.move(block_id)
-        try:
-            return row[self._slot.get(creator, 0)]
-        except IndexError:  # slot past the row's end: none of theirs on the path
-            return 0
+        return self._by_on_path(self._fac, block_id, creator)
 
     def count_by_on_path(self, block_id: int, creator: str) -> int:
-        counts = self._cnt
+        return self._by_on_path(self._cnt, block_id, creator)
+
+    def _by_on_path(self, counts: _PathCounts, block_id: int, creator: str) -> int:
         row = counts.row
         if block_id != counts.at:  # the cursor's block is built
             if self._pending:
                 self._build()
-            _, parent, by, _, height = self._blocks[block_id]
-            if parent == counts.at and counts.own and height % _CHECKPOINT:
-                try:  # one block past an own row, off a checkpoint: add in place
-                    row[self._slot[by]] += 1
-                    counts.at = block_id
-                except IndexError:  # the row ends before their slot
-                    row = counts.move(block_id)
-            else:
-                row = counts.move(block_id)
+            row = counts.read(block_id)
         try:
             return row[self._slot.get(creator, 0)]
         except IndexError:  # slot past the row's end: none of theirs on the path
@@ -692,14 +676,14 @@ class BlockStore:
     def main_chain(self) -> Chain:
         """Longest common prefix of all longest chains, pinned to its tip
         (see :class:`Chain`).  When the last pending chain holds the one
-        maximum-height tip and its parent is built, nothing is built: the
-        chain's first read of ``blocks`` walks to that parent and builds
+        maximum-height tip, nothing is built: the chain's first read of
+        ``blocks`` walks to that chain's parent, which is built, and builds
         that pending chain's Blocks alone, which the store keeps for its
         build.  Otherwise it reads as :meth:`chain_to` does."""
         tips, pending = self._max_tips, self._pending
         if pending and len(tips) == 1:
             last = pending[-1]
-            if tips[0] == last.ids[-1] and last.parent in self._blocks:
+            if tips[0] == last.ids[-1]:
                 return Chain._pinned(self, tips[0], self.max_height, last)
         return self.chain_to(self._main_tip())
 

@@ -19,36 +19,34 @@ scheduler stream feeds nothing else.  A miner's generator is built the
 first time her strategy reads ``MinerView.rng``: prescribed miners draw
 only to break ties between longest chains, and most epochs have none.
 
-Prescribed play on one tip runs without strategy calls, withholding
-included.  When the store has exactly one tip at the start, the protocol's
-quota mode is ``"none"`` or ``"factored"``, and every miner's
-``_pick_tip``, as bound for the run, is ``PrescribedNakamoto``'s and her
-``generate_block`` and ``publish`` are those that ``PrescribedNakamoto``
-and ``PrescribedHeb`` define (``prescribed`` under every protocol but
-``heb_mandatory``, and ``no_ic``) or those of ``PowOnly`` (``pow_only``),
-the epoch is fixed by its selections.  Each step's publishing miner
-extends the tip and publishes at once; each withholder extends her private
-chain off the epoch's start, which she publishes whole at its
-``epoch_len``-th block.  The epoch ends at the first of these chains to
-reach the epoch's end.  The run works on miner indices in numpy arrays:
-it takes its selections in the generic loop's batches and finds the step
-that ends the epoch by cumulative counts, splits the publishing miners'
-steps from the withholders' by a mask, and sets each published block's
-kind by the quota rule, a maker's first ``limit - used`` blocks being
-factored, with ``used`` her view's count at the tip.  It hands the
-publishing miners' chain to one :meth:`BlockStore.extend` call as columns
-of ids, creators and kinds, then the chain of the withholder who ended the
-epoch, if one did, to a second.  The store keeps the columns and builds
-Blocks only where a read needs them.  On a fresh store the run settles
-from the counts: the main chain is the chain that ended the epoch, so each
-miner's blocks on it are a ``bincount`` of its creators (all
-``epoch_len`` the winning withholder's, none factored), her factored ones
-the lesser of that and her quota room.  So it builds no Block, and its
-``main`` is pinned to its tip and built only when read.  The other
-withholders' blocks stay private.  Its output is the generic loop's byte
-for byte.  A strategy class patched before the run is not one of these,
-so its methods are called at every step.  The generic loop's publication
-rounds append block by block.
+Prescribed play from genesis runs without strategy calls, withholding
+included.  When the store holds genesis alone (``store`` None, or a
+caller's store with no other block), the protocol's quota mode is
+``"none"`` or ``"factored"``, and every miner's ``_pick_tip``, as bound
+for the run, is ``PrescribedNakamoto``'s and her ``generate_block`` and
+``publish`` are those that ``PrescribedNakamoto`` and ``PrescribedHeb``
+define (``prescribed`` under every protocol but ``heb_mandatory``, and
+``no_ic``) or those of ``PowOnly`` (``pow_only``), the epoch is fixed by
+its selections.  Each step's publishing miner extends the tip and
+publishes at once; each withholder extends her private chain off genesis,
+which she publishes whole at its ``epoch_len``-th block.  The epoch ends
+at the first of these chains to reach ``epoch_len`` blocks.  The run works
+on miner indices in numpy arrays: it takes its selections in the generic
+loop's batches and finds the step that ends the epoch by cumulative
+counts, splits the publishing miners' steps from the withholders' by a
+mask, and makes each maker's first ``limit`` published blocks factored.
+It hands the publishing miners' chain to one :meth:`BlockStore.extend`
+call as columns of ids, creators and kinds, then the chain of the
+withholder who ended the epoch, if one did, to a second; the store builds
+Blocks only where a read needs them.  The main chain is the chain that
+ended the epoch, so the run settles from counts: each miner's blocks on it
+are a ``bincount`` of its creators (all ``epoch_len`` the winning
+withholder's, none factored), her factored ones the lesser of that and her
+quota room.  So it builds no Block, and ``main`` is built only when read.
+The other withholders' blocks stay private.  The output is the generic
+loop's byte for byte.  Every other epoch runs the generic loop, whose
+publication rounds append block by block: one with a strategy class
+patched before the run, and every epoch on a store past genesis.
 """
 
 from __future__ import annotations
@@ -557,8 +555,8 @@ def _withholding_draws(
     select: MinerSelector, rng: np.random.Generator, need: int, held: np.ndarray,
     epoch_len: int,
 ) -> tuple[np.ndarray, Optional[int]]:
-    """The miner indices selected in a one-tip epoch, up to the step that
-    ends it: the ``need``-th block of a publishing miner, or the
+    """The miner indices selected in an epoch from genesis, up to the step
+    that ends it: the ``need``-th block of a publishing miner, or the
     ``epoch_len``-th of a withholder (``held`` at her index).  Also the
     index of the withholder who ended it, or None.  Uniforms are drawn in
     the generic loop's batches."""
@@ -581,16 +579,14 @@ def _withholding_draws(
 
 
 def _quota_room(
-    n: int, used: dict[int, int], limits: Sequence[Optional[int]]
+    n: int, hebs: Sequence[bool], limits: Sequence[Optional[int]]
 ) -> np.ndarray:
-    """The quota rule, per miner index: how many of her next ``n`` blocks
-    are factored.  A miner ``m`` in ``used`` makes factored blocks while
-    ``within_quota`` holds, that is her first ``limits[m] - used[m]`` (all
-    when the limit is None); every other block is regular."""
-    room = np.zeros(len(limits), dtype=np.int64)
-    for m, u in used.items():
-        room[m] = n if limits[m] is None else min(max(limits[m] - u, 0), n)  # fits int64
-    return room
+    """The quota rule from genesis, per miner index: how many of her first
+    ``n`` blocks are factored.  A maker of factored blocks (``hebs[m]``)
+    makes her first ``limits[m]``, as ``within_quota`` allows (all when the
+    limit is None); every other block is regular."""
+    room = [n if limit is None else min(limit, n) for limit in limits]  # fits int64
+    return np.where(hebs, room, 0)
 
 
 def _quota_kinds(selected: np.ndarray, room: np.ndarray) -> list[str]:
@@ -624,36 +620,26 @@ def run_epoch(
     ``k * epoch_len``: blocks a previous epoch published past its end
     already belong to epoch ``k``.
 
-    Prescribed play on a one-tip store, ``pow_only`` withholders included
-    (see the module docstring), runs on arrays of selected miner indices
-    instead of the step loop, and gives each stored chain to one
-    ``store.extend`` call as columns, which the store keeps until a read
-    needs their blocks.  With ``store`` None it also settles from the
-    selection counts, so neither it nor ``to_json()`` builds a Block, and
-    ``main`` builds its Blocks on its first read of ``blocks``.  The output
-    is the same: the same selections, blocks, stats, ``steps`` and
-    ``blocks_created``.  New block ids continue from ``store.max_id``.
+    Prescribed play on a store that holds genesis alone (``store`` None,
+    or a caller's store with no other block; see the module docstring)
+    runs on arrays of selected miner indices instead of the step loop and
+    settles from their counts, so neither it nor ``to_json()`` builds a
+    Block.  The output is the step loop's, which every epoch on a store
+    past genesis runs.  New block ids continue from ``store.max_id``.
 
     Raises ValueError, before the settlement, when the epoch holds blocks
     by a creator who is not one of the game's miners (a store built by
     another game): no miner of this one could be paid for them.
     """
     params, protocol, miners = game.params, game.protocol, game.miners
-    fresh = store is None
-    if fresh:
+    if store is None:
         store = BlockStore()
         store.append(genesis_block(0))
-    start_main = store.main_chain()
-    epoch_index = start_main.length // params.epoch_len
-    start_len = epoch_index * params.epoch_len
-    target_len = start_len + params.epoch_len
-    start_tip = start_main.blocks[start_len]
     next_id = 1 + store.max_id
 
     ss = as_seedseq(seed)
     sched_rng = _stream(ss, (0,))
 
-    views: dict[str, MinerView] = {}  # built for the generic loop only
     # bound once per run, so a strategy class patched before the run is seen
     generate = {m.id: m.strategy.generate_block for m in miners}
     publish = {m.id: m.strategy.publish for m in miners}
@@ -669,30 +655,15 @@ def run_epoch(
 
     steps = created = 0
     max_steps = 1000 + 100 * params.epoch_len
-    stats = None  # the epoch's stats, when the path below counts them
-    play = quota_mode in ("none", "factored") and _prescribed_makers(
-        miners, generate, publish
+    play = len(store) == 1 and quota_mode in ("none", "factored") and (
+        _prescribed_makers(miners, generate, publish)
     )
-    if play and len(store.tip_ids()) == 1:
-        # prescribed play on one tip: each step's publishing miner extends
-        # the tip and publishes at once, and each withholder extends her
-        # private chain off ``start_tip``, which she publishes whole at its
-        # ``epoch_len``-th block.  So no strategy is called, and the stored
-        # blocks are the publishing miners' chain, then the chain of the
-        # withholder who ended the epoch, if one did: one extend call each,
-        # given columns.  A maker of factored blocks counts hers at the tip
-        # as her view would, by the store's counts there and at
-        # ``start_tip``.  Other withholders' blocks stay private.
-        # On a fresh store the main chain is the one that ended the epoch,
-        # so its stats are counts over the selections.
+    if play:  # prescribed play from genesis (see the module docstring)
         hebs, held = play
         held = np.array(held)
-        withholding = held.any()
-        parent_id, need = start_main.tip.id, target_len - start_main.length
-        if withholding:
-            selected, winner = _withholding_draws(
-                select, sched_rng, need, held, params.epoch_len
-            )
+        epoch_index, need = 0, params.epoch_len
+        if held.any():
+            selected, winner = _withholding_draws(select, sched_rng, need, held, need)
         else:
             selected, winner = select.indices(sched_rng.random(need)), None
         steps = created = len(selected)
@@ -705,30 +676,27 @@ def run_epoch(
             won = (next_id + np.flatnonzero(selected == winner)).tolist()
         at = np.flatnonzero(~held[selected])  # the publishing miners' steps
         selected = selected[at]
-        makers = [i for i, heb in enumerate(hebs) if heb]
-        used = dict.fromkeys(makers, 0)  # none past a tip at or below the start
-        if makers and start_main.length > start_len:  # the tip's height
-            on_path = store.factored_by_on_path
-            at_start = [on_path(start_tip.id, game.ids[i]) for i in makers]
-            for i, before in zip(makers, at_start):
-                used[i] = on_path(parent_id, game.ids[i]) - before
-        room = _quota_room(len(selected), used, [game.quota_limits[m] for m in game.ids])
+        room = _quota_room(len(selected), hebs, [game.quota_limits[m] for m in game.ids])
         store.extend(
-            parent_id, (next_id + at).tolist(), names[selected].tolist(),
+            store.genesis_id, (next_id + at).tolist(), names[selected].tolist(),
             _quota_kinds(selected, room),
         )
-        if winner is not None:
+        if winner is not None:  # her chain: all her blocks, none factored
             n = len(won)
-            store.extend(start_tip.id, won, [names[winner]] * n, [REGULAR] * n)
-            if fresh:  # her chain: all her blocks, none factored
-                stats = stats_from_counts([(names[winner], n, 0)], params.factor)
-        elif fresh:
+            store.extend(store.genesis_id, won, [names[winner]] * n, [REGULAR] * n)
+            stats = stats_from_counts([(names[winner], n, 0)], params.factor)
+        else:
             counts = np.bincount(selected, minlength=len(room))
             stats = stats_from_counts(
                 zip(game.ids, counts.tolist(), np.minimum(counts, room).tolist()),
                 params.factor,
             )
     else:
+        start_main = store.main_chain()
+        epoch_index = start_main.length // params.epoch_len
+        start_len = epoch_index * params.epoch_len
+        target_len = start_len + params.epoch_len
+        start_tip = start_main.blocks[start_len]
         views = {
             m.id: MinerView(
                 m.id, store, {}, params, game.allocations[m.id], game.quota_limits[m.id],
@@ -737,101 +705,98 @@ def run_epoch(
             for m in miners
         }
 
-    # the generic loop, for every other game (the path above completes the
-    # epoch, so after it the loop does not start).
-    # miners whose ``local`` is non-empty: the only ones ``publish`` is asked
-    holders: set[str] = set()
-    get = store.get
-    draws = iter(())
-    while store.main_chain_length() < target_len:
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                f"epoch did not terminate within {max_steps} scheduler steps"
-            )
-        mid = next(draws, None)
-        if mid is None:
-            # one uniform per step, drawn in batches sized to what is missing
-            missing = target_len - store.main_chain_length()
-            draws = iter(select(sched_rng, min(max(missing, 64), 4096)))
-            mid = next(draws)
-        view = views[mid]
-        result = generate[mid](view)
-        if result is None:
-            # mandatory-expenditure protocols: the selected miner has no
-            # quota left; her mining power is wasted this step.
-            if not any(can_create(v) for v in views.values()):
-                raise StalledSystemError(
-                    "all miners exhausted their block-creation quotas"
+        # the generic loop, for every other epoch.  ``holders`` are the
+        # miners whose ``local`` is non-empty: the only ones ``publish`` is asked
+        holders: set[str] = set()
+        get = store.get
+        draws = iter(())
+        while store.main_chain_length() < target_len:
+            steps += 1
+            if steps > max_steps:
+                raise RuntimeError(
+                    f"epoch did not terminate within {max_steps} scheduler steps"
                 )
-            continue
-        parent_id, kind = result
-        local = view.local
-        # block ids are unique, so a parent is in her ``local`` or public
-        parent = local.get(parent_id)
-        if parent is None:
-            try:
-                parent = get(parent_id)
-            except KeyError:
-                raise StrategyFault(
-                    f"miner {mid} extended unknown parent {parent_id}"
-                ) from None
-        if kind not in (REGULAR, FACTORED):
-            raise StrategyFault(f"miner {mid} returned block kind {kind!r}")
-        limit = view.quota_limit
-        if quota_mode == "factored" and kind == FACTORED:
-            if not within_quota(view.factored_used(parent_id), limit):
-                raise StrategyFault(
-                    f"miner {mid} exceeded her factored-block quota ({limit})"
-                )
-        elif quota_mode == "count":
-            if not within_quota(view.blocks_used(parent_id), limit):
-                raise StrategyFault(f"miner {mid} exceeded her block quota ({limit})")
-        local[next_id] = Block(next_id, parent_id, mid, kind, parent[-1] + 1)
-        next_id += 1
-        created += 1
-        holders.add(mid)
-
-        # publication rounds, until one publishes nothing.  No block is
-        # created here, and each round that publishes moves at least one
-        # block out of a ``local`` (a block published twice is a
-        # StrategyFault), so the rounds are bounded by the blocks held.
-        while holders:
-            batch: list[Block] = []
-            for hid in sorted(holders) if len(holders) > 1 else holders:
-                held = views[hid]
-                local = held.local
-                for bid in publish[hid](held):
-                    if bid not in local:
-                        raise StrategyFault(
-                            f"miner {hid} published block {bid} it does not hold"
-                        )
-                    batch.append(local[bid])
-            if not batch:
-                break
-            if len(batch) > 1:
-                batch.sort(key=_height_then_id)
-            for b in batch:
+            mid = next(draws, None)
+            if mid is None:
+                # one uniform per step, drawn in batches sized to what is missing
+                missing = target_len - store.main_chain_length()
+                draws = iter(select(sched_rng, min(max(missing, 64), 4096)))
+                mid = next(draws)
+            view = views[mid]
+            result = generate[mid](view)
+            if result is None:
+                # mandatory-expenditure protocols: the selected miner has no
+                # quota left; her mining power is wasted this step.
+                if not any(can_create(v) for v in views.values()):
+                    raise StalledSystemError(
+                        "all miners exhausted their block-creation quotas"
+                    )
+                continue
+            parent_id, kind = result
+            local = view.local
+            # block ids are unique, so a parent is in her ``local`` or public
+            parent = local.get(parent_id)
+            if parent is None:
                 try:
-                    store.append(b)
-                except ChainError as e:
+                    parent = get(parent_id)
+                except KeyError:
                     raise StrategyFault(
-                        f"miner {b.creator} published an unappendable block: {e}"
-                    ) from e
-                bid, _, creator, _, _ = b
-                local = views[creator].local
-                del local[bid]
-                if not local:
-                    holders.discard(creator)
+                        f"miner {mid} extended unknown parent {parent_id}"
+                    ) from None
+            if kind not in (REGULAR, FACTORED):
+                raise StrategyFault(f"miner {mid} returned block kind {kind!r}")
+            limit = view.quota_limit
+            if quota_mode == "factored" and kind == FACTORED:
+                if not within_quota(view.factored_used(parent_id), limit):
+                    raise StrategyFault(
+                        f"miner {mid} exceeded her factored-block quota ({limit})"
+                    )
+            elif quota_mode == "count":
+                if not within_quota(view.blocks_used(parent_id), limit):
+                    raise StrategyFault(f"miner {mid} exceeded her block quota ({limit})")
+            local[next_id] = Block(next_id, parent_id, mid, kind, parent[-1] + 1)
+            next_id += 1
+            created += 1
+            holders.add(mid)
+
+            # publication rounds, until one publishes nothing.  No block is
+            # created here, and each round that publishes moves at least one
+            # block out of a ``local`` (a block published twice is a
+            # StrategyFault), so the rounds are bounded by the blocks held.
+            while holders:
+                batch: list[Block] = []
+                for hid in sorted(holders) if len(holders) > 1 else holders:
+                    held = views[hid]
+                    local = held.local
+                    for bid in publish[hid](held):
+                        if bid not in local:
+                            raise StrategyFault(
+                                f"miner {hid} published block {bid} it does not hold"
+                            )
+                        batch.append(local[bid])
+                if not batch:
+                    break
+                if len(batch) > 1:
+                    batch.sort(key=_height_then_id)
+                for b in batch:
+                    try:
+                        store.append(b)
+                    except ChainError as e:
+                        raise StrategyFault(
+                            f"miner {b.creator} published an unappendable block: {e}"
+                        ) from e
+                    bid, _, creator, _, _ = b
+                    local = views[creator].local
+                    del local[bid]
+                    if not local:
+                        holders.discard(creator)
 
     main = store.main_chain()
-    if stats is None:
-        prefix_ok = (
-            main.length >= start_len and main.blocks[start_len].id == start_tip.id
-        )
-        stats = epoch_stats(main, epoch_index, params)
-    else:  # the epoch's chain is the main chain from genesis
+    if play:  # the epoch's chain is the main chain from genesis
         prefix_ok = True
+    else:
+        prefix_ok = main.length >= start_len and main.blocks[start_len].id == start_tip.id
+        stats = epoch_stats(main, epoch_index, params)
     ids = game.ids
     for m in ids:
         stats.setdefault(m, _NO_BLOCKS)

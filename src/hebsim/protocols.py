@@ -110,8 +110,8 @@ class PowOnly(PrescribedNakamoto):
     """Ignore internal expenditure entirely: mine a full private epoch on
     external resources and publish the epoch_len blocks all at once.
 
-    On a one-tip store, ``run_epoch`` plays her epoch without calling her
-    methods, unless they are patched or overridden (see
+    On a store that holds genesis alone, ``run_epoch`` plays her epoch
+    without calling her methods, unless they are patched or overridden (see
     :data:`PRESCRIBED_PLAY`)."""
 
     def generate_block(self, view: MinerView):

@@ -125,13 +125,15 @@ class TestRunEpoch:
 
         prescribed = game(*["prescribed"] * 4)
         res = run_epoch(prescribed, seed=1)
-        run_epoch(prescribed, seed=2, store=res.store)  # the next epoch, on one tip
         run_epoch(game("pow_only", *["prescribed"] * 3), seed=1)
         assert built == []
-        # a petty_compliant miner is called every step: the generic loop
+        # the next epoch on the same store runs the generic loop, which
         # views every miner
-        run_epoch(game("petty_compliant", *["prescribed"] * 3), seed=1)
+        run_epoch(prescribed, seed=2, store=res.store)
         assert built == ["m0", "m1", "m2", "m3"]
+        # so does a petty_compliant miner, who is called every step
+        run_epoch(game("petty_compliant", *["prescribed"] * 3), seed=1)
+        assert built == ["m0", "m1", "m2", "m3"] * 2
 
     def test_deterministic_given_seed(self):
         params = EpochParams(epoch_len=50)

@@ -1,7 +1,7 @@
-"""Prescribed play on one tip: run_epoch's counter path gives byte for byte
-what its generic loop gives, runs only when every miner's strategy is an
-unpatched prescribed or ``pow_only`` one on a one-tip store, and calls no
-strategy."""
+"""Prescribed play from genesis: run_epoch's counter path gives byte for
+byte what its generic loop gives, runs only when every miner's strategy is
+an unpatched prescribed or ``pow_only`` one on a store that holds genesis
+alone, and calls no strategy.  A chained epoch runs the generic loop."""
 
 import io
 import json
@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hebsim import engine
 from hebsim.chain import (
     Block,
     BlockStore,
@@ -176,9 +177,11 @@ class TestDifferential:
         seeds = [seed * 10 + i for i in range(3)]
         plays = PLAYERS[players]
         counted = chained(make_game(protocol, rho, plays, epoch_len), seeds)
-        assert tip_reads == []
+        # the first epoch calls no strategy; the two chained ones run the
+        # generic loop
+        assert len(tip_reads) == 2 * epoch_len
         looped = chained(make_game(protocol, rho, plays, epoch_len, generic=True), seeds)
-        assert len(tip_reads) == 3 * epoch_len
+        assert len(tip_reads) == 5 * epoch_len
         assert counted == looped
 
     @pytest.mark.parametrize("epoch_len", [1, 63, 64, 65, 4097])
@@ -188,10 +191,13 @@ class TestDifferential:
         self, protocol, rho, players, epoch_len, tip_reads, appends
     ):
         plays = WITHHOLDING[players]
-        counted = chained(make_game(protocol, rho, plays, epoch_len), [7, 8, 9])
+        game = make_game(protocol, rho, plays, epoch_len)
+        first = run_epoch(game, 7)
         assert tip_reads == [] and appends == []
-        looped = chained(make_game(protocol, rho, plays, epoch_len, generic=True), [7, 8, 9])
+        # the chained epochs run the generic loop, which appends
+        counted = [first.to_json(), *chained(game, [8, 9], first.store)]
         assert appends
+        looped = chained(make_game(protocol, rho, plays, epoch_len, generic=True), [7, 8, 9])
         assert counted == looped
 
     @pytest.mark.parametrize("seed", range(3))
@@ -303,7 +309,7 @@ class TestStartingStores:
 
         copy = BlockStore.from_jsonl(withheld.to_jsonl())
         counted = chained(counted_game, [5, 6], withheld)
-        assert tip_reads == []
+        assert tip_reads  # a store past genesis runs the generic loop
         looped = chained(looped_game, [5, 6], copy)
         assert counted == looped
         # epoch 1 holds her 10 withheld factored blocks, then she mined only
@@ -334,7 +340,7 @@ class TestStartingStores:
             for generic in (False, True)
         )
         counted = chained(counted_game, [5, 6, 7], withheld)
-        assert appends == []
+        assert appends  # a store past genesis runs the generic loop
         looped = chained(looped_game, [5, 6, 7], copy)
         assert counted == looped
 
@@ -634,6 +640,35 @@ class TestStoreCalls:
         assert out + [store.to_jsonl()] == expected
 
 
+class TestGenesisOnlyStores:
+    """Only a store that holds genesis alone runs strategy-free: a caller's
+    such store runs and settles from the counts as ``store=None`` does, and
+    an epoch on a store past genesis calls the strategies."""
+
+    PLAYS = {**PLAYERS, **WITHHOLDING}
+
+    @pytest.mark.parametrize("players", sorted(PLAYS))
+    @pytest.mark.parametrize("protocol, rho", PROTOCOLS)
+    def test_a_callers_genesis_store_runs_as_none_does(
+        self, protocol, rho, players, monkeypatch, tip_reads
+    ):
+        game = make_game(protocol, rho, self.PLAYS[players], 65)
+        settle = engine.epoch_stats
+
+        def refuse(*args):
+            raise AssertionError("settled by epoch_stats")
+
+        monkeypatch.setattr(engine, "epoch_stats", refuse)
+        fresh, given = run_epoch(game, 31), run_epoch(game, 31, genesis_store())
+        assert tip_reads == []
+        assert given.to_json() == fresh.to_json()
+        assert given.store.to_jsonl() == fresh.store.to_jsonl()
+        monkeypatch.setattr(engine, "epoch_stats", settle)
+        if players != "all":  # pow_only reads no tip
+            run_epoch(game, 32, given.store)
+            assert tip_reads
+
+
 # -- the per-step stop rule and quota counter, kept as oracles ----------------
 
 
@@ -736,15 +771,15 @@ class TestStopRule:
 class TestQuotaKinds:
     NAMES = ["a", "b", "c", "d"]
 
-    def assert_kinds_match(self, selected, used, limits):
+    def assert_kinds_match(self, selected, makers, limits):
         index = {m: i for i, m in enumerate(self.NAMES)}
         room = _quota_room(
             len(selected),
-            {index[m]: u for m, u in used.items()},
+            [m in makers for m in self.NAMES],
             [limits.get(m) for m in self.NAMES],
         )
         kinds = _quota_kinds(np.array([index[m] for m in selected], dtype=np.intp), room)
-        assert kinds == counted_kinds(selected, used, limits)
+        assert kinds == counted_kinds(selected, dict.fromkeys(makers, 0), limits)
         return kinds
 
     @pytest.mark.parametrize("seed", range(30))
@@ -752,20 +787,17 @@ class TestQuotaKinds:
         rng = np.random.default_rng(seed)
         selected = rng.choice(self.NAMES, int(rng.integers(1, 400))).tolist()
         makers = [m for m in self.NAMES if rng.random() < 0.75]
-        used = {m: int(rng.choice([0, 1, 3, 10, 40])) for m in makers}
         limits = {m: rng.choice([None, 0, 3, 10, 40, 200]) for m in makers}
-        self.assert_kinds_match(selected, used, limits)
+        self.assert_kinds_match(selected, makers, limits)
 
-    @pytest.mark.parametrize("used, limit, factored", [
-        (2, 5, 3),  # used > 0: three of her blocks left
-        (7, None, 6),  # no limit: all of hers
-        (5, 5, 0),  # limit == used
-        (9, 5, 0),  # limit < used
-        (0, 0, 0),
+    @pytest.mark.parametrize("limit, factored", [
+        (3, 3),  # her first three
+        (None, 6),  # no limit: all of hers
+        (0, 0),
     ])
-    def test_a_makers_quota_left(self, used, limit, factored):
+    def test_a_makers_quota_left(self, limit, factored):
         selected = list("abacabaabcab")
-        kinds = self.assert_kinds_match(selected, {"a": used, "c": 1}, {"a": limit, "c": 2})
+        kinds = self.assert_kinds_match(selected, ["a", "c"], {"a": limit, "c": 1})
         hers = [k for m, k in zip(selected, kinds) if m == "a"]
         assert hers == [FACTORED] * factored + [REGULAR] * (len(hers) - factored)
         assert [k for m, k in zip(selected, kinds) if m == "c"] == [FACTORED, REGULAR]
@@ -796,7 +828,7 @@ class TestQuotaLeft:
         store = withheld_store()
         copy = BlockStore.from_jsonl(store.to_jsonl())
         counted = chained(counted_game, [6, 7], store)
-        assert tip_reads == []
+        assert tip_reads  # a store past genesis runs the generic loop
         assert counted == chained(looped_game, [6, 7], copy)
         # five more factored blocks, then regular ones
         n, weight = json.loads(counted[0])["stats"]["w"]
